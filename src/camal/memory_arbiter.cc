@@ -4,12 +4,37 @@
 #include <limits>
 #include <set>
 
-#include "engine/sharded_engine.h"
+#include "engine/shard_set.h"
 #include "model/arbitration.h"
 #include "model/optimum.h"
 #include "util/status.h"
 
 namespace camal::tune {
+
+namespace {
+
+/// The model's op type of an engine op served without a generator behind
+/// it (gateway-driven batches). Lookups are classified by their outcome —
+/// a found key is the model's non-zero-result lookup, a miss its
+/// zero-result one — which is exactly what the generator's labels encode
+/// on a steady-state key space.
+workload::OpType ServedType(const engine::Op& op,
+                            const engine::OpResult& result) {
+  switch (op.kind) {
+    case engine::OpKind::kGet:
+      return result.found ? workload::OpType::kNonZeroResultLookup
+                          : workload::OpType::kZeroResultLookup;
+    case engine::OpKind::kScan:
+      return workload::OpType::kRangeLookup;
+    case engine::OpKind::kPut:
+      return workload::OpType::kWrite;
+    case engine::OpKind::kDelete:
+      return workload::OpType::kDelete;
+  }
+  return workload::OpType::kWrite;  // unreachable: the switch is exhaustive
+}
+
+}  // namespace
 
 MemoryArbiter::MemoryArbiter(const SystemSetup& setup,
                              const lsm::Options& total_options,
@@ -25,7 +50,7 @@ MemoryArbiter::MemoryArbiter(const SystemSetup& setup,
   // drops remainders system-wide, so the conserved total is the sum of
   // the shares, not the nominal system budget).
   const engine::ShardBudget even = engine::ShardBudget::FromOptions(
-      engine::ShardedEngine::ShardOptions(total_options, num_shards));
+      engine::ShardOptions(total_options, num_shards));
   num_shards_ = num_shards;
   even_share_bits_ = even.TotalBits();
   total_bits_ = even_share_bits_ * num_shards;
@@ -147,67 +172,31 @@ void MemoryArbiter::Record(size_t shard, workload::OpType type) {
   }
 }
 
-void MemoryArbiter::OnBatch(engine::StorageEngine* engine,
-                            const workload::Operation* ops, size_t count) {
+void MemoryArbiter::OnBatchEvent(engine::StorageEngine* engine,
+                                 const workload::BatchEvent& event) {
+  CAMAL_CHECK(event.ops != nullptr ||
+              (event.engine_ops != nullptr && event.results != nullptr));
   // A scatter-gather scan probes every *data-holding* shard — the
   // resident set, which on an eager engine is every shard (the historical
   // accounting, bit-identical) and on a lazy one exactly the shards the
   // scan actually visited. Resolved once per batch, not per scan.
   std::vector<size_t> resident;
   bool resident_ready = false;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].type == workload::OpType::kRangeLookup) {
+  // Executor-driven events carry the generator's typed operations.
+  const bool typed = event.ops != nullptr;
+  for (size_t i = 0; i < event.count; ++i) {
+    const uint64_t key = typed ? event.ops[i].key : event.engine_ops[i].key;
+    const workload::OpType type =
+        typed ? event.ops[i].type
+              : ServedType(event.engine_ops[i], event.results[i]);
+    if (type == workload::OpType::kRangeLookup) {
       if (!resident_ready) {
         engine->AppendResidentShards(&resident);
         resident_ready = true;
       }
-      for (size_t s : resident) Record(s, ops[i].type);
+      for (size_t s : resident) Record(s, type);
     } else {
-      Record(engine->ShardIndex(ops[i].key), ops[i].type);
-    }
-  }
-  window_ops_ += count;
-  if (RoundDue()) Rebalance(engine);
-}
-
-void MemoryArbiter::OnBatchEvent(engine::StorageEngine* engine,
-                                 const workload::BatchEvent& event) {
-  if (event.ops != nullptr) {
-    // Executor-driven: the generator's typed operations are available, so
-    // take the historical path (bit-identical accounting).
-    OnBatch(engine, event.ops, event.count);
-    return;
-  }
-  // Gateway-driven: only engine ops exist. Lookups are classified by
-  // their outcome — a found key is the model's non-zero-result lookup, a
-  // miss its zero-result one — which is exactly what the generator's
-  // labels encode on a steady-state key space.
-  CAMAL_CHECK(event.engine_ops != nullptr && event.results != nullptr);
-  std::vector<size_t> resident;
-  bool resident_ready = false;
-  for (size_t i = 0; i < event.count; ++i) {
-    const engine::Op& op = event.engine_ops[i];
-    switch (op.kind) {
-      case engine::OpKind::kGet:
-        Record(engine->ShardIndex(op.key),
-               event.results[i].found
-                   ? workload::OpType::kNonZeroResultLookup
-                   : workload::OpType::kZeroResultLookup);
-        break;
-      case engine::OpKind::kScan:
-        // A scan probes the resident set; each probed shard pays for it.
-        if (!resident_ready) {
-          engine->AppendResidentShards(&resident);
-          resident_ready = true;
-        }
-        for (size_t s : resident) Record(s, workload::OpType::kRangeLookup);
-        break;
-      case engine::OpKind::kPut:
-        Record(engine->ShardIndex(op.key), workload::OpType::kWrite);
-        break;
-      case engine::OpKind::kDelete:
-        Record(engine->ShardIndex(op.key), workload::OpType::kDelete);
-        break;
+      Record(engine->ShardIndex(key), type);
     }
   }
   window_ops_ += event.count;

@@ -54,12 +54,12 @@ struct ArbiterOptions {
 /// never grow), every shard keeps at least its floor, and the arbiter
 /// talks only to the `StorageEngine` surface (`ShardOptionsSnapshot`,
 /// `ShardEntries`, `ReconfigureShard`) — it works unchanged against any
-/// backend, simulated or real-IO. The arbiter is a `workload::BatchHook`:
-/// attach it to an `ExecutorConfig` (static serving, `Evaluator` with
-/// `SystemSetup::arbitration`) or to a `DynamicTuner` (dynamic serving,
-/// composing with per-shard retunes, which then respect arbitrated
-/// budgets). Not attached — the even split — is the exact pre-arbiter
-/// behavior.
+/// backend, simulated or real-IO. The arbiter is a
+/// `workload::BatchObserver`: attach it to an `ExecutorConfig` (static
+/// serving, `Evaluator` with `SystemSetup::arbitration`), to a
+/// `DynamicTuner` (dynamic serving, composing with per-shard retunes,
+/// which then respect arbitrated budgets), or to a `serve::Gateway`. Not
+/// attached — the even split — is the exact pre-arbiter behavior.
 ///
 /// **Scale.** Budgets live in a two-level hierarchy (group → shard):
 /// shards that have never participated in a rebalance are *implicit* —
@@ -74,19 +74,19 @@ struct ArbiterOptions {
 /// bit-identical to a flat dense arbiter.
 ///
 /// **Thread-safety.** Externally synchronized, like the engine it
-/// arbitrates: `OnBatch` fires on the execution thread between batches,
-/// never concurrently with operations.
+/// arbitrates: `OnBatchEvent` fires on the execution thread between
+/// batches, never concurrently with operations.
 ///
 /// **Determinism.** All decisions are a deterministic function of the
 /// observed operation stream and engine state (budget moves are priced on
 /// op-mix windows, not on measured cost clocks — see `Rebalance`), so a
 /// run with an arbiter attached is reproducible on the simulated backend
 /// and produces identical budget trajectories on the real backend.
-class MemoryArbiter : public workload::BatchHook {
+class MemoryArbiter : public workload::BatchObserver {
  public:
   /// `total_options` is the system-wide configuration whose memory the
   /// arbiter conserves; starting per-shard budgets are the engine's even
-  /// split of it (`ShardedEngine::ShardOptions` floor division), so an
+  /// split of it (`engine::ShardOptions` floor division), so an
   /// arbiter that never moves memory changes nothing. `setup` supplies
   /// the model basis (entry size, block size, scan selectivity).
   MemoryArbiter(const SystemSetup& setup, const lsm::Options& total_options,
@@ -106,17 +106,13 @@ class MemoryArbiter : public workload::BatchHook {
   /// number of shards reconfigured.
   size_t Rebalance(engine::StorageEngine* engine);
 
-  /// BatchHook: accounts the batch per shard and rebalances when a window
-  /// has elapsed.
-  void OnBatch(engine::StorageEngine* engine, const workload::Operation* ops,
-               size_t count) override;
-
-  /// BatchObserver: executor-driven events (`event.ops` set) take the
-  /// `OnBatch` path unchanged; gateway-driven events (`event.ops` null —
-  /// there is no generator behind gateway traffic) classify the engine
-  /// ops instead, reading lookup zero-/non-zero-result from
-  /// `OpResult::found`. Either way the arbiter rides batch boundaries of
-  /// whatever pipeline drives the engine.
+  /// BatchObserver: accounts the batch per shard and rebalances when a
+  /// window has elapsed, riding the batch boundaries of whatever pipeline
+  /// drives the engine. Executor-driven events (`event.ops` set) are
+  /// accounted by the generator's typed operations; gateway-driven events
+  /// (`event.ops` null — there is no generator behind gateway traffic)
+  /// classify the engine ops instead, reading lookup zero-/non-zero-result
+  /// from `OpResult::found`.
   void OnBatchEvent(engine::StorageEngine* engine,
                     const workload::BatchEvent& event) override;
 

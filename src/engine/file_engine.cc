@@ -15,15 +15,15 @@
 #include <limits>
 #include <list>
 #include <map>
+#include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "engine/io_ring.h"
 #include "engine/manifest.h"
-#include "engine/sharded_engine.h"
 #include "lsm/bloom.h"
-#include "util/random.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -261,11 +261,9 @@ struct FileEngine::Shard {
   /// released into the sidecar file `dir + "/hibernate.snap"`; the cheap
   /// residuals below keep the observability surface (entries, run counts,
   /// transition status) answerable without rehydrating.
-  bool hibernated = false;
   uint64_t hib_memtable_size = 0;
   /// Per-level (run count, entry count) at hibernation time.
-  std::vector<std::pair<size_t, uint64_t>> hib_level_shape;
-  uint64_t last_touch_epoch = ~uint64_t{0};  // sentinel: never touched
+  std::vector<std::pair<uint64_t, uint64_t>> hib_level_shape;
 };
 
 namespace {
@@ -407,10 +405,8 @@ FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     off += static_cast<size_t>(n);
   }
   // A run must be durable before the manifest record that references it
-  // commits; `sync_files` keeps its original meaning independently.
-  if (cfg.sync_files || DurableSync(cfg)) {
-    SysCheck(ops->Fsync(fd) == 0, "fsync", run->path);
-  }
+  // commits.
+  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync", run->path);
   ops->Close(fd);
   sh.clock.block_writes += num_blocks;
 
@@ -424,12 +420,15 @@ uint64_t LevelEntries(const std::vector<FileRunPtr>& level) {
   return total;
 }
 
-bool LevelViolates(const lsm::Options& opts,
-                   const std::vector<FileRunPtr>& level, size_t level_idx) {
-  if (level.empty()) return false;
-  if (level.size() > static_cast<size_t>(opts.MaxRunsPerLevel())) return true;
-  return static_cast<double>(LevelEntries(level)) >
-         opts.LevelCapacityEntries(static_cast<int>(level_idx));
+/// Per-level (run count, entry count) of a live shard's file set.
+std::vector<std::pair<uint64_t, uint64_t>> LevelShape(
+    const FileEngine::Shard& sh) {
+  std::vector<std::pair<uint64_t, uint64_t>> shape;
+  shape.reserve(sh.levels.size());
+  for (const auto& level : sh.levels) {
+    shape.emplace_back(level.size(), LevelEntries(level));
+  }
+  return shape;
 }
 
 /// Bits-per-key for a new run: the shard's Bloom budget spread uniformly
@@ -526,7 +525,8 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                bool direct_io) {
   for (size_t l = 0; l < sh.levels.size(); ++l) {
-    while (LevelViolates(sh.options, sh.levels[l], l)) {
+    while (sh.options.LevelOverflows(l, sh.levels[l].size(),
+                                     LevelEntries(sh.levels[l]))) {
       MergeLevelDown(sh, cfg, direct_io, l);
     }
   }
@@ -738,13 +738,9 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   // restores the shard asleep. Crash before this record commits → the
   // manifest still says "live" and recovery takes the WAL path (the stray
   // sidecar is swept as an orphan).
+  sh.hib_level_shape = LevelShape(sh);
   if (sh.manifest != nullptr) {
-    std::vector<std::pair<uint64_t, uint64_t>> shape;
-    shape.reserve(sh.levels.size());
-    for (const auto& level : sh.levels) {
-      shape.emplace_back(level.size(), LevelEntries(level));
-    }
-    sh.manifest->LogHibernate(sh.memtable.size(), shape);
+    sh.manifest->LogHibernate(sh.memtable.size(), sh.hib_level_shape);
     // A hibernated shard holds no descriptors: the log writers close too
     // (the record count survives in a residual for the wake reopen).
     sh.manifest_records = sh.manifest->record_count();
@@ -752,12 +748,9 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
     sh.wal.reset();
   }
 
-  // Cheap residuals keep size/transition queries answerable while asleep.
+  // Cheap residuals (with the level shape above) keep size/transition
+  // queries answerable while asleep.
   sh.hib_memtable_size = sh.memtable.size();
-  sh.hib_level_shape.clear();
-  for (const auto& level : sh.levels) {
-    sh.hib_level_shape.emplace_back(level.size(), LevelEntries(level));
-  }
   sh.memtable.clear();
   sh.levels.clear();  // closes every run fd
   sh.cache.Resize(0);
@@ -765,7 +758,6 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   sh.ring.reset();
   sh.ring_bufs.clear();
   sh.io_depth = 1;
-  sh.hibernated = true;
 }
 
 /// Rehydrates a hibernated shard from its sidecar: reopens run files,
@@ -868,7 +860,6 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(sh, cfg, engine_uring);
-  sh.hibernated = false;
   sh.hib_memtable_size = 0;
   sh.hib_level_shape.clear();
   MaybeRotateManifest(sh, cfg);
@@ -1209,8 +1200,7 @@ uint64_t FileEngine::NextUniqueId() {
 
 FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
                        const FileEngineConfig& config)
-    : config_(config) {
-  CAMAL_CHECK(num_shards >= 1);
+    : config_(config), set_(this, num_shards, total_options, config.lifecycle) {
   CAMAL_CHECK(config_.block_bytes >= 512 &&
               (config_.block_bytes & (config_.block_bytes - 1)) == 0);
   // Normalize the durability knobs once: reopening implies the layer is
@@ -1249,28 +1239,19 @@ FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
   // (SetupShardRing); everything else falls back to pread automatically.
   use_uring_ = config_.io_mode != IoMode::kPread && fileio::IoRingSupported();
 
-  default_options_ = ShardedEngine::ShardOptions(total_options, num_shards);
-  num_shards_ = num_shards;  // no slots yet: all shards cold
+  // No slots yet: every shard is cold until recovered or touched.
   if (config_.reopen) RecoverShards();
-  if (!config_.lifecycle.lazy) {
-    for (size_t s = 0; s < num_shards; ++s) MaterializeShard(s);
-  }
+  set_.MaterializeIfEager();
 }
 
 FileEngine::~FileEngine() {
   // Clean close: anything still buffered in a WAL lands (and, per policy,
   // syncs) so `reopen=true` restores the exact logical state. Hibernated
   // shards committed theirs when they went to sleep.
-  if (config_.durable) {
-    for (auto& [s, sh] : shards_) {
-      (void)s;
-      if (sh->wal != nullptr) sh->wal->Commit();
-    }
-  }
-  // Close every run fd before touching the directory tree.
-  for (auto& [s, sh] : shards_) {
-    (void)s;
-    for (auto& level : sh->levels) level.clear();
+  for (const auto& [s, e] : set_.entries()) {
+    if (config_.durable && e.slot->wal != nullptr) e.slot->wal->Commit();
+    // Close every run fd before touching the directory tree.
+    for (auto& level : e.slot->levels) level.clear();
   }
   if (config_.keep_files) return;
   std::error_code ec;
@@ -1279,10 +1260,7 @@ FileEngine::~FileEngine() {
   } else {
     // The caller owned the directory before us: remove only our shard
     // subtrees, never sibling content. Cold shards never created theirs.
-    for (const auto& [s, sh] : shards_) {
-      (void)s;
-      fs::remove_all(sh->dir, ec);
-    }
+    for (const auto& [s, e] : set_.entries()) fs::remove_all(e.slot->dir, ec);
   }
 }
 
@@ -1298,7 +1276,8 @@ void FileEngine::RecoverShards() {
     char* end = nullptr;
     const unsigned long long s = std::strtoull(name.c_str() + 6, &end, 10);
     if (end == nullptr || *end != '\0') continue;  // not ours
-    CAMAL_CHECK(s < num_shards_);  // reopened with a smaller shard count
+    // Reopened with a smaller shard count?
+    CAMAL_CHECK(s < set_.num_shards());
     found.emplace_back(static_cast<size_t>(s), entry.path().string());
   }
   // Deterministic recovery order (directory iteration order is not).
@@ -1351,11 +1330,8 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   if (hibernated) {
     // Restored asleep: residuals only, no descriptors, no heap state —
     // the next touching op wakes it through the ordinary sidecar path.
-    sh->hibernated = true;
     sh->hib_memtable_size = st.hib_memtable_entries;
-    for (const auto& [runs, entries] : st.hib_shape) {
-      sh->hib_level_shape.emplace_back(static_cast<size_t>(runs), entries);
-    }
+    sh->hib_level_shape = st.hib_shape;
     for (const auto& level : st.levels) {
       for (const fileio::ManifestRunMeta& run : level) {
         sh->disk_entries += run.num_entries;
@@ -1366,8 +1342,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
       fileio::Manifest temp(ops, dir, sync, st.num_records);
       temp.TruncateTail(st.valid_bytes);
     }
-    shards_.emplace(s, std::move(sh));
-    hibernated_.insert(s);
+    set_.Adopt(s, std::move(sh), ShardState::kHibernated);
     return;
   }
 
@@ -1428,125 +1403,48 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
   sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(*sh, config_, use_uring_);
-  shards_.emplace(s, std::move(sh));
-  resident_.insert(s);
+  set_.Adopt(s, std::move(sh), ShardState::kMaterialized);
 }
 
-FileEngine::Shard* FileEngine::ShardPtr(size_t s) {
-  const auto it = shards_.find(s);
-  return it == shards_.end() ? nullptr : it->second.get();
-}
-const FileEngine::Shard* FileEngine::ShardPtr(size_t s) const {
-  const auto it = shards_.find(s);
-  return it == shards_.end() ? nullptr : it->second.get();
-}
-
-FileEngine::Shard& FileEngine::shard(size_t s) {
-  CAMAL_CHECK(s < num_shards_);
-  Shard* sh = ShardPtr(s);
-  CAMAL_CHECK(sh != nullptr);
-  return *sh;
-}
-const FileEngine::Shard& FileEngine::shard(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  CAMAL_CHECK(sh != nullptr);
-  return *sh;
-}
-
-const lsm::Options& FileEngine::EffectiveOptions(size_t s) const {
-  const auto it = cold_options_.find(s);
-  return it != cold_options_.end() ? it->second : default_options_;
-}
-
-FileEngine::Shard& FileEngine::MaterializeShard(size_t s) {
-  CAMAL_CHECK(s < num_shards_);
-  if (Shard* existing = ShardPtr(s)) {
-    if (existing->hibernated) {
-      WakeShardState(*existing, config_, direct_io_, use_uring_);
-      hibernated_.erase(s);
-      resident_.insert(s);
-    }
-    return *existing;
-  }
-  auto sh = std::make_unique<Shard>();
-  const auto it = cold_options_.find(s);
-  sh->options = it != cold_options_.end() ? it->second : default_options_;
-  if (it != cold_options_.end()) cold_options_.erase(it);
-  sh->dir = workdir_ + "/shard_" + std::to_string(s);
+void FileEngine::CreateShard(size_t s, std::unique_ptr<Shard>& slot,
+                             const lsm::Options& options) {
+  slot = std::make_unique<Shard>();
+  Shard& sh = *slot;
+  sh.options = options;
+  sh.dir = workdir_ + "/shard_" + std::to_string(s);
   std::error_code ec;
-  fs::create_directories(sh->dir, ec);
-  SysCheck(!ec, "create_directories", sh->dir);
+  fs::create_directories(sh.dir, ec);
+  SysCheck(!ec, "create_directories", sh.dir);
   if (config_.durable) {
     // A fresh shard starts fresh logs; stale files from an earlier engine
     // in a reused directory (reopen=false deliberately ignores them) must
     // not be appended to.
-    config_.file_ops->Unlink(fileio::Manifest::PathFor(sh->dir));
-    config_.file_ops->Unlink(fileio::Wal::PathFor(sh->dir));
-    sh->manifest = std::make_unique<fileio::Manifest>(
-        config_.file_ops, sh->dir, DurableSync(config_));
-    sh->manifest->LogInit(s, sh->options);
-    sh->wal = std::make_unique<fileio::Wal>(config_.file_ops, sh->dir,
-                                            config_.wal_sync);
+    config_.file_ops->Unlink(fileio::Manifest::PathFor(sh.dir));
+    config_.file_ops->Unlink(fileio::Wal::PathFor(sh.dir));
+    sh.manifest = std::make_unique<fileio::Manifest>(
+        config_.file_ops, sh.dir, DurableSync(config_));
+    sh.manifest->LogInit(s, sh.options);
+    sh.wal = std::make_unique<fileio::Wal>(config_.file_ops, sh.dir,
+                                           config_.wal_sync);
   }
-  sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
-  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
-  sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(*sh, config_, use_uring_);
-  Shard& live = *sh;
-  shards_.emplace(s, std::move(sh));
-  resident_.insert(s);
-  return live;
+  sh.cache.Resize(sh.options.block_cache_bytes / config_.block_bytes);
+  sh.scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
+  sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
+  SetupShardRing(sh, config_, use_uring_);
 }
 
-void FileEngine::HibernateShardAt(size_t s) {
-  Shard& sh = shard(s);
-  CAMAL_CHECK(!sh.hibernated);
-  HibernateShardState(sh, config_);
-  resident_.erase(s);
-  hibernated_.insert(s);
+void FileEngine::WakeShard(size_t /*s*/, std::unique_ptr<Shard>& slot) {
+  WakeShardState(*slot, config_, direct_io_, use_uring_);
 }
 
-void FileEngine::WakeAllHibernated() {
-  while (!hibernated_.empty()) MaterializeShard(*hibernated_.begin());
-}
-
-void FileEngine::Touch(size_t s) {
-  if (config_.lifecycle.hibernate_after_batches == 0) return;
-  Shard& sh = *shards_.at(s);
-  if (sh.last_touch_epoch == epoch_) return;
-  sh.last_touch_epoch = epoch_;
-  idle_queue_.emplace_back(s, epoch_);
-}
-
-void FileEngine::HibernateIdleShards() {
-  const uint64_t window = config_.lifecycle.hibernate_after_batches;
-  while (!idle_queue_.empty() &&
-         idle_queue_.front().second + window <= epoch_) {
-    const auto [s, touched] = idle_queue_.front();
-    idle_queue_.pop_front();
-    // Lazy deletion: only the newest timer of a still-resident shard
-    // hibernates it.
-    const Shard* sh = ShardPtr(s);
-    if (sh != nullptr && !sh->hibernated && sh->last_touch_epoch == touched) {
-      HibernateShardAt(s);
-    }
-  }
-}
-
-size_t FileEngine::NumShards() const { return num_shards_; }
-
-size_t FileEngine::ShardIndex(uint64_t key) const {
-  if (num_shards_ == 1) return 0;
-  return static_cast<size_t>(util::Mix64(key) % num_shards_);
+void FileEngine::FreezeShard(size_t /*s*/, std::unique_ptr<Shard>& slot) {
+  HibernateShardState(*slot, config_);
 }
 
 // ------------------------------------------------------------ public surface
 
 void FileEngine::Put(uint64_t key, uint64_t value) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
+  Shard& sh = *set_.Activate(set_.ShardIndex(key));
   const double t0 = Now(config_);
   DoPut(sh, config_, direct_io_, key, value, /*tombstone=*/false);
   if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
@@ -1554,9 +1452,7 @@ void FileEngine::Put(uint64_t key, uint64_t value) {
 }
 
 void FileEngine::Delete(uint64_t key) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
+  Shard& sh = *set_.Activate(set_.ShardIndex(key));
   const double t0 = Now(config_);
   DoPut(sh, config_, direct_io_, key, 0, /*tombstone=*/true);
   if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
@@ -1564,9 +1460,7 @@ void FileEngine::Delete(uint64_t key) {
 }
 
 bool FileEngine::Get(uint64_t key, uint64_t* value) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
+  Shard& sh = *set_.Activate(set_.ShardIndex(key));
   const double t0 = Now(config_);
   const bool found = DoGet(sh, config_, key, value);
   sh.clock.elapsed_ns += Now(config_) - t0;
@@ -1575,119 +1469,37 @@ bool FileEngine::Get(uint64_t key, uint64_t* value) {
 
 size_t FileEngine::Scan(uint64_t start_key, size_t max_entries,
                         std::vector<lsm::Entry>* out) {
-  if (num_shards_ == 1) {
-    Shard& sh = MaterializeShard(0);
-    Touch(0);
-    const double t0 = Now(config_);
-    const size_t n = DoScanShard(sh, config_, start_key, max_entries, out);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-    return n;
-  }
-  if (max_entries == 0) return 0;
-
-  // Scans consult every data-holding shard: hibernated shards wake, cold
-  // shards are skipped (an empty shard contributes nothing and performs
-  // no reads).
-  WakeAllHibernated();
-  const std::vector<size_t> probed(resident_.begin(), resident_.end());
-  for (size_t s : probed) Touch(s);
-
-  // Scatter: every resident shard contributes its own sorted slice (key
-  // sets are hash-partitioned and disjoint), each probe timed on its own
-  // clock. Shard slots resolve before the fan-out — workers never touch
-  // the shard map.
-  std::vector<Shard*> probed_slot(probed.size());
-  for (size_t k = 0; k < probed.size(); ++k) {
-    probed_slot[k] = shards_.at(probed[k]).get();
-  }
-  std::vector<std::vector<lsm::Entry>> slices(probed.size());
-  util::ParallelFor(pool_, 0, probed.size(), [&](size_t k) {
-    Shard& sh = *probed_slot[k];
-    const double t0 = Now(config_);
-    DoScanShard(sh, config_, start_key, max_entries, &slices[k]);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-  });
-
-  // Gather: binary-heap k-way merge of the disjoint sorted slices.
-  return MergeDisjointSlices(slices, max_entries, out);
+  // Each shard's probe is timed on its own clock.
+  return set_.Scan(pool_, max_entries, out,
+                   [&](std::unique_ptr<Shard>& slot,
+                       std::vector<lsm::Entry>* slice) {
+                     Shard& sh = *slot;
+                     const double t0 = Now(config_);
+                     const size_t n = DoScanShard(sh, config_, start_key,
+                                                  max_entries, slice);
+                     sh.clock.elapsed_ns += Now(config_) - t0;
+                     return n;
+                   });
 }
 
 void FileEngine::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
   if (count == 0) return;
-  ++epoch_;
-
-  // Pass 1: bring every shard this batch drives to the materialized
-  // state. Scans additionally wake all hibernated shards — their file
-  // sets participate in every range probe — while cold shards stay cold
-  // (an empty shard contributes nothing and performs no reads).
-  bool has_scan = false;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      has_scan = true;
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      MaterializeShard(s);
-      Touch(s);
-    }
-  }
-  if (has_scan) WakeAllHibernated();
-
-  // Pass 2: one submission list per touched shard, in submission order; a
-  // scan probe appears in every resident shard's list (same sparse
-  // decomposition as ShardedEngine::ExecuteOps — O(ops + resident), never
-  // O(total shards)).
-  std::vector<size_t> list_shard;  // list index -> shard id
-  std::vector<std::vector<size_t>> lists;
-  std::unordered_map<size_t, size_t> list_of;
-  if (has_scan) {
-    // The probe set is the resident set after pass 1, ascending; every
-    // point shard of this batch is already in it.
-    list_shard.assign(resident_.begin(), resident_.end());
-    lists.resize(list_shard.size());
-    list_of.reserve(2 * list_shard.size());
-    for (size_t k = 0; k < list_shard.size(); ++k) {
-      list_of.emplace(list_shard[k], k);
-      Touch(list_shard[k]);
-    }
-  }
-  std::vector<size_t> scan_slot(count, 0);
-  std::vector<size_t> scan_op;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      scan_slot[i] = scan_op.size();
-      scan_op.push_back(i);
-      for (auto& list : lists) list.push_back(i);
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      const auto [it, inserted] = list_of.try_emplace(s, lists.size());
-      if (inserted) {
-        lists.emplace_back();
-        list_shard.push_back(s);
-      }
-      lists[it->second].push_back(i);
-    }
-  }
+  Shards::Batch batch;
+  set_.PlanBatch(ops, count, &batch);
 
   // Per-(scan, probed shard) bookkeeping: real duration, real I/O count,
   // and live hits, indexed slot * stride + k so concurrent writers touch
   // disjoint elements.
-  const size_t stride = lists.size();
-  const size_t num_scans = scan_op.size();
+  const size_t stride = batch.lists.size();
+  const size_t num_scans = batch.scan_op.size();
   std::vector<double> scan_ns(num_scans * stride, 0.0);
   std::vector<uint64_t> scan_ios(num_scans * stride, 0);
   std::vector<size_t> scan_hits(num_scans * stride, 0);
 
-  // Resolve shard slots before the fan-out: every listed shard is
-  // materialized (pass 1), and workers must never touch the shard map.
-  std::vector<Shard*> list_slot(lists.size());
-  for (size_t k = 0; k < lists.size(); ++k) {
-    list_slot[k] = shards_.at(list_shard[k]).get();
-  }
-
-  util::ParallelFor(pool_, 0, lists.size(), [&](size_t k) {
-    Shard& sh = *list_slot[k];
+  util::ParallelFor(pool_, 0, stride, [&](size_t k) {
+    Shard& sh = **batch.slots[k];
     std::vector<lsm::Entry> scratch;
-    const std::vector<size_t>& list = lists[k];
+    const std::vector<size_t>& list = batch.lists[k];
     for (size_t li = 0; li < list.size();) {
       const size_t i = list[li];
       const Op& op = ops[i];
@@ -1709,7 +1521,7 @@ void FileEngine::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
       const uint64_t ios_before = sh.clock.block_reads + sh.clock.block_writes;
       const double t0 = Now(config_);
       if (op.kind == OpKind::kScan) {
-        const size_t slot = scan_slot[i] * stride + k;
+        const size_t slot = batch.scan_slot[i] * stride + k;
         scratch.clear();
         scan_hits[slot] =
             DoScanShard(sh, config_, op.key, op.scan_len, &scratch);
@@ -1758,12 +1570,12 @@ void FileEngine::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
       r.ios += scan_ios[slot * stride + k];
       hits += scan_hits[slot * stride + k];
     }
-    const size_t i = scan_op[slot];
+    const size_t i = batch.scan_op[slot];
     r.scan_hits = std::min(ops[i].scan_len, hits);
     results[i] = r;
   }
 
-  if (config_.lifecycle.hibernate_after_batches != 0) HibernateIdleShards();
+  set_.EndBatch();
   ProfileBatch(ops, count, results);
 }
 
@@ -1771,55 +1583,29 @@ void FileEngine::FlushMemtable() {
   // Hibernated shards holding buffered writes wake to flush them; the
   // rest stay asleep (their flush would be a no-op). Cold shards are
   // empty by construction.
-  std::vector<size_t> wake;
-  for (size_t s : hibernated_) {
-    if (shards_.at(s)->hib_memtable_size > 0) wake.push_back(s);
-  }
-  for (size_t s : wake) {
-    MaterializeShard(s);
-    Touch(s);
-  }
-  for (size_t s : resident_) {
-    Shard& sh = *shards_.at(s);
+  set_.WakeIf([](const std::unique_ptr<Shard>& slot) {
+    return slot->hib_memtable_size > 0;
+  });
+  set_.ForEachResident([&](std::unique_ptr<Shard>& slot) {
     const double t0 = Now(config_);
-    FlushShard(sh, config_, direct_io_);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-  }
+    FlushShard(*slot, config_, direct_io_);
+    slot->clock.elapsed_ns += Now(config_) - t0;
+  });
 }
 
 void FileEngine::Reconfigure(const lsm::Options& new_total_options) {
-  const lsm::Options per_shard =
-      ShardedEngine::ShardOptions(new_total_options, num_shards_);
-  default_options_ = per_shard;
-  cold_options_.clear();
-  // Touched shards reconfigure now; untouched (cold) ones pick the new
-  // default up at materialization. Gather ids first: the hibernated
-  // overflow path inside ReconfigureShard may wake a shard, which
-  // mutates the lifecycle sets but never the map itself — still, never
-  // iterate a container while callees update its siblings.
-  std::vector<size_t> touched;
-  touched.reserve(shards_.size());
-  for (const auto& [s, sh] : shards_) {
-    (void)sh;
-    touched.push_back(s);
-  }
-  for (size_t s : touched) ReconfigureShard(s, per_shard);
+  set_.Reconfigure(new_total_options,
+                   [&](size_t s, const lsm::Options& per_shard) {
+                     ReconfigureShard(s, per_shard);
+                   });
 }
 
 void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
-  CAMAL_CHECK(s < num_shards_);
-  Shard* slot = ShardPtr(s);
-  if (slot == nullptr) {
-    // Deferred: a cold shard is an empty file set, and reconfiguring an
-    // empty shard is observationally identical to materializing it with
-    // the new options in the first place.
-    CAMAL_CHECK(options.entry_bytes == EffectiveOptions(s).entry_bytes);
-    cold_options_[s] = options;
-    return;
-  }
-  Shard& sh = *slot;
+  Shards::Entry* e = set_.ReconfigureShard(s, options);
+  if (e == nullptr) return;  // cold: deferred to materialization
+  Shard& sh = *e->slot;
   CAMAL_CHECK(options.entry_bytes == sh.options.entry_bytes);
-  if (sh.hibernated) {
+  if (e->state == ShardState::kHibernated) {
     // In-place update while asleep, unless the buffered writes now
     // overflow the new capacity — then the shard must wake to flush,
     // exactly as the live path would.
@@ -1835,8 +1621,7 @@ void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
       }
       return;
     }
-    MaterializeShard(s);
-    Touch(s);
+    set_.Activate(s);
   }
   const double t0 = Now(config_);
   sh.options = options;
@@ -1857,65 +1642,38 @@ void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
 }
 
 uint32_t FileEngine::ShardQueueDepth(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  if (sh != nullptr && !sh->hibernated) {
-    return sh->ring != nullptr ? sh->io_depth : 1;
+  const Shards::Entry* e = set_.Find(s);
+  if (e != nullptr && e->state == ShardState::kMaterialized) {
+    return e->slot->ring != nullptr ? e->slot->io_depth : 1;
   }
   // Cold/hibernated: predict the depth materialization will resolve.
   const lsm::Options& options =
-      sh != nullptr ? sh->options : EffectiveOptions(s);
+      e != nullptr ? e->slot->options : set_.EffectiveOptions(s);
   const uint32_t depth = ResolvedQueueDepth(options, config_);
   return RingWouldEngage(depth, config_, use_uring_) ? depth : 1;
 }
 
 const char* FileEngine::io_backend() const {
-  for (size_t s : resident_) {
-    if (shards_.at(s)->ring != nullptr) return "uring";
-  }
-  // No live ring: predict whether any cold/hibernated shard would engage
-  // one on materialization. All such shards run either their recorded
-  // options or the engine default, so checking hibernated shards plus one
-  // representative of each cold configuration covers every case without
-  // an O(total shards) walk.
-  if (use_uring_ && resident_.size() < num_shards_) {
-    auto engages = [&](const lsm::Options& options) {
-      return RingWouldEngage(ResolvedQueueDepth(options, config_), config_,
-                             use_uring_);
-    };
-    for (size_t s : hibernated_) {
-      if (engages(shards_.at(s)->options)) return "uring";
-    }
-    const size_t awake = resident_.size() + hibernated_.size();
-    if (awake < num_shards_) {
-      for (const auto& [s, options] : cold_options_) {
-        (void)s;
-        if (engages(options)) return "uring";
-      }
-      if (cold_options_.size() < num_shards_ - awake &&
-          engages(default_options_)) {
-        return "uring";
-      }
+  // A live ring answers directly. Otherwise predict whether a hibernated
+  // or cold shard would engage one on materialization: such shards run
+  // either their recorded options or the engine default, so checking
+  // those covers every case without an O(total shards) walk.
+  auto engages = [&](const lsm::Options& options) {
+    return RingWouldEngage(ResolvedQueueDepth(options, config_), config_,
+                           use_uring_);
+  };
+  for (const auto& [s, e] : set_.entries()) {
+    if (e.state == ShardState::kMaterialized ? e.slot->ring != nullptr
+                                             : engages(e.slot->options)) {
+      return "uring";
     }
   }
-  return "pread";
+  return set_.AnyColdOptions(engages) ? "uring" : "pread";
 }
 
 lsm::Options FileEngine::ShardOptionsSnapshot(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh != nullptr ? sh->options : EffectiveOptions(s);
-}
-
-ShardState FileEngine::ShardLifecycle(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  if (sh == nullptr) return ShardState::kCold;
-  return sh->hibernated ? ShardState::kHibernated : ShardState::kMaterialized;
-}
-
-void FileEngine::AppendResidentShards(std::vector<size_t>* out) const {
-  out->insert(out->end(), resident_.begin(), resident_.end());
+  const Shards::Entry* e = set_.Find(s);
+  return e != nullptr ? e->slot->options : set_.EffectiveOptions(s);
 }
 
 sim::DeviceSnapshot FileEngine::CostSnapshot() const {
@@ -1923,108 +1681,74 @@ sim::DeviceSnapshot FileEngine::CostSnapshot() const {
   // (clock values here are real measurements, but a stable summation
   // order keeps the aggregate reproducible given fixed per-shard clocks —
   // e.g. under an injected virtual clock).
-  std::vector<size_t> ids;
-  ids.reserve(shards_.size());
-  for (const auto& [s, sh] : shards_) {
-    (void)sh;
-    ids.push_back(s);
-  }
-  std::sort(ids.begin(), ids.end());
   sim::DeviceSnapshot total;
-  for (size_t s : ids) total += shards_.at(s)->clock.Snapshot();
+  for (size_t s : set_.SortedIds()) total += ShardCostSnapshot(s);
   return total;
 }
 
 sim::DeviceSnapshot FileEngine::ShardCostSnapshot(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh == nullptr ? sim::DeviceSnapshot{} : sh->clock.Snapshot();
+  const Shards::Entry* e = set_.Find(s);
+  return e == nullptr ? sim::DeviceSnapshot{} : e->slot->clock.Snapshot();
 }
 
 EngineCounters FileEngine::AggregateCounters() const {
   EngineCounters total;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->counters;
-  }
+  for (const auto& [s, e] : set_.entries()) total += e.slot->counters;
   return total;
 }
 
 EngineCounters FileEngine::ShardCounters(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh == nullptr ? EngineCounters{} : sh->counters;
+  const Shards::Entry* e = set_.Find(s);
+  return e == nullptr ? EngineCounters{} : e->slot->counters;
 }
 
 uint64_t FileEngine::TotalEntries() const {
   uint64_t total = 0;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->disk_entries +
-             (sh->hibernated ? sh->hib_memtable_size : sh->memtable.size());
-  }
+  for (const auto& [s, e] : set_.entries()) total += ShardEntries(s);
   return total;
 }
 
 uint64_t FileEngine::DiskEntries() const {
   uint64_t total = 0;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->disk_entries;
-  }
+  for (const auto& [s, e] : set_.entries()) total += e.slot->disk_entries;
   return total;
 }
 
 uint64_t FileEngine::ShardEntries(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* slot = ShardPtr(s);
-  if (slot == nullptr) return 0;
-  const Shard& sh = *slot;
-  return sh.disk_entries +
-         (sh.hibernated ? sh.hib_memtable_size : sh.memtable.size());
+  const Shards::Entry* e = set_.Find(s);
+  if (e == nullptr) return 0;
+  const Shard& sh = *e->slot;
+  return sh.disk_entries + (e->state == ShardState::kHibernated
+                                ? sh.hib_memtable_size
+                                : sh.memtable.size());
 }
 
 bool FileEngine::InTransition() const {
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    if (sh->hibernated) {
-      // Judge the frozen shape against the (possibly updated-in-place)
-      // options, mirroring the live LevelViolates checks.
-      for (size_t l = 0; l < sh->hib_level_shape.size(); ++l) {
-        const auto& [runs, entries] = sh->hib_level_shape[l];
-        if (runs == 0) continue;
-        if (runs > static_cast<size_t>(sh->options.MaxRunsPerLevel())) {
-          return true;
-        }
-        if (static_cast<double>(entries) >
-            sh->options.LevelCapacityEntries(static_cast<int>(l))) {
-          return true;
-        }
+  for (const auto& [s, e] : set_.entries()) {
+    // A hibernated shard's frozen shape is judged against its (possibly
+    // updated-in-place) options, exactly as the live shape is.
+    const Shard& sh = *e.slot;
+    const auto shape = e.state == ShardState::kHibernated ? sh.hib_level_shape
+                                                          : LevelShape(sh);
+    for (size_t l = 0; l < shape.size(); ++l) {
+      if (sh.options.LevelOverflows(l, shape[l].first, shape[l].second)) {
+        return true;
       }
-      continue;
-    }
-    for (size_t l = 0; l < sh->levels.size(); ++l) {
-      if (LevelViolates(sh->options, sh->levels[l], l)) return true;
     }
   }
   return false;
 }
 
 size_t FileEngine::ShardRunCount(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* slot = ShardPtr(s);
-  if (slot == nullptr) return 0;
-  const Shard& sh = *slot;
-  if (sh.hibernated) {
-    size_t runs = 0;
-    for (const auto& [count, entries] : sh.hib_level_shape) {
-      (void)entries;
-      runs += count;
-    }
-    return runs;
-  }
+  const Shards::Entry* e = set_.Find(s);
+  if (e == nullptr) return 0;
+  const Shard& sh = *e->slot;
   size_t runs = 0;
-  for (const auto& level : sh.levels) runs += level.size();
+  for (const auto& [count, entries] : e->state == ShardState::kHibernated
+                                          ? sh.hib_level_shape
+                                          : LevelShape(sh)) {
+    runs += count;
+  }
   return runs;
 }
 

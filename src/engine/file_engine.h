@@ -2,17 +2,13 @@
 #define CAMAL_ENGINE_FILE_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "engine/file_ops.h"
+#include "engine/shard_set.h"
 #include "engine/storage_engine.h"
 #include "engine/wal.h"
 #include "lsm/options.h"
@@ -52,10 +48,6 @@ struct FileEngineConfig {
   /// Leave the working directory (and all run files) behind on
   /// destruction — for post-mortem inspection.
   bool keep_files = false;
-  /// fsync run files after writing them. Off by default: the engine is a
-  /// measurement backend, not a durability story, and fsync latency on CI
-  /// machines drowns the signal under test.
-  bool sync_files = false;
   /// Size of one on-disk block: the read unit, the fence-pointer
   /// granularity, and the O_DIRECT alignment. Must be a power of two and
   /// a multiple of 512.
@@ -120,11 +112,12 @@ struct FileEngineConfig {
 /// `sim::Device`-priced `lsm::LsmTree`/`ShardedEngine` stack) and exists
 /// to validate that model-driven tunings transfer from the simulator to
 /// an actual device. It keeps the same externally visible structure as
-/// the simulated engine — N hash-partitioned shards (`Mix64(key) % N`),
-/// per-shard memtable / Bloom filters / block cache, a leveled run
+/// the simulated engine — the same `ShardSet` routing, budget split,
+/// lifecycle, batch plan and scatter-gather `Scan` over N hash-partitioned
+/// shards, per-shard memtable / Bloom filters / block cache, a leveled run
 /// hierarchy shaped by `lsm::Options` (buffer size, size ratio T, policy,
-/// runs-per-level K), scatter-gather `Scan` — but every run is a real
-/// file and every read path block access is a real `pread`.
+/// runs-per-level K) — but every run is a real file and every read path
+/// block access is a real `pread`.
 ///
 /// Cost accounting is truthful, not simulated: per-shard clocks accumulate
 /// wall time measured around each operation plus real block read/write
@@ -152,9 +145,9 @@ class FileEngine : public StorageEngine {
  public:
   /// Creates `num_shards` file-set shards under `config.workdir`.
   /// `total_options` is the system-wide configuration; each shard receives
-  /// the same even slice `ShardedEngine::ShardOptions` hands a simulated
-  /// shard, so budget arithmetic (and the arbiter's conserved total) is
-  /// identical across backends.
+  /// the same even slice `ShardOptions` hands a simulated shard, so budget
+  /// arithmetic (and the arbiter's conserved total) is identical across
+  /// backends.
   FileEngine(size_t num_shards, const lsm::Options& total_options,
              const FileEngineConfig& config);
   ~FileEngine() override;
@@ -192,14 +185,22 @@ class FileEngine : public StorageEngine {
   /// is the surface the memory arbiter and the dynamic tuner drive.
   void ReconfigureShard(size_t shard, const lsm::Options& options) override;
 
-  size_t NumShards() const override;
-  size_t ShardIndex(uint64_t key) const override;
+  size_t NumShards() const override { return set_.num_shards(); }
+  size_t ShardIndex(uint64_t key) const override {
+    return set_.ShardIndex(key);
+  }
 
   lsm::Options ShardOptionsSnapshot(size_t shard) const override;
 
-  ShardState ShardLifecycle(size_t shard) const override;
-  size_t MaterializedShards() const override { return resident_.size(); }
-  void AppendResidentShards(std::vector<size_t>* out) const override;
+  ShardState ShardLifecycle(size_t shard) const override {
+    return set_.Lifecycle(shard);
+  }
+  size_t MaterializedShards() const override {
+    return set_.MaterializedShards();
+  }
+  void AppendResidentShards(std::vector<size_t>* out) const override {
+    set_.AppendResidentShards(out);
+  }
 
   /// Real cost clocks: block_reads/block_writes are actual pread/pwrite
   /// block counts, elapsed_ns is accumulated monotonic wall time.
@@ -255,21 +256,17 @@ class FileEngine : public StorageEngine {
   struct Shard;
 
  private:
-  Shard& shard(size_t s);
-  const Shard& shard(size_t s) const;
+  using Shards = ShardSet<std::unique_ptr<Shard>, FileEngine>;
+  friend Shards;
 
-  /// Slot lookup in the hashed active-shard map: the live shard, or null
-  /// for a cold shard (no entry).
-  Shard* ShardPtr(size_t s);
-  const Shard* ShardPtr(size_t s) const;
-
-  /// The options shard `s` will materialize with while it is cold.
-  const lsm::Options& EffectiveOptions(size_t s) const;
-
-  /// Brings shard `s` to the materialized state: creates its directory,
-  /// cache, scratch buffers, and ring for a cold shard, or rehydrates a
-  /// hibernated one from its sidecar. Returns the live shard.
-  Shard& MaterializeShard(size_t s);
+  // ShardSet backend: lifecycle transitions of one file-set shard.
+  /// Creates shard `s`'s directory, logs, cache, scratch buffers and ring.
+  void CreateShard(size_t s, std::unique_ptr<Shard>& slot,
+                   const lsm::Options& options);
+  /// Rehydrates a hibernated shard from its sidecar.
+  void WakeShard(size_t s, std::unique_ptr<Shard>& slot);
+  /// Freezes a shard into its sidecar and releases in-memory state.
+  void FreezeShard(size_t s, std::unique_ptr<Shard>& slot);
 
   /// `reopen=true` startup: scans the workdir for shard directories and
   /// reconstructs each from its manifest + WAL.
@@ -280,39 +277,12 @@ class FileEngine : public StorageEngine {
   /// tails and deleting unreferenced files.
   void RecoverShard(size_t s, const std::string& dir);
 
-  /// Freezes shard `s` into its sidecar and releases in-memory state.
-  void HibernateShardAt(size_t s);
-
-  /// Wakes every hibernated shard (scans probe all data-holding shards).
-  void WakeAllHibernated();
-
-  /// Marks shard `s` active this batch and arms its idle timer.
-  void Touch(size_t s);
-
-  /// Hibernates shards whose idle timers expired.
-  void HibernateIdleShards();
-
   FileEngineConfig config_;
   std::string workdir_;
   bool created_workdir_ = false;
   bool direct_io_ = false;
   bool use_uring_ = false;
-  lsm::Options default_options_;
-  /// Hashed active-shard map: an entry exists only for shards that have
-  /// been materialized at least once (live or hibernated), so engine
-  /// memory is O(active) even at a million mostly-cold tenants. No entry
-  /// = cold shard.
-  std::unordered_map<size_t, std::unique_ptr<Shard>> shards_;
-  size_t num_shards_ = 0;
-  /// Options applied to a shard while cold, pending materialization.
-  std::map<size_t, lsm::Options> cold_options_;
-  /// Materialized shard ids, ascending (scan probe order).
-  std::set<size_t> resident_;
-  /// Hibernated shard ids.
-  std::set<size_t> hibernated_;
-  /// Idle tracking: (shard, touch epoch) entries with lazy deletion.
-  std::deque<std::pair<size_t, uint64_t>> idle_queue_;
-  uint64_t epoch_ = 0;
+  Shards set_;
   util::ThreadPool* pool_ = nullptr;
 };
 

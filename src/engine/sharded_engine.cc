@@ -1,8 +1,6 @@
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "util/random.h"
@@ -13,30 +11,12 @@ namespace camal::engine {
 
 namespace {
 
-/// Mirror of LsmTree's private transition predicate, evaluated against a
-/// frozen shard's levels so a hibernated shard can be reconfigured
-/// in place — updating options, cache capacity, and the transition flag
-/// exactly as a live `Reconfigure` would — without rehydrating it.
-bool AnyLevelViolates(const lsm::Levels& levels, const lsm::Options& opts) {
-  for (size_t i = 0; i < levels.NumLevels(); ++i) {
-    const auto& runs = levels.At(i);
-    if (runs.empty()) continue;
-    if (runs.size() > static_cast<size_t>(opts.MaxRunsPerLevel())) return true;
-    if (static_cast<double>(levels.LevelEntries(i)) >
-        opts.LevelCapacityEntries(static_cast<int>(i))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// In-place reconfiguration of a hibernated shard: same observable effect
 /// as waking it, calling `LsmTree::Reconfigure`, and re-freezing — the
 /// cache truncates from the LRU end, the transition flag is recomputed —
 /// but O(cache keys) instead of a full rehydration.
 void ReconfigureFrozen(lsm::FrozenTreeState* frozen, const lsm::Options& opts,
                        uint64_t block_bytes) {
-  CAMAL_CHECK(opts.Validate().ok());
   CAMAL_CHECK(opts.entry_bytes == frozen->options.entry_bytes);
   frozen->options = opts;
   const uint64_t capacity = opts.block_cache_bytes / block_bytes;
@@ -44,85 +24,21 @@ void ReconfigureFrozen(lsm::FrozenTreeState* frozen, const lsm::Options& opts,
   if (frozen->cache.keys_mru_to_lru.size() > capacity) {
     frozen->cache.keys_mru_to_lru.resize(capacity);
   }
-  frozen->transition_active = AnyLevelViolates(frozen->levels, opts);
+  frozen->transition_active = frozen->levels.AnyLevelOverflows(opts);
 }
 
 }  // namespace
-
-size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
-                           size_t max_entries, std::vector<lsm::Entry>* out) {
-  // Min-heap of (head key, slice index); each pop advances one slice
-  // cursor and may re-push that slice's next head.
-  struct Head {
-    uint64_t key;
-    size_t slice;
-  };
-  const auto greater = [](const Head& a, const Head& b) {
-    return a.key > b.key;
-  };
-  std::vector<Head> heap;
-  heap.reserve(slices.size());
-  std::vector<size_t> idx(slices.size(), 0);
-  for (size_t s = 0; s < slices.size(); ++s) {
-    if (!slices[s].empty()) heap.push_back(Head{slices[s][0].key, s});
-  }
-  std::make_heap(heap.begin(), heap.end(), greater);
-
-  size_t added = 0;
-  while (added < max_entries && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    const size_t s = heap.back().slice;
-    heap.pop_back();
-    out->push_back(slices[s][idx[s]++]);
-    ++added;
-    if (idx[s] < slices[s].size()) {
-      heap.push_back(Head{slices[s][idx[s]].key, s});
-      std::push_heap(heap.begin(), heap.end(), greater);
-    }
-  }
-  return added;
-}
 
 ShardedEngine::ShardedEngine(size_t num_shards,
                              const lsm::Options& total_options,
                              const sim::DeviceConfig& device_config,
                              const ShardLifecycleConfig& lifecycle)
-    : default_options_(ShardOptions(total_options, num_shards)),
-      device_config_(device_config),
-      lifecycle_(lifecycle) {
-  CAMAL_CHECK(num_shards >= 1);
-  CAMAL_CHECK(default_options_.Validate().ok());
-  num_shards_ = num_shards;
-  if (!lifecycle_.lazy) {
-    for (size_t s = 0; s < num_shards; ++s) MaterializeShard(s);
-  }
+    : device_config_(device_config),
+      set_(this, num_shards, total_options, lifecycle) {
+  set_.MaterializeIfEager();
 }
 
-lsm::Options ShardedEngine::ShardOptions(const lsm::Options& total,
-                                         size_t num_shards) {
-  CAMAL_CHECK(num_shards >= 1);
-  if (num_shards == 1) return total;
-  lsm::Options per_shard = total;
-  const auto n = static_cast<uint64_t>(num_shards);
-  per_shard.buffer_bytes =
-      std::max<uint64_t>(total.entry_bytes, total.buffer_bytes / n);
-  per_shard.bloom_bits = total.bloom_bits / n;
-  per_shard.block_cache_bytes = total.block_cache_bytes / n;
-  return per_shard;
-}
-
-size_t ShardedEngine::ShardIndex(uint64_t key) const {
-  if (num_shards_ == 1) return 0;
-  return static_cast<size_t>(util::Mix64(key) % num_shards_);
-}
-
-const lsm::Options& ShardedEngine::EffectiveOptions(size_t s) const {
-  const auto it = cold_options_.find(s);
-  return it != cold_options_.end() ? it->second : default_options_;
-}
-
-sim::Device* ShardedEngine::EnsureDevice(size_t s) {
-  Shard& shard = shards_[s];
+sim::Device* ShardedEngine::EnsureDevice(size_t s, Shard& shard) {
   if (shard.device == nullptr) {
     sim::DeviceConfig cfg = device_config_;
     // Shard 0 keeps the caller's jitter stream (1-shard bit-identity with
@@ -136,214 +52,67 @@ sim::Device* ShardedEngine::EnsureDevice(size_t s) {
   return shard.device.get();
 }
 
-lsm::LsmTree* ShardedEngine::MaterializeShard(size_t s) {
-  Shard& shard = shards_[s];
-  if (shard.tree != nullptr) return shard.tree.get();
-  sim::Device* device = EnsureDevice(s);
-  if (shard.frozen != nullptr) {
-    shard.tree =
-        std::make_unique<lsm::LsmTree>(std::move(*shard.frozen), device);
-    shard.frozen.reset();
-    hibernated_.erase(s);
-  } else {
-    const auto it = cold_options_.find(s);
-    shard.tree = std::make_unique<lsm::LsmTree>(
-        it != cold_options_.end() ? it->second : default_options_, device);
-    if (it != cold_options_.end()) cold_options_.erase(it);
-  }
-  resident_.insert(s);
-  return shard.tree.get();
+void ShardedEngine::CreateShard(size_t s, Shard& shard,
+                                const lsm::Options& options) {
+  shard.tree = std::make_unique<lsm::LsmTree>(options, EnsureDevice(s, shard));
 }
 
-void ShardedEngine::HibernateShard(size_t s) {
-  Shard& shard = shards_[s];
-  CAMAL_CHECK(shard.tree != nullptr);
+void ShardedEngine::WakeShard(size_t /*s*/, Shard& shard) {
+  shard.tree = std::make_unique<lsm::LsmTree>(std::move(*shard.frozen),
+                                              shard.device.get());
+  shard.frozen.reset();
+}
+
+void ShardedEngine::FreezeShard(size_t /*s*/, Shard& shard) {
+  // The device stays: its jitter stream is mid-sequence.
   shard.frozen = shard.tree->Freeze();
   shard.tree.reset();
-  resident_.erase(s);
-  hibernated_.insert(s);
-}
-
-void ShardedEngine::WakeAllHibernated() {
-  while (!hibernated_.empty()) MaterializeShard(*hibernated_.begin());
-}
-
-void ShardedEngine::Touch(size_t s) {
-  if (lifecycle_.hibernate_after_batches == 0) return;
-  Shard& shard = shards_[s];
-  if (shard.last_touch_epoch == epoch_) return;
-  shard.last_touch_epoch = epoch_;
-  idle_queue_.emplace_back(s, epoch_);
-}
-
-void ShardedEngine::HibernateIdleShards() {
-  const uint64_t window = lifecycle_.hibernate_after_batches;
-  while (!idle_queue_.empty() && idle_queue_.front().second + window <= epoch_) {
-    const auto [s, touched] = idle_queue_.front();
-    idle_queue_.pop_front();
-    // Lazy deletion: only the newest timer for a still-resident shard
-    // hibernates it; stale entries (shard re-touched or already asleep)
-    // fall through.
-    const auto it = shards_.find(s);
-    if (it != shards_.end() && it->second.tree != nullptr &&
-        it->second.last_touch_epoch == touched) {
-      HibernateShard(s);
-    }
-  }
 }
 
 void ShardedEngine::Put(uint64_t key, uint64_t value) {
-  const size_t s = ShardIndex(key);
-  lsm::LsmTree* tree = MaterializeShard(s);
-  Touch(s);
-  tree->Put(key, value);
+  set_.Activate(set_.ShardIndex(key)).tree->Put(key, value);
 }
 
 void ShardedEngine::Delete(uint64_t key) {
-  const size_t s = ShardIndex(key);
-  lsm::LsmTree* tree = MaterializeShard(s);
-  Touch(s);
-  tree->Delete(key);
+  set_.Activate(set_.ShardIndex(key)).tree->Delete(key);
 }
 
 bool ShardedEngine::Get(uint64_t key, uint64_t* value) {
-  const size_t s = ShardIndex(key);
-  lsm::LsmTree* tree = MaterializeShard(s);
-  Touch(s);
-  return tree->Get(key, value);
-}
-
-void ShardedEngine::ScatterScan(const std::vector<size_t>& probed,
-                                uint64_t start_key, size_t max_entries,
-                                std::vector<std::vector<lsm::Entry>>* slices) {
-  // Each probe touches only its own shard's tree and device, so the fan-out
-  // is deterministic: shard-local cost is independent of scheduling. Tree
-  // pointers are resolved before the fan-out — workers never touch the
-  // shard map itself.
-  slices->assign(probed.size(), {});
-  std::vector<lsm::LsmTree*> trees(probed.size());
-  for (size_t k = 0; k < probed.size(); ++k) {
-    trees[k] = shards_.at(probed[k]).tree.get();
-  }
-  util::ParallelFor(pool_, 0, probed.size(), [&](size_t k) {
-    trees[k]->Scan(start_key, max_entries, &(*slices)[k]);
-  });
+  return set_.Activate(set_.ShardIndex(key)).tree->Get(key, value);
 }
 
 size_t ShardedEngine::Scan(uint64_t start_key, size_t max_entries,
                            std::vector<lsm::Entry>* out) {
-  if (num_shards_ == 1) {
-    lsm::LsmTree* tree = MaterializeShard(0);
-    Touch(0);
-    return tree->Scan(start_key, max_entries, out);
-  }
-  if (max_entries == 0) return 0;
-
-  // Scans consult every shard that holds data: hibernated shards wake,
-  // cold shards are skipped (an empty tree contributes nothing and
-  // charges nothing).
-  WakeAllHibernated();
-  const std::vector<size_t> probed(resident_.begin(), resident_.end());
-  for (size_t s : probed) Touch(s);
-
-  // Scatter: each resident shard contributes up to max_entries of its own
-  // sorted, live entries (keys are hash-partitioned, so shard slices are
-  // disjoint).
-  std::vector<std::vector<lsm::Entry>> slices;
-  ScatterScan(probed, start_key, max_entries, &slices);
-
-  // Gather: binary-heap k-way merge of the disjoint sorted slices.
-  return MergeDisjointSlices(slices, max_entries, out);
+  return set_.Scan(pool_, max_entries, out,
+                   [&](Shard& shard, std::vector<lsm::Entry>* slice) {
+                     return shard.tree->Scan(start_key, max_entries, slice);
+                   });
 }
 
 void ShardedEngine::ExecuteOps(const Op* ops, size_t count,
                                OpResult* results) {
   if (count == 0) return;
-  ++epoch_;
-
-  // Pass 1: bring every shard this batch drives to the materialized state.
-  // Scans additionally wake all hibernated shards — their data
-  // participates in every range probe — while cold shards stay cold
-  // (probing an empty tree returns nothing and charges nothing, so
-  // skipping them is bit-identical to the eager engine probing them).
-  bool has_scan = false;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      has_scan = true;
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      MaterializeShard(s);
-      Touch(s);
-    }
-  }
-  if (has_scan) WakeAllHibernated();
-
-  // Pass 2: partition the batch into per-shard operation lists in
-  // submission order: point ops go to their routed shard, a scan probe
-  // appears in every resident shard's list. Each list is exactly the op
-  // subsequence its shard would serve under serial execution, so running
-  // the lists concurrently (shard state — tree, device, jitter stream —
-  // is fully shard-local) reproduces the serial results bit-for-bit with
-  // no barrier inside the batch. All bookkeeping is O(ops + resident),
-  // never O(total shards).
-  std::vector<size_t> list_shard;  // list index -> shard id
-  std::vector<std::vector<size_t>> lists;
-  std::unordered_map<size_t, size_t> list_of;
-  if (has_scan) {
-    // The probe set is the resident set after pass 1, ascending — every
-    // point shard of this batch is already in it, so no list is created
-    // below and list_shard stays sorted (the gather relies on it).
-    list_shard.assign(resident_.begin(), resident_.end());
-    lists.resize(list_shard.size());
-    list_of.reserve(2 * list_shard.size());
-    for (size_t k = 0; k < list_shard.size(); ++k) {
-      list_of.emplace(list_shard[k], k);
-      Touch(list_shard[k]);
-    }
-  }
-  std::vector<size_t> scan_slot(count, 0);
-  std::vector<size_t> scan_op;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      scan_slot[i] = scan_op.size();
-      scan_op.push_back(i);
-      for (auto& list : lists) list.push_back(i);
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      const auto [it, inserted] = list_of.try_emplace(s, lists.size());
-      if (inserted) {
-        lists.emplace_back();
-        list_shard.push_back(s);
-      }
-      lists[it->second].push_back(i);
-    }
-  }
+  Shards::Batch batch;
+  set_.PlanBatch(ops, count, &batch);
 
   // Per-(scan, probed shard) bookkeeping, indexed slot * stride + k so
   // concurrent writers touch disjoint elements. Snapshots (not deltas) are
   // recorded so the merge below can reproduce the historical "sum the
   // devices, then diff the totals" floating-point arithmetic exactly.
-  const size_t stride = lists.size();
-  const size_t num_scans = scan_op.size();
+  const size_t stride = batch.lists.size();
+  const size_t num_scans = batch.scan_op.size();
   std::vector<sim::DeviceSnapshot> scan_before(num_scans * stride);
   std::vector<sim::DeviceSnapshot> scan_after(num_scans * stride);
   std::vector<size_t> scan_counts(num_scans * stride, 0);
 
-  // Resolve shard slots before the fan-out: every listed shard is
-  // materialized (pass 1), and workers must never touch the shard map.
-  std::vector<Shard*> list_slot(lists.size());
-  for (size_t k = 0; k < lists.size(); ++k) {
-    list_slot[k] = &shards_.at(list_shard[k]);
-  }
-
-  util::ParallelFor(pool_, 0, lists.size(), [&](size_t k) {
-    lsm::LsmTree* tree = list_slot[k]->tree.get();
-    sim::Device* dev = list_slot[k]->device.get();
+  util::ParallelFor(pool_, 0, stride, [&](size_t k) {
+    lsm::LsmTree* tree = batch.slots[k]->tree.get();
+    sim::Device* dev = batch.slots[k]->device.get();
     std::vector<lsm::Entry> scratch;
-    for (size_t i : lists[k]) {
+    for (size_t i : batch.lists[k]) {
       const Op& op = ops[i];
       if (op.kind == OpKind::kScan) {
-        const size_t slot = scan_slot[i] * stride + k;
+        const size_t slot = batch.scan_slot[i] * stride + k;
         scratch.clear();
         scan_before[slot] = dev->Snapshot();
         scan_counts[slot] = tree->Scan(op.key, op.scan_len, &scratch);
@@ -375,7 +144,7 @@ void ShardedEngine::ExecuteOps(const Op* ops, size_t count,
   });
 
   // Deterministic gather for the scans: sum the per-shard snapshots in
-  // ascending shard order (list_shard is sorted whenever scans exist),
+  // ascending shard order (the lists are sorted whenever scans exist),
   // diff the totals (the serial-equivalent cost — the same bits the old
   // caller-side CostSnapshot() diff produced; absent cold shards would
   // have contributed exact zeros), and cap the combined hit count at the
@@ -389,7 +158,7 @@ void ShardedEngine::ExecuteOps(const Op* ops, size_t count,
       hits += scan_counts[slot * stride + k];
     }
     const sim::DeviceSnapshot delta = total_after.Delta(total_before);
-    const size_t i = scan_op[slot];
+    const size_t i = batch.scan_op[slot];
     OpResult r;
     r.latency_ns = delta.elapsed_ns;
     r.ios = delta.TotalIos();
@@ -397,7 +166,7 @@ void ShardedEngine::ExecuteOps(const Op* ops, size_t count,
     results[i] = r;
   }
 
-  if (lifecycle_.hibernate_after_batches != 0) HibernateIdleShards();
+  set_.EndBatch();
   ProfileBatch(ops, count, results);
 }
 
@@ -405,161 +174,105 @@ void ShardedEngine::FlushMemtable() {
   // Hibernated shards holding buffered writes wake to flush them; the
   // rest stay asleep (their flush would be a no-op). Cold shards are
   // empty by construction.
-  std::vector<size_t> wake;
-  for (size_t s : hibernated_) {
-    if (!shards_.at(s).frozen->memtable.empty()) wake.push_back(s);
-  }
-  for (size_t s : wake) {
-    MaterializeShard(s);
-    Touch(s);
-  }
-  for (size_t s : resident_) shards_.at(s).tree->FlushMemtable();
+  set_.WakeIf(
+      [](const Shard& shard) { return !shard.frozen->memtable.empty(); });
+  set_.ForEachResident([](Shard& shard) { shard.tree->FlushMemtable(); });
 }
 
 void ShardedEngine::Reconfigure(const lsm::Options& new_total_options) {
-  const lsm::Options per_shard = ShardOptions(new_total_options, num_shards_);
-  default_options_ = per_shard;
-  cold_options_.clear();
-  for (size_t s : resident_) shards_.at(s).tree->Reconfigure(per_shard);
-  for (size_t s : hibernated_) {
-    Shard& sh = shards_.at(s);
-    ReconfigureFrozen(sh.frozen.get(), per_shard,
-                      sh.device->config().block_bytes);
-  }
+  set_.Reconfigure(new_total_options,
+                   [&](size_t s, const lsm::Options& per_shard) {
+                     ReconfigureShard(s, per_shard);
+                   });
 }
 
 void ShardedEngine::ReconfigureShard(size_t shard,
                                      const lsm::Options& options) {
-  CAMAL_CHECK(shard < num_shards_);
-  const auto it = shards_.find(shard);
-  if (it != shards_.end() && it->second.tree != nullptr) {
-    it->second.tree->Reconfigure(options);
-  } else if (it != shards_.end() && it->second.frozen != nullptr) {
-    ReconfigureFrozen(it->second.frozen.get(), options,
-                      it->second.device->config().block_bytes);
+  Shards::Entry* e = set_.ReconfigureShard(shard, options);
+  if (e == nullptr) return;  // cold: deferred to materialization
+  if (e->slot.tree != nullptr) {
+    e->slot.tree->Reconfigure(options);
   } else {
-    // Deferred: a cold shard is an empty tree, and reconfiguring an empty
-    // tree is observationally identical to constructing it with the new
-    // options in the first place.
-    cold_options_[shard] = options;
+    ReconfigureFrozen(e->slot.frozen.get(), options,
+                      e->slot.device->config().block_bytes);
   }
 }
 
 lsm::Options ShardedEngine::ShardOptionsSnapshot(size_t shard) const {
-  CAMAL_CHECK(shard < num_shards_);
-  const auto it = shards_.find(shard);
-  if (it != shards_.end()) {
-    if (it->second.tree != nullptr) return it->second.tree->options();
-    if (it->second.frozen != nullptr) return it->second.frozen->options;
+  if (const Shards::Entry* e = set_.Find(shard)) {
+    if (e->slot.tree != nullptr) return e->slot.tree->options();
+    if (e->slot.frozen != nullptr) return e->slot.frozen->options;
   }
-  return EffectiveOptions(shard);
-}
-
-ShardState ShardedEngine::ShardLifecycle(size_t shard) const {
-  CAMAL_CHECK(shard < num_shards_);
-  const auto it = shards_.find(shard);
-  if (it != shards_.end()) {
-    if (it->second.tree != nullptr) return ShardState::kMaterialized;
-    if (it->second.frozen != nullptr) return ShardState::kHibernated;
-  }
-  return ShardState::kCold;
-}
-
-void ShardedEngine::AppendResidentShards(std::vector<size_t>* out) const {
-  out->insert(out->end(), resident_.begin(), resident_.end());
+  return set_.EffectiveOptions(shard);
 }
 
 sim::DeviceSnapshot ShardedEngine::CostSnapshot() const {
   // Ascending shard order — the floating-point sum must be reproducible,
-  // and the hashed map iterates in no useful order, so the touched shard
-  // ids are sorted first (O(active log active)). Shards with no entry (or
-  // no device yet) have charged nothing and contribute the same exact
-  // zeros their fresh device would.
-  std::vector<size_t> ids;
-  ids.reserve(shards_.size());
-  for (const auto& [s, shard] : shards_) {
-    if (shard.device != nullptr) ids.push_back(s);
-  }
-  std::sort(ids.begin(), ids.end());
+  // and the hashed map iterates in no useful order. Shards with no entry
+  // have charged nothing and contribute the same exact zeros their fresh
+  // device would.
   sim::DeviceSnapshot total;
-  for (size_t s : ids) total += shards_.at(s).device->Snapshot();
+  for (size_t s : set_.SortedIds()) total += ShardCostSnapshot(s);
   return total;
 }
 
 sim::DeviceSnapshot ShardedEngine::ShardCostSnapshot(size_t shard) const {
-  CAMAL_CHECK(shard < num_shards_);
-  const auto it = shards_.find(shard);
-  if (it == shards_.end() || it->second.device == nullptr) {
-    return sim::DeviceSnapshot{};
-  }
-  return it->second.device->Snapshot();
+  const Shards::Entry* e = set_.Find(shard);
+  if (e == nullptr || e->slot.device == nullptr) return sim::DeviceSnapshot{};
+  return e->slot.device->Snapshot();
 }
 
 EngineCounters ShardedEngine::AggregateCounters() const {
   // Integer sums are order-free, so the map iterates directly.
   EngineCounters total;
-  for (const auto& [s, shard] : shards_) {
-    (void)s;
-    if (shard.tree != nullptr) {
-      total += shard.tree->counters();
-    } else if (shard.frozen != nullptr) {
-      total += shard.frozen->counters;
+  for (const auto& [s, e] : set_.entries()) {
+    if (e.slot.tree != nullptr) {
+      total += e.slot.tree->counters();
+    } else if (e.slot.frozen != nullptr) {
+      total += e.slot.frozen->counters;
     }
   }
   return total;
 }
 
 EngineCounters ShardedEngine::ShardCounters(size_t shard) const {
-  CAMAL_CHECK(shard < num_shards_);
-  const auto it = shards_.find(shard);
-  if (it != shards_.end()) {
-    if (it->second.tree != nullptr) return it->second.tree->counters();
-    if (it->second.frozen != nullptr) return it->second.frozen->counters;
+  if (const Shards::Entry* e = set_.Find(shard)) {
+    if (e->slot.tree != nullptr) return e->slot.tree->counters();
+    if (e->slot.frozen != nullptr) return e->slot.frozen->counters;
   }
   return EngineCounters{};
 }
 
 uint64_t ShardedEngine::TotalEntries() const {
   uint64_t total = 0;
-  for (const auto& [s, shard] : shards_) {
-    (void)s;
-    if (shard.tree != nullptr) {
-      total += shard.tree->TotalEntries();
-    } else if (shard.frozen != nullptr) {
-      total += shard.frozen->total_entries;
-    }
-  }
+  for (const auto& [s, e] : set_.entries()) total += ShardEntries(s);
   return total;
 }
 
 uint64_t ShardedEngine::DiskEntries() const {
   uint64_t total = 0;
-  for (const auto& [s, shard] : shards_) {
-    (void)s;
-    if (shard.tree != nullptr) {
-      total += shard.tree->DiskEntries();
-    } else if (shard.frozen != nullptr) {
-      total += shard.frozen->disk_entries;
+  for (const auto& [s, e] : set_.entries()) {
+    if (e.slot.tree != nullptr) {
+      total += e.slot.tree->DiskEntries();
+    } else if (e.slot.frozen != nullptr) {
+      total += e.slot.frozen->disk_entries;
     }
   }
   return total;
 }
 
 uint64_t ShardedEngine::ShardEntries(size_t shard) const {
-  CAMAL_CHECK(shard < num_shards_);
-  const auto it = shards_.find(shard);
-  if (it != shards_.end()) {
-    if (it->second.tree != nullptr) return it->second.tree->TotalEntries();
-    if (it->second.frozen != nullptr) return it->second.frozen->total_entries;
+  if (const Shards::Entry* e = set_.Find(shard)) {
+    if (e->slot.tree != nullptr) return e->slot.tree->TotalEntries();
+    if (e->slot.frozen != nullptr) return e->slot.frozen->total_entries;
   }
   return 0;
 }
 
 bool ShardedEngine::InTransition() const {
-  for (const auto& [s, shard] : shards_) {
-    (void)s;
-    if (shard.tree != nullptr && shard.tree->InTransition()) return true;
-    if (shard.frozen != nullptr && shard.frozen->transition_active) {
+  for (const auto& [s, e] : set_.entries()) {
+    if (e.slot.tree != nullptr && e.slot.tree->InTransition()) return true;
+    if (e.slot.frozen != nullptr && e.slot.frozen->transition_active) {
       return true;
     }
   }
@@ -567,15 +280,12 @@ bool ShardedEngine::InTransition() const {
 }
 
 lsm::LsmTree* ShardedEngine::shard(size_t i) {
-  CAMAL_CHECK(i < num_shards_);
-  lsm::LsmTree* tree = MaterializeShard(i);
-  Touch(i);
-  return tree;
+  CAMAL_CHECK(i < set_.num_shards());
+  return set_.Activate(i).tree.get();
 }
 
 sim::Device* ShardedEngine::shard_device(size_t i) {
-  CAMAL_CHECK(i < num_shards_);
-  return EnsureDevice(i);
+  return EnsureDevice(i, set_.SlotOf(i));
 }
 
 }  // namespace camal::engine

@@ -2,13 +2,10 @@
 #define CAMAL_ENGINE_SHARDED_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "engine/shard_set.h"
 #include "engine/storage_engine.h"
 #include "lsm/lsm_tree.h"
 #include "sim/device.h"
@@ -19,35 +16,17 @@ class ThreadPool;
 
 namespace camal::engine {
 
-/// Gathers per-shard sorted slices into one globally sorted stream of up
-/// to `max_entries` entries via a binary-heap k-way merge: O(total·log k)
-/// instead of a linear min-scan's O(total·k). Keys across slices must be
-/// pairwise disjoint (hash partitioning guarantees it), so no tie-break
-/// is needed and the output order is unique. Both `ShardedEngine::Scan`
-/// and `FileEngine::Scan` gather through this.
-size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
-                           size_t max_entries, std::vector<lsm::Entry>* out);
-
 /// N independent `lsm::LsmTree` shards behind a deterministic hash
 /// partitioner — the multi-tenant serving engine. Each shard owns its own
 /// simulated device and its own options; the total memory budget of the
 /// system-wide options is divided evenly across shards.
 ///
-/// Point operations route to `Mix64(key) % N`. `Scan` scatter-gathers: all
-/// data-holding shards are range-probed and their sorted slices k-way
-/// merged into a globally sorted result. `Reconfigure` re-divides a new
-/// total budget; `ReconfigureShard` retunes one shard independently (the
-/// dynamic tuner's per-shard path).
-///
-/// **Shard lifecycle (million-tenant scale).** Shards are lazy by
-/// default: a cold shard holds no memtable, Bloom filters, cache, or
-/// device — just a few pointers — and materializes on the first operation
-/// that touches it. With `ShardLifecycleConfig::hibernate_after_batches`
-/// set, a materialized shard idle for that many `ExecuteOps` batches
-/// freezes its tree into a compact snapshot (`lsm::FrozenTreeState`) and
-/// releases the live structures; the next touching operation rehydrates
-/// it transparently. Both transitions charge nothing and preserve all
-/// state bit-exactly, so logical results, per-op costs, and
+/// Routing, budget split, shard lifecycle (lazy materialization, idle
+/// hibernation), batch partitioning and scan scatter-gather live in the
+/// `ShardSet` shared with `FileEngine`; this class supplies the simulated
+/// shard: a tree on its own device, frozen into `lsm::FrozenTreeState`
+/// when it hibernates. Lifecycle transitions charge nothing and preserve
+/// all state bit-exactly, so logical results, per-op costs, and
 /// `EngineCounters` are identical to an eager engine serving the same
 /// stream:
 ///   - a cold shard is observationally an empty tree (empty-tree probes
@@ -57,14 +36,11 @@ size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
 ///   - freeze/restore round-trips the complete tree state, cache LRU
 ///     order and counters included.
 ///
-/// `ExecuteOps` is the async serving path: each batch is partitioned into
-/// per-shard operation lists (a scan probe appears in every resident
-/// shard's list; scans first wake all hibernated shards), the lists run
-/// concurrently on `pool()` workers with intra-shard order preserved, and
-/// per-op results are merged back into submission order. Partitioning and
-/// all bookkeeping are O(ops + resident), never O(total shards). Because
-/// every shard owns its device (including its jitter stream), the results
-/// are bit-identical to serial execution at any thread count.
+/// `ExecuteOps` is the async serving path: the per-shard operation lists
+/// of a batch run concurrently on `pool()` workers with intra-shard order
+/// preserved, and per-op results are merged back into submission order.
+/// Because every shard owns its device (including its jitter stream), the
+/// results are bit-identical to serial execution at any thread count.
 ///
 /// With one shard the engine is bit-identical to driving the tree
 /// directly: shard 0 uses the caller's device config verbatim (including
@@ -100,25 +76,34 @@ class ShardedEngine : public StorageEngine {
 
   void FlushMemtable() override;
 
-  /// Divides `new_total_options`'s memory budget across shards and
-  /// reconfigures every shard lazily. Hibernated shards wake to apply it;
-  /// cold shards record it as their materialization target.
+  /// Divides `new_total_options`'s memory budget across shards and applies
+  /// the slice to every shard as `ReconfigureShard` would; cold shards
+  /// record it as their materialization target.
   void Reconfigure(const lsm::Options& new_total_options) override;
 
   /// Applies `options` to one shard as-is (shard-local budget). A
-  /// hibernated shard wakes; a cold shard stays cold and materializes
-  /// with `options` later (deferred reconfiguration of an empty tree is
-  /// observationally identical to applying it now).
+  /// materialized shard reconfigures its live tree; a hibernated shard is
+  /// reconfigured frozen, in place, and stays asleep; a cold shard stays
+  /// cold and materializes with `options` later (deferred reconfiguration
+  /// of an empty tree is observationally identical to applying it now).
   void ReconfigureShard(size_t shard, const lsm::Options& options) override;
 
-  size_t NumShards() const override { return num_shards_; }
-  size_t ShardIndex(uint64_t key) const override;
+  size_t NumShards() const override { return set_.num_shards(); }
+  size_t ShardIndex(uint64_t key) const override {
+    return set_.ShardIndex(key);
+  }
 
   lsm::Options ShardOptionsSnapshot(size_t shard) const override;
 
-  ShardState ShardLifecycle(size_t shard) const override;
-  size_t MaterializedShards() const override { return resident_.size(); }
-  void AppendResidentShards(std::vector<size_t>* out) const override;
+  ShardState ShardLifecycle(size_t shard) const override {
+    return set_.Lifecycle(shard);
+  }
+  size_t MaterializedShards() const override {
+    return set_.MaterializedShards();
+  }
+  void AppendResidentShards(std::vector<size_t>* out) const override {
+    set_.AppendResidentShards(out);
+  }
 
   sim::DeviceSnapshot CostSnapshot() const override;
   sim::DeviceSnapshot ShardCostSnapshot(size_t shard) const override;
@@ -141,67 +126,30 @@ class ShardedEngine : public StorageEngine {
   lsm::LsmTree* shard(size_t i);
   sim::Device* shard_device(size_t i);
 
-  /// The per-shard slice of a total configuration: buffer, Bloom, and
-  /// block-cache budgets divided by `num_shards` (shape knobs unchanged).
-  /// Identity when `num_shards` == 1.
+  /// `engine::ShardOptions`, under the name callers have always used.
   static lsm::Options ShardOptions(const lsm::Options& total,
-                                   size_t num_shards);
+                                   size_t num_shards) {
+    return engine::ShardOptions(total, num_shards);
+  }
 
  private:
   struct Shard {
     std::unique_ptr<sim::Device> device;           // survives hibernation
     std::unique_ptr<lsm::LsmTree> tree;            // iff materialized
     std::unique_ptr<lsm::FrozenTreeState> frozen;  // iff hibernated
-    uint64_t last_touch_epoch = ~uint64_t{0};      // sentinel: never touched
   };
+  using Shards = ShardSet<Shard, ShardedEngine>;
+  friend Shards;
 
-  /// The options shard `s` materializes (or rehydrates) with.
-  const lsm::Options& EffectiveOptions(size_t s) const;
+  // ShardSet backend: lifecycle transitions of one simulated shard.
+  void CreateShard(size_t s, Shard& shard, const lsm::Options& options);
+  void WakeShard(size_t s, Shard& shard);
+  void FreezeShard(size_t s, Shard& shard);
 
-  sim::Device* EnsureDevice(size_t s);
+  sim::Device* EnsureDevice(size_t s, Shard& shard);
 
-  /// Brings shard `s` to the materialized state (create cold / wake
-  /// hibernated); returns its live tree.
-  lsm::LsmTree* MaterializeShard(size_t s);
-
-  /// Freezes shard `s`'s tree into its compact snapshot and releases the
-  /// live structures (device stays: its jitter stream is mid-sequence).
-  void HibernateShard(size_t s);
-
-  /// Wakes every hibernated shard (scans: their data must be probed).
-  void WakeAllHibernated();
-
-  /// Marks shard `s` active this batch and arms its idle timer.
-  void Touch(size_t s);
-
-  /// Hibernates shards whose idle timers expired.
-  void HibernateIdleShards();
-
-  /// Range-probes every resident shard concurrently; slices[k] receives
-  /// probed shard k's up-to-max_entries sorted live entries.
-  void ScatterScan(const std::vector<size_t>& probed, uint64_t start_key,
-                   size_t max_entries,
-                   std::vector<std::vector<lsm::Entry>>* slices);
-
-  /// Hashed active-shard map: holds an entry only for shards that have
-  /// ever been touched (materialized, hibernated, or device-only), so
-  /// engine memory is O(active), not O(total) — a million cold tenants
-  /// cost nothing but this map's empty buckets.
-  std::unordered_map<size_t, Shard> shards_;
-  size_t num_shards_ = 0;
-  lsm::Options default_options_;
   sim::DeviceConfig device_config_;
-  ShardLifecycleConfig lifecycle_;
-  /// Options applied to a shard while cold, pending materialization.
-  std::map<size_t, lsm::Options> cold_options_;
-  /// Materialized shard ids, ascending (scan probe order).
-  std::set<size_t> resident_;
-  /// Hibernated shard ids (O(hibernated) wake-all, not O(total)).
-  std::set<size_t> hibernated_;
-  /// Idle tracking: (shard, touch epoch) entries with lazy deletion; a
-  /// shard hibernates when its newest entry expires untouched.
-  std::deque<std::pair<size_t, uint64_t>> idle_queue_;
-  uint64_t epoch_ = 0;
+  Shards set_;
   util::ThreadPool* pool_ = nullptr;
 };
 

@@ -181,7 +181,7 @@ void LsmTree::Reconfigure(const Options& new_options) {
   options_ = new_options;
   cache_.Resize(new_options.block_cache_bytes /
                 device_->config().block_bytes);
-  transition_active_ = AnyLevelViolates(options_);
+  transition_active_ = levels_.AnyLevelOverflows(options_);
   // The structure morphs lazily: violations are resolved by the next
   // natural flush/compaction, not here. An over-full memtable flushes on
   // the next write.
@@ -246,7 +246,7 @@ void LsmTree::NormalizeFrom(size_t level_idx) {
     runs.clear();
     levels_.At(i + 1).push_back(std::move(moving));
   }
-  if (transition_active_ && !AnyLevelViolates(options_)) {
+  if (transition_active_ && !levels_.AnyLevelOverflows(options_)) {
     transition_active_ = false;
   }
 }
@@ -279,21 +279,6 @@ RunPtr LsmTree::MergeLevelIntoRun(size_t level_idx, size_t output_level) {
   }
   return BuildRun(std::move(merged), output_level,
                   static_cast<int>(level_idx));
-}
-
-bool LsmTree::LevelViolates(size_t idx, const Options& opts) const {
-  const auto& runs = levels_.At(idx);
-  if (runs.empty()) return false;
-  if (runs.size() > static_cast<size_t>(opts.MaxRunsPerLevel())) return true;
-  return static_cast<double>(levels_.LevelEntries(idx)) >
-         opts.LevelCapacityEntries(static_cast<int>(idx));
-}
-
-bool LsmTree::AnyLevelViolates(const Options& opts) const {
-  for (size_t i = 0; i < levels_.NumLevels(); ++i) {
-    if (LevelViolates(i, opts)) return true;
-  }
-  return false;
 }
 
 }  // namespace camal::lsm

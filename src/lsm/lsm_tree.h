@@ -153,9 +153,6 @@ class LsmTree : public engine::StorageEngine {
   /// `output_level`, charging compaction I/O and CPU.
   RunPtr MergeLevelIntoRun(size_t level_idx, size_t output_level);
 
-  bool LevelViolates(size_t idx, const Options& opts) const;
-  bool AnyLevelViolates(const Options& opts) const;
-
   Options options_;
   sim::Device* device_;
   BlockCache cache_;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/status.h"
@@ -66,6 +67,18 @@ struct Options {
   double LevelCapacityEntries(int level_idx) const {
     return static_cast<double>(BufferEntries()) * (size_ratio - 1.0) *
            std::pow(size_ratio, level_idx);
+  }
+
+  /// Whether on-disk level `level_idx`, holding `runs` sorted runs with
+  /// `entries` entries in total, violates the level invariants (more than
+  /// K runs, or more entries than its capacity). An empty level never
+  /// does. Every engine — live tree, frozen snapshot, file set — judges
+  /// its levels through this one predicate.
+  bool LevelOverflows(size_t level_idx, size_t runs, uint64_t entries) const {
+    if (runs == 0) return false;
+    if (runs > static_cast<size_t>(MaxRunsPerLevel())) return true;
+    return static_cast<double>(entries) >
+           LevelCapacityEntries(static_cast<int>(level_idx));
   }
 
   /// Number of on-disk levels needed for `n` total entries (Equation 1).

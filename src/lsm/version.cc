@@ -45,4 +45,13 @@ std::vector<size_t> Levels::RunCounts() const {
   return counts;
 }
 
+bool Levels::AnyLevelOverflows(const Options& opts) const {
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    if (opts.LevelOverflows(i, levels_[i].size(), LevelEntries(i))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace camal::lsm

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lsm/options.h"
 #include "lsm/run.h"
 
 namespace camal::lsm {
@@ -33,6 +34,10 @@ class Levels {
 
   /// Per-level run counts.
   std::vector<size_t> RunCounts() const;
+
+  /// True when any level violates `opts`' level invariants
+  /// (`Options::LevelOverflows`) — the tree's transition predicate.
+  bool AnyLevelOverflows(const Options& opts) const;
 
  private:
   std::vector<std::vector<RunPtr>> levels_;

@@ -28,8 +28,7 @@ struct ExecutorConfig {
   /// Optional batch observer (not owned; must outlive the run). Null —
   /// the default — leaves execution exactly as before. Because batches
   /// are cut deterministically, a deterministic observer keeps the whole
-  /// run deterministic. Legacy `BatchHook`s attach unchanged (they are
-  /// observers through the shim in request.h).
+  /// run deterministic.
   BatchObserver* hook = nullptr;
 };
 

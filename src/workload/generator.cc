@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "engine/shard_set.h"
 #include "util/status.h"
 
 namespace camal::workload {
@@ -50,9 +51,8 @@ uint64_t OperationGenerator::RejectionSample(uint64_t key, Redraw redraw) {
   // sequence is a pure function of the seed.
   constexpr int kMaxRedraws = 32;
   for (int i = 0; i < kMaxRedraws; ++i) {
-    const size_t shard =
-        static_cast<size_t>(util::Mix64(key) % config_.num_shards);
-    const double accept = ShardAccept(shard);
+    const double accept =
+        ShardAccept(engine::ShardOf(key, config_.num_shards));
     if (accept >= 1.0 || rng_.NextDouble() < accept) break;
     key = redraw();
   }

@@ -67,8 +67,8 @@ struct GeneratorConfig {
   /// nothing: the stream is bit-identical to the unbiased generator.
   /// Inserted *new* keys stay unbiased (appending a key fixes its shard).
   double shard_skew = 0.0;
-  /// Shard count of the served engine (the ShardedEngine partitioner
-  /// `Mix64(key) % num_shards`). Only read when `shard_skew` > 0.
+  /// Shard count of the served engine (keys route by
+  /// `engine::ShardOf`). Only read when `shard_skew` > 0.
   size_t num_shards = 1;
 };
 

@@ -97,23 +97,6 @@ class BatchObserver {
                             const BatchEvent& event) = 0;
 };
 
-/// Compatibility shim for pre-BatchEvent observers: implement `OnBatch`
-/// and attach anywhere a `BatchObserver` is accepted. The shim forwards
-/// the event's generator-level op array, so a plain `BatchHook` only
-/// observes generator-driven batches (`event.ops` != nullptr); implement
-/// `OnBatchEvent` directly to also see gateway-driven batches.
-class BatchHook : public BatchObserver {
- public:
-  /// Called after each batch has executed, before the next is generated.
-  virtual void OnBatch(engine::StorageEngine* engine, const Operation* ops,
-                       size_t count) = 0;
-
-  void OnBatchEvent(engine::StorageEngine* engine,
-                    const BatchEvent& event) override {
-    if (event.ops != nullptr) OnBatch(engine, event.ops, event.count);
-  }
-};
-
 /// Fills `event->kind_counts` from `event->engine_ops`.
 void CountBatchKinds(BatchEvent* event);
 

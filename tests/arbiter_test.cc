@@ -42,7 +42,8 @@ std::unique_ptr<engine::ShardedEngine> MakeLoadedEngine(
 // `hook` attached (nullptr = the plain pre-arbiter execution).
 workload::ExecutionResult RunStream(engine::StorageEngine* eng,
                                     workload::KeySpace* keys, double skew,
-                                    size_t num_ops, workload::BatchHook* hook,
+                                    size_t num_ops,
+                                    workload::BatchObserver* hook,
                                     size_t batch_ops = 256) {
   workload::ExecutorConfig exec;
   exec.num_ops = num_ops;
@@ -86,7 +87,12 @@ TEST(MemoryArbiterTest, ConservationAndFloorsHoldAfterEveryRound) {
     }
     results.resize(ops.size());
     eng->ExecuteOps(ops.data(), ops.size(), results.data());
-    arbiter.OnBatch(eng.get(), pending.data(), pending.size());
+    workload::BatchEvent event;
+    event.count = pending.size();
+    event.ops = pending.data();
+    event.engine_ops = ops.data();
+    event.results = results.data();
+    arbiter.OnBatchEvent(eng.get(), event);
 
     // The arbitrated ledger conserves the total and respects floors...
     uint64_t ledger = 0;
@@ -429,7 +435,12 @@ TEST(MemoryArbiterTest, HibernationHandoffConservesAcrossDemoteAndRepromote) {
     }
     std::vector<engine::OpResult> results(ops.size());
     eng->ExecuteOps(ops.data(), ops.size(), results.data());
-    arbiter.OnBatch(eng.get(), stream.data() + from, 300);
+    workload::BatchEvent event;
+    event.count = ops.size();
+    event.ops = stream.data() + from;
+    event.engine_ops = ops.data();
+    event.results = results.data();
+    arbiter.OnBatchEvent(eng.get(), event);
     check_conserved();
   };
 

@@ -316,10 +316,10 @@ TEST(ExecuteOpsTest, ExecuteWithReconfiguringHookIsBatchDeterministic) {
   // identical streams must produce identical results at any pool size.
   const tune::SystemSetup setup = SmallSetup();
 
-  class RetuneOnceHook : public workload::BatchHook {
+  class RetuneOnceHook : public workload::BatchObserver {
    public:
-    void OnBatch(engine::StorageEngine* engine, const workload::Operation*,
-                 size_t) override {
+    void OnBatchEvent(engine::StorageEngine* engine,
+                      const workload::BatchEvent&) override {
       if (++batches_ != 2) return;
       lsm::Options opts = engine->ShardOptionsSnapshot(3);
       opts.bloom_bits /= 2;

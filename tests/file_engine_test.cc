@@ -66,7 +66,7 @@ tune::SystemSetup FileSetup(uint64_t entries, size_t shards) {
 workload::ExecutionResult RunStream(StorageEngine* eng,
                                     workload::KeySpace* keys, size_t num_ops,
                                     double skew = 0.0,
-                                    workload::BatchHook* hook = nullptr,
+                                    workload::BatchObserver* hook = nullptr,
                                     size_t batch_ops = 256) {
   workload::ExecutorConfig exec;
   exec.num_ops = num_ops;
@@ -385,12 +385,10 @@ TEST(FileEngineTest, RealClocksAccumulatePerShard) {
 
 /// Reconfigures one shard between batches — the arbiter's mutation shape,
 /// driven mid-phase while batches are in flight.
-class ShrinkShardHook : public workload::BatchHook {
+class ShrinkShardHook : public workload::BatchObserver {
  public:
-  void OnBatch(StorageEngine* engine, const workload::Operation* ops,
-               size_t count) override {
-    (void)ops;
-    (void)count;
+  void OnBatchEvent(StorageEngine* engine,
+                    const workload::BatchEvent&) override {
     ++batches_;
     if (batches_ % 3 != 0) return;
     const size_t s = batches_ % engine->NumShards();
@@ -468,6 +466,32 @@ TEST(FileEngineTest, ReconfigureShardResizesFootprintImmediately) {
             ShardBudget::FromOptions(shrunk).TotalBits());
   // The over-capacity memtable flushed on reconfigure.
   EXPECT_EQ(eng.TotalEntries(), eng.DiskEntries());
+}
+
+// Invalid options die on every way into the engine — construction, a
+// total reconfigure, and a per-shard reconfigure of a live or a cold
+// shard — instead of being accepted: size_ratio < 2 leaves every level
+// capacity at zero (a flush would merge into ever-deeper levels without
+// end), and an io_queue_depth past the bound would size a ring with that
+// many slot buffers.
+TEST(FileEngineDeathTest, InvalidOptionsDieOnEveryWayIn) {
+  FileEngineConfig cfg;
+  cfg.workdir = UniqueDir("invalid");
+  lsm::Options flat = SmallOptions();
+  flat.size_ratio = 1.0;
+  EXPECT_DEATH(FileEngine(4, flat, cfg), "Validate");
+
+  FileEngine eng(4, SmallOptions(), cfg);
+  eng.Put(1, 1);
+  const size_t live = eng.ShardIndex(1);
+  const size_t cold = (live + 1) % eng.NumShards();
+  ASSERT_EQ(eng.ShardLifecycle(live), ShardState::kMaterialized);
+  ASSERT_EQ(eng.ShardLifecycle(cold), ShardState::kCold);
+  lsm::Options deep = eng.ShardOptionsSnapshot(live);
+  deep.io_queue_depth = 2048;
+  EXPECT_DEATH(eng.ReconfigureShard(live, deep), "Validate");
+  EXPECT_DEATH(eng.ReconfigureShard(cold, deep), "Validate");
+  EXPECT_DEATH(eng.Reconfigure(flat), "Validate");
 }
 
 TEST(FileEngineTest, ArbiterConservesBudgetOnFileBackend) {

@@ -313,13 +313,9 @@ TEST(GatewayTest, ConcurrentProducersConserveRequestAccounting) {
 }
 
 // Counts executor-driven events and checks their shape.
-class EventShapeChecker : public workload::BatchHook {
+class EventShapeChecker : public workload::BatchObserver {
  public:
-  void OnBatch(engine::StorageEngine*, const workload::Operation*,
-               size_t) override {
-    ++legacy_calls_;
-  }
-  void OnBatchEvent(engine::StorageEngine* engine,
+  void OnBatchEvent(engine::StorageEngine*,
                     const workload::BatchEvent& event) override {
     EXPECT_EQ(event.batch_index, events_);  // consecutive from 0
     EXPECT_NE(event.engine_ops, nullptr);
@@ -328,21 +324,18 @@ class EventShapeChecker : public workload::BatchHook {
     for (uint64_t k : event.kind_counts) kinds += k;
     EXPECT_EQ(kinds, event.count);
     ++events_;
-    workload::BatchHook::OnBatchEvent(engine, event);  // forward shim
   }
   size_t events() const { return events_; }
-  size_t legacy_calls() const { return legacy_calls_; }
 
  private:
   size_t events_ = 0;
-  size_t legacy_calls_ = 0;
 };
 
 TEST(GatewayTest, BatchEventsCarryTypedContextInBothPipelines) {
   const tune::SystemSetup setup = SmallSetup();
   workload::KeySpace keys(setup.num_entries, setup.seed);
 
-  // Executor-driven: `ops` is set, so the BatchHook shim forwards.
+  // Executor-driven: `ops` is set.
   {
     auto eng = MakeLoadedEngine(setup, keys);
     EventShapeChecker checker;
@@ -355,7 +348,6 @@ TEST(GatewayTest, BatchEventsCarryTypedContextInBothPipelines) {
     workload::Execute(eng.get(), model::WorkloadSpec{0.2, 0.3, 0.2, 0.3},
                       exec, &keys);
     EXPECT_EQ(checker.events(), (1000 + 127) / 128);
-    EXPECT_EQ(checker.legacy_calls(), checker.events());
   }
 
   // Gateway-driven: `ops` is null, queue depths cover every tenant.

@@ -6,6 +6,9 @@
 // and entry counts. On the real-IO backend wall-clock varies, so the
 // deterministic surface is compared instead: logical results, per-op I/O
 // counts, block read/write totals, counters, and run-file structure.
+// Across backends, both engines make their shard decisions through one
+// ShardSet, so the same schedule must walk them through the same
+// lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -382,6 +385,118 @@ TEST(ShardLifecycleTest, HibernateWakeRehibernateMatchesEagerOnFile) {
   }
   EXPECT_EQ(hib.TotalEntries(), eager.TotalEntries());
   EXPECT_EQ(hib.DiskEntries(), eager.DiskEntries());
+}
+
+// ---------------------------------------------------------------------------
+// Cross-backend parity: the simulated and the real-IO engine route,
+// materialize, hibernate, wake, and defer reconfigurations identically.
+// ---------------------------------------------------------------------------
+
+void ExpectSameOptions(const lsm::Options& a, const lsm::Options& b) {
+  EXPECT_EQ(a.size_ratio, b.size_ratio);
+  EXPECT_EQ(a.entry_bytes, b.entry_bytes);
+  EXPECT_EQ(a.buffer_bytes, b.buffer_bytes);
+  EXPECT_EQ(a.bloom_bits, b.bloom_bits);
+  EXPECT_EQ(a.block_cache_bytes, b.block_cache_bytes);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.runs_per_level, b.runs_per_level);
+  EXPECT_EQ(a.file_bytes, b.file_bytes);
+  EXPECT_EQ(a.io_queue_depth, b.io_queue_depth);
+}
+
+void ExpectSameLifecycle(const StorageEngine& sim, const StorageEngine& file) {
+  ASSERT_EQ(sim.NumShards(), file.NumShards());
+  for (size_t s = 0; s < sim.NumShards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(sim.ShardLifecycle(s), file.ShardLifecycle(s));
+    ExpectSameOptions(sim.ShardOptionsSnapshot(s),
+                      file.ShardOptionsSnapshot(s));
+  }
+  EXPECT_EQ(sim.MaterializedShards(), file.MaterializedShards());
+  std::vector<size_t> sim_resident, file_resident;
+  sim.AppendResidentShards(&sim_resident);
+  file.AppendResidentShards(&file_resident);
+  EXPECT_EQ(sim_resident, file_resident);
+}
+
+/// The highest-index shard in `state`, or NumShards() when there is none.
+size_t LastShardIn(const StorageEngine& eng, ShardState state) {
+  for (size_t s = eng.NumShards(); s-- > 0;) {
+    if (eng.ShardLifecycle(s) == state) return s;
+  }
+  return eng.NumShards();
+}
+
+TEST(ShardLifecycleTest, BackendsMakeIdenticalLifecycleDecisions) {
+  const tune::SystemSetup setup = SmallSetup(8);
+  const lsm::Options total = tune::MonkeyDefaultConfig(setup).ToOptions(setup);
+  const ShardLifecycleConfig lc{/*lazy=*/true, /*hibernate_after_batches=*/2};
+  ShardedEngine sim(setup.num_shards, total, setup.MakeDeviceConfig(), lc);
+  FileEngineConfig cfg;
+  cfg.workdir = UniqueDir("parity");
+  cfg.lifecycle = lc;
+  FileEngine file(setup.num_shards, total, cfg);
+
+  // Skewed point traffic with no generated scans: hot low-index shards,
+  // rarely-touched high-index ones that materialize late and keep
+  // falling idle. Scans are scheduled explicitly (every sixth batch) to
+  // exercise wake-all.
+  workload::KeySpace keys(setup.num_entries, setup.seed);
+  workload::GeneratorConfig gen_cfg;
+  gen_cfg.scan_len = setup.scan_len;
+  gen_cfg.shard_skew = 2.0;
+  gen_cfg.num_shards = setup.num_shards;
+  workload::OperationGenerator gen(model::WorkloadSpec{0.3, 0.3, 0.0, 0.4},
+                                   &keys, gen_cfg, /*seed=*/7);
+
+  // Shard-local retunes: a cold shard defers its new options to
+  // materialization; a hibernated one is reconfigured asleep. The buffer
+  // only grows, so the file backend has no buffered overflow to wake for.
+  auto retune = [&](size_t s) {
+    lsm::Options opts = sim.ShardOptionsSnapshot(s);
+    opts.bloom_bits = opts.bloom_bits / 2 + 3;
+    opts.buffer_bytes *= 2;
+    opts.block_cache_bytes /= 2;
+    sim.ReconfigureShard(s, opts);
+    file.ReconfigureShard(s, opts);
+    ExpectSameLifecycle(sim, file);
+  };
+  const size_t coldest = setup.num_shards - 1;
+  retune(coldest);
+  EXPECT_EQ(file.ShardLifecycle(coldest), ShardState::kCold);
+
+  bool retuned_hibernated = false;
+  size_t hibernated_batches = 0;
+  for (size_t b = 0; b < 30; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    std::vector<Op> batch;
+    for (size_t i = 0; i < 64; ++i) {
+      batch.push_back(workload::ToEngineOp(gen.Next()));
+    }
+    if (b % 6 == 5) {
+      Op scan;
+      scan.kind = OpKind::kScan;
+      scan.key = batch.front().key;
+      scan.scan_len = 32;
+      batch.insert(batch.begin() + 32, scan);
+    }
+    std::vector<OpResult> sim_results(batch.size());
+    std::vector<OpResult> file_results(batch.size());
+    sim.ExecuteOps(batch.data(), batch.size(), sim_results.data());
+    file.ExecuteOps(batch.data(), batch.size(), file_results.data());
+    ExpectSameLifecycle(sim, file);
+
+    const size_t asleep = LastShardIn(sim, ShardState::kHibernated);
+    if (asleep == sim.NumShards()) continue;
+    ++hibernated_batches;
+    if (!retuned_hibernated) {
+      retune(asleep);
+      EXPECT_EQ(file.ShardLifecycle(asleep), ShardState::kHibernated);
+      retuned_hibernated = true;
+    }
+  }
+  EXPECT_TRUE(retuned_hibernated);
+  EXPECT_GT(hibernated_batches, 1u);
 }
 
 }  // namespace

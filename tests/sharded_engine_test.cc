@@ -195,6 +195,22 @@ TEST(ShardedEngineTest, PerShardReconfigureTouchesOnlyThatShard) {
   EXPECT_EQ(eng.shard(2)->options().size_ratio, t_before);
 }
 
+// Options are validated when they arrive, for cold shards too: a cold
+// shard's reconfiguration is deferred to its materialization, but an
+// invalid one must not be accepted and fail only later, on some
+// unrelated first touch.
+TEST(ShardedEngineDeathTest, InvalidOptionsDieOnArrivalEvenWhenCold) {
+  ShardedEngine eng(4, SmallOptions(), QuietDevice());
+  ASSERT_EQ(eng.ShardLifecycle(2), ShardState::kCold);
+  lsm::Options flat = ShardedEngine::ShardOptions(SmallOptions(), 4);
+  flat.size_ratio = 1.0;
+  EXPECT_DEATH(eng.ReconfigureShard(2, flat), "Validate");
+  lsm::Options deep = ShardedEngine::ShardOptions(SmallOptions(), 4);
+  deep.io_queue_depth = 2048;
+  EXPECT_DEATH(eng.ReconfigureShard(2, deep), "Validate");
+  EXPECT_DEATH(ShardedEngine(4, flat, QuietDevice()), "Validate");
+}
+
 TEST(ShardedEngineTest, TotalReconfigureDividesAcrossShards) {
   ShardedEngine eng(4, SmallOptions(), QuietDevice());
   lsm::Options bigger = SmallOptions();
