@@ -47,6 +47,14 @@ engine::fileio::WalSyncPolicy ToWalSyncPolicy(FileWalSync s) {
   return engine::fileio::WalSyncPolicy::kNone;
 }
 
+// Every sample averages two runs at different compaction-fullness phases
+// so the label estimates the steady state (the paper's single long run does
+// the same by sheer query count). Both runs are paid for in the sample
+// cost. SampleSalt(salt, run) is the salt of run 0 or 1.
+uint64_t SampleSalt(uint64_t salt, size_t run) {
+  return run == 0 ? salt : HashCombine(salt, 0xb0b);
+}
+
 }  // namespace
 
 Evaluator::Evaluator(const SystemSetup& setup) : setup_(setup) {
@@ -263,14 +271,9 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
   return m;
 }
 
-Sample Evaluator::MakeSample(const model::WorkloadSpec& workload,
-                             const TuningConfig& config, uint64_t salt) const {
-  // Average two compaction-fullness phases per sample so the label
-  // estimates the steady state (the paper's single long run does the same
-  // by sheer query count). Both runs are paid for in the sample cost.
-  const Measurement a = Measure(workload, config, setup_.train_ops, salt);
-  const Measurement b =
-      Measure(workload, config, setup_.train_ops, HashCombine(salt, 0xb0b));
+Sample Evaluator::ToSample(const model::WorkloadSpec& workload,
+                           const TuningConfig& config, const Measurement& a,
+                           const Measurement& b) const {
   Sample sample;
   sample.workload = workload;
   sample.config = config;
@@ -280,6 +283,15 @@ Sample Evaluator::MakeSample(const model::WorkloadSpec& workload,
   sample.ios_per_op = (a.ios_per_op + b.ios_per_op) / 2.0;
   sample.cost_ns = a.total_cost_ns + b.total_cost_ns;
   return sample;
+}
+
+Sample Evaluator::MakeSample(const model::WorkloadSpec& workload,
+                             const TuningConfig& config, uint64_t salt) const {
+  const Measurement a =
+      Measure(workload, config, setup_.train_ops, SampleSalt(salt, 0));
+  const Measurement b =
+      Measure(workload, config, setup_.train_ops, SampleSalt(salt, 1));
+  return ToSample(workload, config, a, b);
 }
 
 Measurement Evaluator::Evaluate(const model::WorkloadSpec& workload,
@@ -292,11 +304,19 @@ std::vector<Sample> Evaluator::MakeSamples(
     const model::WorkloadSpec& workload,
     const std::vector<TuningConfig>& configs, uint64_t first_salt,
     util::ThreadPool* pool) const {
-  std::vector<Sample> out(configs.size());
-  util::ParallelFor(pool, 0, configs.size(), [&](size_t i) {
-    out[i] = MakeSample(workload, configs[i],
-                        first_salt + static_cast<uint64_t>(i));
+  // Both runs of every sample are independent jobs: 2 * configs.size() of
+  // them fan out, so a single-sample batch still keeps two workers busy.
+  std::vector<Measurement> runs(2 * configs.size());
+  util::ParallelFor(pool, 0, runs.size(), [&](size_t j) {
+    const uint64_t salt = first_salt + static_cast<uint64_t>(j / 2);
+    runs[j] = Measure(workload, configs[j / 2], setup_.train_ops,
+                      SampleSalt(salt, j % 2));
   });
+  std::vector<Sample> out;
+  out.reserve(configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    out.push_back(ToSample(workload, configs[i], runs[2 * i], runs[2 * i + 1]));
+  }
   return out;
 }
 

@@ -104,8 +104,9 @@ class Evaluator {
 
   /// Batched MakeSample over `configs`, where configs[i] uses salt
   /// `first_salt + i` — exactly the salts a serial loop over MakeSample
-  /// would consume. Results are returned in config order, so the output is
-  /// bit-identical for any `pool` (including none).
+  /// would consume. The two runs of each sample fan out as separate jobs.
+  /// Results are returned in config order, so the output is bit-identical
+  /// for any `pool` (including none).
   std::vector<Sample> MakeSamples(const model::WorkloadSpec& workload,
                                   const std::vector<TuningConfig>& configs,
                                   uint64_t first_salt,
@@ -122,6 +123,11 @@ class Evaluator {
   util::ThreadPool* engine_pool() const { return engine_pool_.get(); }
 
  private:
+  /// Averages the two runs `a` and `b` of one sample into the sample.
+  Sample ToSample(const model::WorkloadSpec& workload,
+                  const TuningConfig& config, const Measurement& a,
+                  const Measurement& b) const;
+
   SystemSetup setup_;
   /// Shared so the Evaluator stays copyable (tuners copy their setup's
   /// evaluator); engines only borrow the pointer for one measurement.

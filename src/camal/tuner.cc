@@ -19,10 +19,7 @@ ModelBackedTuner::ModelBackedTuner(const SystemSetup& full_setup,
 
 const Sample& ModelBackedTuner::CollectSample(const model::WorkloadSpec& w,
                                               const TuningConfig& x) {
-  Sample sample = evaluator_.MakeSample(w, x, ++sample_salt_);
-  sampling_cost_ns_ += sample.cost_ns;
-  samples_.push_back(std::move(sample));
-  return samples_.back();
+  return samples_[CollectSamples(w, {x})];
 }
 
 size_t ModelBackedTuner::CollectSamples(const model::WorkloadSpec& w,

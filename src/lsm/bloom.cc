@@ -4,12 +4,14 @@
 #include <cmath>
 
 #include "util/random.h"
+#include "util/status.h"
 
 namespace camal::lsm {
 
 namespace {
 constexpr double kLn2 = 0.6931471805599453;
 constexpr double kMinUsefulBpk = 0.5;
+constexpr int kMaxHashes = 30;
 
 using util::Fmix64;
 }  // namespace
@@ -23,7 +25,21 @@ BloomFilter::BloomFilter(size_t num_entries, double bits_per_key) {
   words_.assign((num_bits_ + 63) / 64, 0);
   num_hashes_ =
       std::max(1, static_cast<int>(std::llround(bits_per_key * kLn2)));
-  num_hashes_ = std::min(num_hashes_, 30);
+  num_hashes_ = std::min(num_hashes_, kMaxHashes);
+}
+
+BloomFilter BloomFilter::FromParts(std::vector<uint64_t> words,
+                                   size_t num_bits, int num_hashes,
+                                   double bits_per_key) {
+  CAMAL_CHECK(words.size() == num_bits / 64 + (num_bits % 64 != 0 ? 1 : 0));
+  CAMAL_CHECK(num_bits == 0 ? num_hashes == 0
+                            : num_hashes >= 1 && num_hashes <= kMaxHashes);
+  BloomFilter f;
+  f.words_ = std::move(words);
+  f.num_bits_ = num_bits;
+  f.num_hashes_ = num_hashes;
+  f.bits_per_key_ = bits_per_key;
+  return f;
 }
 
 void BloomFilter::Add(uint64_t key) {

@@ -39,16 +39,13 @@ class BloomFilter {
   const std::vector<uint64_t>& words() const { return words_; }
   int num_hashes() const { return num_hashes_; }
 
-  /// Reconstructs a filter from previously exported internals.
+  /// Reconstructs a filter from previously exported internals. The parts
+  /// come from disk, so they are checked: `words` must hold exactly
+  /// ceil(num_bits / 64) words, and a present filter (num_bits > 0) needs
+  /// 1..30 hashes while an absent one carries none. Anything else aborts,
+  /// since probing it would read past the bit array.
   static BloomFilter FromParts(std::vector<uint64_t> words, size_t num_bits,
-                               int num_hashes, double bits_per_key) {
-    BloomFilter f;
-    f.words_ = std::move(words);
-    f.num_bits_ = num_bits;
-    f.num_hashes_ = num_hashes;
-    f.bits_per_key_ = bits_per_key;
-    return f;
-  }
+                               int num_hashes, double bits_per_key);
 
  private:
   std::vector<uint64_t> words_;

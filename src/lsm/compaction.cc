@@ -7,35 +7,41 @@ namespace camal::lsm {
 
 std::vector<Entry> MergeRuns(const std::vector<RunPtr>& newest_first,
                              bool drop_tombstones) {
-  std::vector<size_t> cursor(newest_first.size(), 0);
-  std::vector<Entry> out;
+  struct Cursor {
+    const Entry* at;
+    const Entry* end;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(newest_first.size());
   uint64_t total = 0;
-  for (const RunPtr& run : newest_first) total += run->size();
+  for (const RunPtr& run : newest_first) {
+    const std::vector<Entry>& entries = run->entries();
+    cursors.push_back({entries.data(), entries.data() + entries.size()});
+    total += entries.size();
+  }
+  std::vector<Entry> out;
   out.reserve(total);
 
   for (;;) {
     uint64_t min_key = std::numeric_limits<uint64_t>::max();
     bool any = false;
-    for (size_t s = 0; s < newest_first.size(); ++s) {
-      if (cursor[s] >= newest_first[s]->size()) continue;
-      const uint64_t k = newest_first[s]->entry(cursor[s]).key;
-      if (!any || k < min_key) {
-        min_key = k;
+    for (const Cursor& c : cursors) {
+      if (c.at == c.end) continue;
+      if (!any || c.at->key < min_key) {
+        min_key = c.at->key;
         any = true;
       }
     }
     if (!any) break;
 
     bool taken = false;
-    for (size_t s = 0; s < newest_first.size(); ++s) {
-      if (cursor[s] >= newest_first[s]->size()) continue;
-      const Entry& e = newest_first[s]->entry(cursor[s]);
-      if (e.key != min_key) continue;
+    for (Cursor& c : cursors) {
+      if (c.at == c.end || c.at->key != min_key) continue;
       if (!taken) {
         taken = true;
-        if (!(drop_tombstones && e.tombstone)) out.push_back(e);
+        if (!(drop_tombstones && c.at->tombstone)) out.push_back(*c.at);
       }
-      ++cursor[s];
+      ++c.at;
     }
   }
   return out;

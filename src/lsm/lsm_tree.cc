@@ -85,52 +85,36 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
   if (max_entries == 0) return 0;
   const sim::DeviceConfig& cfg = device_->config();
 
-  // Source 0 is the memtable (newest); then runs ordered newest-to-oldest.
-  struct Cursor {
-    const Run* run = nullptr;          // null for the memtable source
-    std::vector<Entry> mem_entries;    // materialized memtable slice
-    size_t idx = 0;
-    size_t end = 0;
-    int64_t last_block = -1;
+  // The memtable is the newest source, walked in place over its whole
+  // tail: tombstones in it shadow run entries arbitrarily far into the
+  // scan, so a max_entries-bounded slice could miss live keys. Then come
+  // the runs, ordered newest-to-oldest.
+  auto mem = memtable_.LowerBound(start_key);
+  const auto mem_end = memtable_.end();
+  struct RunCursor {
+    const Run* run;
+    size_t idx;
+    int64_t last_block;
   };
-  std::vector<Cursor> cursors;
-
-  {
-    // Collect the full memtable tail: tombstones in it shadow run entries
-    // arbitrarily far into the scan, so a max_entries-bounded slice could
-    // miss live keys. The memtable holds at most BufferEntries() entries.
-    Cursor mem;
-    memtable_.CollectFrom(start_key, memtable_.size(), &mem.mem_entries);
-    mem.end = mem.mem_entries.size();
-    cursors.push_back(std::move(mem));
-  }
+  std::vector<RunCursor> cursors;
   const int deepest = levels_.DeepestNonEmpty();
   for (int level = 0; level <= deepest; ++level) {
     const auto& runs = levels_.At(static_cast<size_t>(level));
     for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-      Cursor c;
-      c.run = it->get();
       device_->ChargeCpu(cfg.cpu_run_probe_ns);
-      c.idx = c.run->FirstGeq(start_key, device_);
-      c.end = c.run->size();
-      cursors.push_back(std::move(c));
+      cursors.push_back({it->get(), (*it)->FirstGeq(start_key, device_), -1});
     }
   }
 
-  auto key_at = [](const Cursor& c) {
-    return c.run != nullptr ? c.run->entry(c.idx).key : c.mem_entries[c.idx].key;
-  };
-  auto entry_at = [](const Cursor& c) -> const Entry& {
-    return c.run != nullptr ? c.run->entry(c.idx) : c.mem_entries[c.idx];
-  };
-
+  const uint64_t per_block = EntriesPerBlock();
   size_t added = 0;
   while (added < max_entries) {
     uint64_t min_key = std::numeric_limits<uint64_t>::max();
-    bool any = false;
-    for (const Cursor& c : cursors) {
-      if (c.idx >= c.end) continue;
-      const uint64_t k = key_at(c);
+    bool any = mem != mem_end;
+    if (any) min_key = mem->first;
+    for (const RunCursor& c : cursors) {
+      if (c.idx >= c.run->size()) continue;
+      const uint64_t k = c.run->entry(c.idx).key;
       if (!any || k < min_key) {
         min_key = k;
         any = true;
@@ -138,27 +122,34 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
     }
     if (!any) break;
 
+    // Every source positioned at min_key advances; the newest one's entry
+    // is the visible version.
     bool taken = false;
-    for (Cursor& c : cursors) {
-      if (c.idx >= c.end || key_at(c) != min_key) continue;
+    auto take = [&](const Entry& e) {
+      if (taken) return;
+      taken = true;
+      if (!e.tombstone) {
+        out->push_back(e);
+        ++added;
+      }
+    };
+    if (mem != mem_end && mem->first == min_key) {
       device_->ChargeCpu(cfg.cpu_iter_next_ns);
-      if (c.run != nullptr) {
-        // Charge the block this entry lives in when the cursor enters it.
-        const auto block =
-            static_cast<int64_t>(c.idx / EntriesPerBlock());
-        if (block != c.last_block) {
-          c.run->ChargeBlockAccess(c.idx, device_, &cache_);
-          c.last_block = block;
-        }
+      take(mem->second);
+      ++mem;
+    }
+    for (RunCursor& c : cursors) {
+      if (c.idx >= c.run->size() || c.run->entry(c.idx).key != min_key) {
+        continue;
       }
-      if (!taken) {
-        taken = true;
-        const Entry& e = entry_at(c);
-        if (!e.tombstone) {
-          out->push_back(e);
-          ++added;
-        }
+      device_->ChargeCpu(cfg.cpu_iter_next_ns);
+      // Charge the block this entry lives in when the cursor enters it.
+      const auto block = static_cast<int64_t>(c.idx / per_block);
+      if (block != c.last_block) {
+        c.run->ChargeBlockAccess(c.idx, device_, &cache_);
+        c.last_block = block;
       }
+      take(c.run->entry(c.idx));
       ++c.idx;
     }
   }

@@ -34,12 +34,4 @@ void Memtable::LoadSorted(const std::vector<Entry>& entries) {
   for (const Entry& e : entries) table_.emplace_hint(table_.end(), e.key, e);
 }
 
-void Memtable::CollectFrom(uint64_t start_key, size_t max_entries,
-                           std::vector<Entry>* out) const {
-  for (auto it = table_.lower_bound(start_key);
-       it != table_.end() && out->size() < max_entries; ++it) {
-    out->push_back(it->second);
-  }
-}
-
 }  // namespace camal::lsm

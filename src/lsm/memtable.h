@@ -34,11 +34,15 @@ class Memtable {
   /// hibernation, which must leave all cost clocks untouched.
   void LoadSorted(const std::vector<Entry>& entries);
 
-  /// Appends buffered entries with key in [start_key, +inf), in key order,
-  /// up to `max_entries`, into `out` (used by range scans; the caller merges
-  /// with on-disk runs).
-  void CollectFrom(uint64_t start_key, size_t max_entries,
-                   std::vector<Entry>* out) const;
+  using const_iterator = std::map<uint64_t, Entry>::const_iterator;
+
+  /// First buffered entry with key >= `key`; iterating to `end()` visits
+  /// the rest in key order (range scans walk it in place and merge with
+  /// on-disk runs). Valid until the next Put, drain or load.
+  const_iterator LowerBound(uint64_t key) const {
+    return table_.lower_bound(key);
+  }
+  const_iterator end() const { return table_.end(); }
 
  private:
   std::map<uint64_t, Entry> table_;

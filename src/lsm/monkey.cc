@@ -29,15 +29,16 @@ std::vector<double> MonkeyAllocate(
   for (uint64_t n : level_entries) any |= (n > 0);
   if (!any) return bpk;
 
-  // BitsForMu is monotone decreasing in mu; bisect in log space.
+  // BitsForMu is monotone decreasing in mu; bisect in log space. Each step
+  // is a pure function of (lo, hi), so once a step leaves both unchanged
+  // every later one would too: stopping there gives the same mu as running
+  // all 200 steps.
   double lo = 1e-30, hi = 1e+6;
   for (int iter = 0; iter < 200; ++iter) {
     const double mid = std::sqrt(lo * hi);
-    if (BitsForMu(mid, level_entries) > total_bits) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    double& bound = BitsForMu(mid, level_entries) > total_bits ? lo : hi;
+    if (bound == mid) break;
+    bound = mid;
   }
   const double mu = std::sqrt(lo * hi);
   for (size_t i = 0; i < level_entries.size(); ++i) {

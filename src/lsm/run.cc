@@ -12,7 +12,7 @@ Run::Run(uint64_t id, std::vector<Entry> entries, uint64_t entries_per_block,
     : id_(id),
       entries_(std::move(entries)),
       entries_per_block_(std::max<uint64_t>(1, entries_per_block)),
-      filter_(entries_.size(), bloom_bits_per_key) {
+      bloom_bits_per_key_(bloom_bits_per_key) {
   CAMAL_CHECK(!entries_.empty());
   num_blocks_ = (entries_.size() + entries_per_block_ - 1) / entries_per_block_;
   if (file_bytes > 0) {
@@ -22,7 +22,15 @@ Run::Run(uint64_t id, std::vector<Entry> entries, uint64_t entries_per_block,
   } else {
     num_files_ = 1;
   }
-  for (const Entry& e : entries_) filter_.Add(e.key);
+}
+
+const BloomFilter& Run::Filter() const {
+  std::call_once(filter_once_, [this] {
+    filter_ = BloomFilter(entries_.size(), bloom_bits_per_key_);
+    if (filter_.absent()) return;
+    for (const Entry& e : entries_) filter_.Add(e.key);
+  });
+  return filter_;
 }
 
 Run::LookupOutcome Run::Get(uint64_t key, Entry* out, sim::Device* device,
@@ -30,7 +38,7 @@ Run::LookupOutcome Run::Get(uint64_t key, Entry* out, sim::Device* device,
   const sim::DeviceConfig& cfg = device->config();
   device->ChargeCpu(cfg.cpu_bloom_probe_ns);
   if (key < min_key() || key > max_key()) return LookupOutcome::kFilteredOut;
-  if (!filter_.MayContain(key)) return LookupOutcome::kFilteredOut;
+  if (!Filter().MayContain(key)) return LookupOutcome::kFilteredOut;
 
   // Fence-pointer binary search over blocks, then within-block search.
   // Extra logical SST files add a small metadata binary-search overhead.

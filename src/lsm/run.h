@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "lsm/block_cache.h"
@@ -18,6 +19,11 @@ namespace camal::lsm {
 /// Block contents live in memory, but every block touched on the read path
 /// is charged to the simulated device (through the block cache) and every
 /// block written at construction time is charged as a sequential write.
+///
+/// The filter is built on the first `Get`, not at construction: most runs
+/// are merged away before any lookup reaches them (bulk load and warmup
+/// never probe), and the simulated build cost is charged by the caller that
+/// creates the run either way. The bits are the same as an eager build's.
 class Run {
  public:
   enum class LookupOutcome {
@@ -37,7 +43,8 @@ class Run {
   Run& operator=(const Run&) = delete;
 
   /// Point lookup. Charges filter-probe CPU; on a filter pass, charges fence
-  /// search CPU and one block access (cache or device).
+  /// search CPU and one block access (cache or device). The first call
+  /// builds the filter; concurrent first calls are safe.
   LookupOutcome Get(uint64_t key, Entry* out, sim::Device* device,
                     BlockCache* cache) const;
 
@@ -59,17 +66,19 @@ class Run {
   size_t num_files() const { return num_files_; }
   uint64_t min_key() const { return entries_.front().key; }
   uint64_t max_key() const { return entries_.back().key; }
-  const BloomFilter& filter() const { return filter_; }
 
  private:
   size_t BlockOf(size_t idx) const { return idx / entries_per_block_; }
+  const BloomFilter& Filter() const;
 
   uint64_t id_;
   std::vector<Entry> entries_;
   uint64_t entries_per_block_;
   size_t num_blocks_;
   size_t num_files_;
-  BloomFilter filter_;
+  double bloom_bits_per_key_;
+  mutable std::once_flag filter_once_;
+  mutable BloomFilter filter_;
 };
 
 using RunPtr = std::shared_ptr<const Run>;

@@ -21,9 +21,8 @@ double Gbdt::Tree::Eval(const std::vector<double>& x) const {
   }
 }
 
-int Gbdt::BuildNode(const std::vector<std::vector<double>>& x,
-                    const std::vector<double>& residual, std::vector<int> rows,
-                    int depth, Tree* tree) const {
+int Gbdt::BuildNode(const Columns& x, const std::vector<double>& residual,
+                    std::vector<int> rows, int depth, Tree* tree) const {
   const int node_idx = static_cast<int>(tree->nodes.size());
   tree->nodes.emplace_back();
 
@@ -38,7 +37,6 @@ int Gbdt::BuildNode(const std::vector<std::vector<double>>& x,
   }
 
   // Exact greedy split: scan every (feature, threshold) pair.
-  const size_t num_features = x[0].size();
   double base_sse = 0.0;
   for (int r : rows) {
     const double d = residual[static_cast<size_t>(r)] - mean;
@@ -49,10 +47,10 @@ int Gbdt::BuildNode(const std::vector<std::vector<double>>& x,
   double best_threshold = 0.0;
   double best_sse = base_sse - 1e-12;
   std::vector<int> sorted = rows;
-  for (size_t f = 0; f < num_features; ++f) {
-    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
-      return x[static_cast<size_t>(a)][f] < x[static_cast<size_t>(b)][f];
-    });
+  for (size_t f = 0; f < x.num_features; ++f) {
+    const double* xf = x.col(f);
+    std::sort(sorted.begin(), sorted.end(),
+              [xf](int a, int b) { return xf[a] < xf[b]; });
     double left_sum = 0.0, left_sq = 0.0;
     double right_sum = 0.0, right_sq = 0.0;
     for (int r : sorted) {
@@ -69,8 +67,8 @@ int Gbdt::BuildNode(const std::vector<std::vector<double>>& x,
       right_sum -= v;
       right_sq -= v * v;
       left_n += 1.0;
-      const double xi = x[static_cast<size_t>(sorted[i])][f];
-      const double xj = x[static_cast<size_t>(sorted[i + 1])][f];
+      const double xi = xf[sorted[i]];
+      const double xj = xf[sorted[i + 1]];
       if (xi == xj) continue;
       if (left_n < params_.min_samples_leaf ||
           n - left_n < params_.min_samples_leaf) {
@@ -89,9 +87,9 @@ int Gbdt::BuildNode(const std::vector<std::vector<double>>& x,
   if (best_feature < 0) return node_idx;
 
   std::vector<int> left_rows, right_rows;
+  const double* xb = x.col(static_cast<size_t>(best_feature));
   for (int r : rows) {
-    if (x[static_cast<size_t>(r)][static_cast<size_t>(best_feature)] <=
-        best_threshold) {
+    if (xb[r] <= best_threshold) {
       left_rows.push_back(r);
     } else {
       right_rows.push_back(r);
@@ -110,7 +108,7 @@ int Gbdt::BuildNode(const std::vector<std::vector<double>>& x,
   return node_idx;
 }
 
-Gbdt::Tree Gbdt::BuildTree(const std::vector<std::vector<double>>& x,
+Gbdt::Tree Gbdt::BuildTree(const Columns& x,
                            const std::vector<double>& residual,
                            const std::vector<int>& rows) const {
   Tree tree;
@@ -123,6 +121,17 @@ void Gbdt::Fit(const std::vector<std::vector<double>>& x,
   CAMAL_CHECK(!x.empty());
   CAMAL_CHECK(x.size() == y.size());
   trees_.clear();
+
+  Columns cols;
+  cols.num_rows = x.size();
+  cols.num_features = x[0].size();
+  cols.values.resize(cols.num_rows * cols.num_features);
+  for (size_t r = 0; r < cols.num_rows; ++r) {
+    CAMAL_CHECK(x[r].size() == cols.num_features);
+    for (size_t f = 0; f < cols.num_features; ++f) {
+      cols.values[f * cols.num_rows + r] = x[r][f];
+    }
+  }
 
   double sum = 0.0;
   for (double v : y) sum += v;
@@ -142,7 +151,7 @@ void Gbdt::Fit(const std::vector<std::vector<double>>& x,
       }
     }
     if (rows.empty()) rows.push_back(static_cast<int>(rng.Uniform(y.size())));
-    Tree tree = BuildTree(x, residual, rows);
+    Tree tree = BuildTree(cols, residual, rows);
     for (size_t i = 0; i < y.size(); ++i) {
       prediction[i] += params_.learning_rate * tree.Eval(x[i]);
     }

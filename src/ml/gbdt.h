@@ -1,6 +1,7 @@
 #ifndef CAMAL_ML_GBDT_H_
 #define CAMAL_ML_GBDT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,14 +44,20 @@ class Gbdt : public Regressor {
     std::vector<Node> nodes;
     double Eval(const std::vector<double>& x) const;
   };
+  /// Fit's feature matrix, column-major, so the split search reads one
+  /// contiguous array per feature: feature f of row r is col(f)[r].
+  struct Columns {
+    std::vector<double> values;
+    size_t num_rows = 0;
+    size_t num_features = 0;
+    const double* col(size_t f) const { return values.data() + f * num_rows; }
+  };
 
   /// Builds one regression tree on residuals for the given row subset.
-  Tree BuildTree(const std::vector<std::vector<double>>& x,
-                 const std::vector<double>& residual,
+  Tree BuildTree(const Columns& x, const std::vector<double>& residual,
                  const std::vector<int>& rows) const;
-  int BuildNode(const std::vector<std::vector<double>>& x,
-                const std::vector<double>& residual, std::vector<int> rows,
-                int depth, Tree* tree) const;
+  int BuildNode(const Columns& x, const std::vector<double>& residual,
+                std::vector<int> rows, int depth, Tree* tree) const;
 
   GbdtParams params_;
   double base_prediction_ = 0.0;

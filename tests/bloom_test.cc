@@ -63,6 +63,123 @@ TEST(BloomTest, MemorySizedByBpk) {
   EXPECT_DOUBLE_EQ(filter.bits_per_key(), 8.0);
 }
 
+TEST(BloomTest, FromPartsRoundTripsProbes) {
+  BloomFilter filter(300, 9.0);
+  for (uint64_t k = 0; k < 300; ++k) filter.Add(k * 3);
+  const BloomFilter copy =
+      BloomFilter::FromParts(filter.words(), filter.memory_bits(),
+                             filter.num_hashes(), filter.bits_per_key());
+  for (uint64_t k = 0; k < 2000; ++k) {
+    EXPECT_EQ(copy.MayContain(k), filter.MayContain(k)) << k;
+  }
+  const BloomFilter absent = BloomFilter::FromParts({}, 0, 0, 0.0);
+  EXPECT_TRUE(absent.absent());
+  EXPECT_TRUE(absent.MayContain(7));
+}
+
+// FromParts is fed from disk (manifest records, hibernation sidecars): parts
+// that would let MayContain index past the bit array must be refused.
+TEST(BloomDeathTest, FromPartsRejectsInconsistentParts) {
+  BloomFilter filter(100, 10.0);  // 1000 bits in 16 words, 7 hashes
+  for (uint64_t k = 0; k < 100; ++k) filter.Add(k);
+  const std::vector<uint64_t> words = filter.words();
+  ASSERT_EQ(words.size(), 16u);
+  const size_t bits = filter.memory_bits();
+  const int hashes = filter.num_hashes();
+  std::vector<uint64_t> short_words(words.begin(), words.end() - 1);
+  EXPECT_DEATH(BloomFilter::FromParts(short_words, bits, hashes, 10.0),
+               "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts(words, bits + 64, hashes, 10.0),
+               "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts(words, ~size_t{0}, hashes, 10.0),
+               "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts(words, bits, 0, 10.0), "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts(words, bits, 31, 10.0), "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts(words, bits, -1, 10.0), "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts(words, 0, 0, 10.0), "CHECK failed");
+  EXPECT_DEATH(BloomFilter::FromParts({}, 0, 3, 0.0), "CHECK failed");
+}
+
+// The full 200-step log-space bisection MonkeyAllocate used to run. It is
+// the reference the early-stopping version must match bit for bit.
+std::vector<double> ReferenceMonkeyAllocate(
+    double total_bits, const std::vector<uint64_t>& level_entries) {
+  constexpr double kLn2Sq = 0.4804530139182014;
+  std::vector<double> bpk(level_entries.size(), 0.0);
+  if (total_bits <= 0.0) return bpk;
+  bool any = false;
+  for (uint64_t n : level_entries) any |= (n > 0);
+  if (!any) return bpk;
+  auto bits_for_mu = [&](double mu) {
+    double bits = 0.0;
+    for (uint64_t n : level_entries) {
+      if (n == 0) continue;
+      const double p = mu * static_cast<double>(n);
+      if (p >= 1.0) continue;
+      bits += static_cast<double>(n) * (-std::log(p)) / kLn2Sq;
+    }
+    return bits;
+  };
+  double lo = 1e-30, hi = 1e+6;
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = std::sqrt(lo * hi);
+    if (bits_for_mu(mid) > total_bits) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double mu = std::sqrt(lo * hi);
+  for (size_t i = 0; i < level_entries.size(); ++i) {
+    const uint64_t n = level_entries[i];
+    if (n == 0) continue;
+    const double p = mu * static_cast<double>(n);
+    if (p >= 1.0) continue;
+    bpk[i] = -std::log(p) / kLn2Sq;
+  }
+  return bpk;
+}
+
+TEST(MonkeyTest, EarlyStopMatchesFullBisectionExactly) {
+  util::Random rng(2024);
+  std::vector<std::vector<uint64_t>> shapes = {
+      {1000, 10000, 100000},
+      {0, 1000, 0},
+      {1},
+      {1, 1, 1, 1},
+      {5000, 0, 50000, 500000, 5000000},
+      {uint64_t{1} << 40, uint64_t{1} << 41},
+  };
+  for (int i = 0; i < 40; ++i) {
+    std::vector<uint64_t> levels(1 + rng.Uniform(6));
+    uint64_t n = 1 + rng.Uniform(5000);
+    for (uint64_t& level : levels) {
+      level = rng.Bernoulli(0.15) ? 0 : n;
+      n *= 2 + rng.Uniform(12);
+    }
+    shapes.push_back(levels);
+  }
+  // Budgets from tiny (filters dropped at all but the smallest levels, or
+  // everywhere) through realistic bits-per-key to huge, where the budget
+  // covers every mu the bisection tries and `lo` never moves.
+  const std::vector<double> per_key = {1e-9, 1e-3, 0.05, 0.5, 1.0, 2.5, 5.0,
+                                       8.0,  10.0, 16.0, 40.0, 1e3, 1e9, 1e30};
+  for (const std::vector<uint64_t>& levels : shapes) {
+    double entries = 0.0;
+    for (uint64_t n : levels) entries += static_cast<double>(n);
+    for (double bpk : per_key) {
+      const double budget = bpk * entries;
+      const std::vector<double> got = MonkeyAllocate(budget, levels);
+      const std::vector<double> want = ReferenceMonkeyAllocate(budget, levels);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t l = 0; l < got.size(); ++l) {
+        EXPECT_EQ(got[l], want[l])
+            << "level " << l << " of " << levels.size() << ", bpk " << bpk;
+      }
+    }
+  }
+}
+
 TEST(MonkeyTest, BudgetRoughlyConsumed) {
   const std::vector<uint64_t> levels = {1000, 10000, 100000};
   const double budget = 10.0 * 111000;

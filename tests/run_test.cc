@@ -1,3 +1,5 @@
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,15 +63,20 @@ TEST(MemtableTest, DrainSortedOrderAndClear) {
   EXPECT_TRUE(mem.empty());
 }
 
-TEST(MemtableTest, CollectFromRespectsStartAndLimit) {
+TEST(MemtableTest, LowerBoundWalksFromStartInKeyOrder) {
   sim::Device dev(QuietDevice());
   Memtable mem;
   for (uint64_t k = 1; k <= 10; ++k) mem.Put(k * 10, k, false, &dev);
   std::vector<Entry> out;
-  mem.CollectFrom(35, 3, &out);
+  for (auto it = mem.LowerBound(35); it != mem.end() && out.size() < 3;
+       ++it) {
+    out.push_back(it->second);
+  }
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].key, 40u);
+  EXPECT_EQ(out[1].key, 50u);
   EXPECT_EQ(out[2].key, 60u);
+  EXPECT_EQ(mem.LowerBound(101), mem.end());
 }
 
 TEST(MemtableTest, ChargesCpu) {
@@ -145,6 +152,47 @@ TEST(RunTest, BlockAndFileCounts) {
   EXPECT_EQ(run.id(), 7u);
   EXPECT_EQ(run.min_key(), 2u);
   EXPECT_EQ(run.max_key(), 200u);
+}
+
+// The filter is built by whichever Get comes first. Threads racing to make
+// that first probe on one shared run must all see the filter a serial
+// build gives: the same outcome for every key.
+TEST(RunTest, ConcurrentFirstProbesAgree) {
+  constexpr int kThreads = 4;
+  const std::vector<Entry> entries = MakeEntries(4000);
+  std::vector<Run::LookupOutcome> expected;
+  {
+    sim::Device dev(QuietDevice());
+    BlockCache cache(0);
+    const ::camal::lsm::Run serial(1, entries, 8, 6.0, 128, 0);
+    for (uint64_t k = 1; k <= 8001; ++k) {
+      Entry e;
+      expected.push_back(serial.Get(k, &e, &dev, &cache));
+    }
+  }
+  const ::camal::lsm::Run shared(1, entries, 8, 6.0, 128, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::vector<Run::LookupOutcome>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      sim::Device dev(QuietDevice());
+      BlockCache cache(0);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (uint64_t k = 1; k <= 8001; ++k) {
+        Entry e;
+        got[t].push_back(shared.Get(k, &e, &dev, &cache));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  size_t false_positives = 0;
+  for (Run::LookupOutcome o : expected) {
+    false_positives += o == Run::LookupOutcome::kNotFoundAfterIo;
+  }
+  EXPECT_GT(false_positives, 0u);  // the filter is probed, not bypassed
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected) << t;
 }
 
 TEST(CompactionTest, MergeShadowingNewestWins) {

@@ -13,6 +13,7 @@
 #include "camal/plain_al_tuner.h"
 #include "camal/sample.h"
 #include "camal/uncertainty.h"
+#include "workload/tables.h"
 
 namespace camal::tune {
 namespace {
@@ -328,6 +329,57 @@ TEST(CamalTunerTest, ExtrapolationCutsSamplingCost) {
   CamalTuner scaled(setup, opts);
   scaled.Train({Mixed()});
   EXPECT_LT(scaled.sampling_cost_ns(), full.sampling_cost_ns() / 2.0);
+}
+
+// Bit-identity golden for the CAMAL training loop: the sample count, the
+// total simulated sampling cost and every tuned configuration of a
+// paper-scale run (Trees, x10 extrapolation, seed 101, the 15 Table-1
+// workloads). Host-side speedups of the simulator, the sampler or the
+// model fit must leave all of them exactly as they are.
+TEST(CamalTunerTest, PaperScaleTrainingGolden) {
+  SystemSetup setup;
+  setup.seed = 101;
+  TunerOptions opts;
+  opts.model_kind = ModelKind::kTrees;
+  opts.extrapolation_factor = 10.0;
+  opts.threads = 1;
+  opts.seed = 101;
+  CamalTuner tuner(setup, opts);
+  tuner.Train(workload::TrainingWorkloads());
+
+  EXPECT_EQ(tuner.samples().size(), 129u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.bba45562c1e8p+36);
+  // {size_ratio, mf_bits, mb_bits}: leveling, no cache, no K or file-size
+  // or queue-depth knob, for every workload.
+  const double want[15][3] = {
+      {0x1.1p+4, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1.1p+4, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1.cp+3, 0x1.4c08p+18, 0x1.24f8p+18},
+      {0x1.cp+3, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1p+1, 0x1.adbp+17, 0x1.9a28p+18},
+      {0x1.1p+4, 0x1.d9702e7152d8p+18, 0x1.2f1fa31d5a4ffp+17},
+      {0x1.2p+4, 0x1.5dd71df04bd02p+18, 0x1.1328e20fb42fep+18},
+      {0x1.8p+1, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1.cp+3, 0x1.2216f3f6d7584p+18, 0x1.4ee90c0928a7cp+18},
+      {0x1.8p+1, 0x1.172ddc5f15cadp+18, 0x1.59d223a0ea353p+18},
+      {0x1.1p+4, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1.ep+3, 0x1.62dedfeb62a31p+18, 0x1.0e2120149d5cfp+18},
+      {0x1p+3, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1.1p+4, 0x1.86ap+18, 0x1.d4cp+17},
+      {0x1.ap+3, 0x1.24f8p+18, 0x1.4c08p+18},
+  };
+  const std::vector<TuningConfig>& got = tuner.tuned_configs();
+  ASSERT_EQ(got.size(), 15u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].policy, lsm::CompactionPolicy::kLeveling) << i;
+    EXPECT_EQ(got[i].size_ratio, want[i][0]) << i;
+    EXPECT_EQ(got[i].mf_bits, want[i][1]) << i;
+    EXPECT_EQ(got[i].mb_bits, want[i][2]) << i;
+    EXPECT_EQ(got[i].mc_bits, 0.0) << i;
+    EXPECT_EQ(got[i].runs_per_level, 0) << i;
+    EXPECT_EQ(got[i].file_bytes, 0u) << i;
+    EXPECT_EQ(got[i].io_queue_depth, 0) << i;
+  }
 }
 
 TEST(CamalTunerTest, KIndependentRoundAddsSamples) {
