@@ -12,7 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <limits>
 #include <list>
 #include <map>
 #include <set>
@@ -24,6 +23,7 @@
 #include "engine/io_ring.h"
 #include "engine/manifest.h"
 #include "lsm/bloom.h"
+#include "lsm/compaction.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -443,10 +443,11 @@ double BloomBpk(const FileEngine::Shard& sh, uint64_t incoming) {
 
 /// Reads every entry of `run` sequentially (compaction input: bypasses the
 /// cache, counts real reads as compaction I/O). Records decode straight
-/// out of the scratch buffer — no per-block heap allocation at all.
+/// out of the scratch buffer into `out`, reserved once for the whole run.
 void ReadAllEntries(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     const FileRun& run, std::vector<lsm::Entry>* out) {
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
+  out->reserve(out->size() + run.num_entries);
   for (size_t blk = 0; blk < run.num_blocks(); ++blk) {
     const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
                               static_cast<off_t>(blk * cfg.block_bytes));
@@ -474,22 +475,19 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     if (!sh.levels[d].empty()) deeper_data = true;
   }
 
-  // Newest-first insertion keeps the freshest version of each key (the
-  // level's runs are stored oldest-to-newest).
-  std::map<uint64_t, lsm::Entry> merged;
-  for (auto it = inputs.rbegin(); it != inputs.rend(); ++it) {
-    std::vector<lsm::Entry> entries;
-    ReadAllEntries(sh, cfg, **it, &entries);
-    for (const lsm::Entry& e : entries) merged.emplace(e.key, e);
+  // The level's runs are stored oldest-to-newest; the shared merge core
+  // takes them newest first so the freshest version of each key wins, and
+  // drops tombstones when nothing deeper is left for them to shadow.
+  std::vector<std::vector<lsm::Entry>> contents(inputs.size());
+  std::vector<lsm::EntrySpan> newest_first;
+  newest_first.reserve(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    std::vector<lsm::Entry>& entries = contents[i];
+    ReadAllEntries(sh, cfg, *inputs[inputs.size() - 1 - i], &entries);
+    newest_first.push_back({entries.data(), entries.data() + entries.size()});
   }
-
-  std::vector<lsm::Entry> out;
-  out.reserve(merged.size());
-  for (auto& [key, entry] : merged) {
-    (void)key;
-    if (entry.tombstone && !deeper_data) continue;  // nothing left to shadow
-    out.push_back(entry);
-  }
+  std::vector<lsm::Entry> out =
+      lsm::MergeSorted(std::move(newest_first), !deeper_data);
 
   uint64_t drained = 0;
   for (const FileRunPtr& r : inputs) drained += r->num_entries;
@@ -1088,46 +1086,36 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   }
 }
 
-/// Shard-local range scan: merges the memtable slice with run cursors
-/// (newest wins, tombstones suppress), appending up to `max_entries` live
-/// entries to `out`. Block fetches are cache-aware real reads.
+/// Shard-local range scan: merges the memtable with run cursors (newest
+/// wins, tombstones suppress), appending up to `max_entries` live entries
+/// to `out`. Block fetches are cache-aware real reads.
 size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                    uint64_t start_key, size_t max_entries,
                    std::vector<lsm::Entry>* out) {
   if (max_entries == 0) return 0;
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
 
-  struct Cursor {
-    const FileRun* run = nullptr;  // null for the memtable source
-    std::vector<lsm::Entry> mem;   // materialized memtable tail
+  // The memtable is the newest source, walked in place over its whole
+  // tail: tombstones in it can shadow run entries arbitrarily far into the
+  // scan. Then come the runs, ordered newest-to-oldest.
+  auto mem = sh.memtable.lower_bound(start_key);
+  const auto mem_end = sh.memtable.end();
+  struct RunCursor {
+    const FileRun* run = nullptr;
     uint64_t idx = 0;
-    uint64_t end = 0;
     int64_t block = -1;
     fileio::BlockPtr block_data;  // shared with the cache; eviction-safe
   };
-  std::vector<Cursor> cursors;
-
-  {
-    // Newest source first: the whole memtable tail (tombstones in it can
-    // shadow run entries arbitrarily far into the scan).
-    Cursor mem;
-    for (auto it = sh.memtable.lower_bound(start_key); it != sh.memtable.end();
-         ++it) {
-      mem.mem.push_back(it->second);
-    }
-    mem.end = mem.mem.size();
-    cursors.push_back(std::move(mem));
-  }
+  std::vector<RunCursor> cursors;
   for (const auto& level : sh.levels) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
       const FileRun& run = **rit;
-      Cursor c;
+      RunCursor c;
       c.run = &run;
-      c.end = run.num_entries;
       if (start_key <= run.min_key) {
         c.idx = 0;
       } else if (start_key > run.max_key) {
-        c.idx = c.end;
+        c.idx = run.num_entries;
       } else {
         const auto fit =
             std::upper_bound(run.fence.begin(), run.fence.end(), start_key);
@@ -1148,8 +1136,7 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     }
   }
 
-  auto entry_at = [&](Cursor& c) -> lsm::Entry {
-    if (c.run == nullptr) return c.mem[c.idx];
+  auto entry_at = [&](RunCursor& c) -> lsm::Entry {
     const auto blk = static_cast<int64_t>(c.idx / epb);
     if (blk != c.block) {
       c.block_data = FetchBlock(sh, cfg, *c.run, static_cast<size_t>(blk));
@@ -1157,14 +1144,14 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     }
     return ToEntry(BlockRecords(*c.block_data)[c.idx % epb]);
   };
-  auto key_at = [&](Cursor& c) { return entry_at(c).key; };
+  auto key_at = [&](RunCursor& c) { return entry_at(c).key; };
 
   size_t added = 0;
   while (added < max_entries) {
-    uint64_t min_key = std::numeric_limits<uint64_t>::max();
-    bool any = false;
-    for (Cursor& c : cursors) {
-      if (c.idx >= c.end) continue;
+    bool any = mem != mem_end;
+    uint64_t min_key = any ? mem->first : 0;
+    for (RunCursor& c : cursors) {
+      if (c.idx >= c.run->num_entries) continue;
       const uint64_t k = key_at(c);
       if (!any || k < min_key) {
         min_key = k;
@@ -1172,17 +1159,25 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
       }
     }
     if (!any) break;
+
+    // Every source positioned at min_key advances; the newest one's entry
+    // is the visible version.
     bool taken = false;
-    for (Cursor& c : cursors) {
-      if (c.idx >= c.end || key_at(c) != min_key) continue;
-      if (!taken) {
-        taken = true;
-        const lsm::Entry e = entry_at(c);
-        if (!e.tombstone) {
-          out->push_back(e);
-          ++added;
-        }
+    auto take = [&](const lsm::Entry& e) {
+      if (taken) return;
+      taken = true;
+      if (!e.tombstone) {
+        out->push_back(e);
+        ++added;
       }
+    };
+    if (mem != mem_end && mem->first == min_key) {
+      take(mem->second);
+      ++mem;
+    }
+    for (RunCursor& c : cursors) {
+      if (c.idx >= c.run->num_entries || key_at(c) != min_key) continue;
+      take(entry_at(c));
       ++c.idx;
     }
   }

@@ -97,7 +97,7 @@ std::string EncodeSnapshot(const RecoveredShardState& st, uint64_t shard) {
 /// Applies one decoded record to the replay state. Returns false when the
 /// payload is semantically malformed (decoder ran out of bytes) — the
 /// caller treats that record as the start of a torn tail.
-bool ApplyRecord(const std::string& payload, RecoveredShardState* st,
+bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
                  uint64_t* max_run_id, bool* initialized) {
   ByteReader r(payload);
   const uint8_t tag = r.U8();
@@ -221,7 +221,7 @@ bool RecoverManifest(const std::string& path, RecoveredShardState* out) {
   uint64_t max_run_id = 0;
   bool initialized = false;
   uint64_t offset = 0;
-  for (const std::string& payload : log.records) {
+  for (std::string_view payload : log.records) {
     if (!ApplyRecord(payload, &st, &max_run_id, &initialized)) {
       // A CRC-valid but undecodable record: treat it and everything after
       // as a torn tail (same repair as physical damage).

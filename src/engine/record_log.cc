@@ -1,5 +1,7 @@
 #include "engine/record_log.h"
 
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -78,10 +80,19 @@ RecordFileContents ReadRecordFile(const std::string& path) {
   if (f == nullptr) return out;  // exists = false
   out.exists = true;
 
-  std::string bytes;
+  // One allocation sized to the file, and frames parsed in place: growing
+  // by doubling and copying every payload out would touch about three
+  // times the file's size in fresh pages on every recovery.
+  std::vector<char>& bytes = out.bytes;
+  struct stat st;
+  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0) {
+    bytes.reserve(static_cast<size_t>(st.st_size));
+  }
   char buf[1 << 16];
   size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
   std::fclose(f);
 
   size_t pos = 0;

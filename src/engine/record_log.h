@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/file_ops.h"
@@ -82,8 +83,12 @@ struct RecordFileContents {
   /// True when the file exists and its frames parsed from byte 0 (possibly
   /// zero of them). False: the file is absent.
   bool exists = false;
-  /// Parsed payloads, in file order, up to the first bad frame.
-  std::vector<std::string> records;
+  /// The file's bytes. A vector, not a string: moving it keeps the views
+  /// in `records` valid, where a string's inline buffer would move.
+  std::vector<char> bytes;
+  /// Parsed payloads, in file order, up to the first bad frame; each is a
+  /// view into `bytes`.
+  std::vector<std::string_view> records;
   /// Bytes covered by the parsed frames — the truncation point when a torn
   /// tail follows.
   uint64_t valid_bytes = 0;
@@ -127,7 +132,7 @@ class ByteWriter {
 /// end instead of after every field.
 class ByteReader {
  public:
-  explicit ByteReader(const std::string& buf) : buf_(buf) {}
+  explicit ByteReader(std::string_view buf) : buf_(buf) {}
 
   uint8_t U8() {
     uint8_t v = 0;
@@ -176,7 +181,7 @@ class ByteReader {
     pos_ += n;
   }
 
-  const std::string& buf_;
+  std::string_view buf_;
   size_t pos_ = 0;
   bool ok_ = true;
 };

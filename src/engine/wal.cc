@@ -52,7 +52,7 @@ WalReplay ReadWal(const std::string& path) {
   if (!log.exists) return out;
 
   uint64_t offset = 0;
-  for (const std::string& payload : log.records) {
+  for (std::string_view payload : log.records) {
     ByteReader r(payload);
     WalReplayRecord rec;
     rec.epoch = r.U64();

@@ -8,12 +8,25 @@
 
 namespace camal::lsm {
 
-/// Merges sorted runs into one sorted, deduplicated entry stream.
+/// A sorted, key-unique range of entries `[begin, end)` read in place.
+struct EntrySpan {
+  const Entry* begin;
+  const Entry* end;
+};
+
+/// The one merge rule both engines compact with: merges sorted spans into
+/// one sorted, deduplicated entry stream.
 ///
 /// `newest_first` orders the inputs by recency: when the same key appears in
-/// several runs, the version from the earliest run in the vector wins.
+/// several spans, the version from the earliest span in the vector wins.
 /// Tombstones are carried through unless `drop_tombstones` is set (legal
-/// only when merging into the bottommost populated level).
+/// only when nothing older lies below the output); an input made only of
+/// dropped tombstones merges to an empty stream. The spans are taken by
+/// value and used as the merge cursors.
+std::vector<Entry> MergeSorted(std::vector<EntrySpan> newest_first,
+                               bool drop_tombstones);
+
+/// `MergeSorted` over the entries of in-memory runs, newest run first.
 std::vector<Entry> MergeRuns(const std::vector<RunPtr>& newest_first,
                              bool drop_tombstones);
 

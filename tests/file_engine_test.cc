@@ -1,9 +1,11 @@
 // Real-IO backend (engine::FileEngine): working-directory lifecycle,
 // O_DIRECT fallback, point-op vs batched-pipeline equivalence, runtime
 // per-shard reconfiguration under in-flight batches, arbiter budget
-// conservation on real files, and the sim-vs-real smoke: the
-// model-recommended tuning is no worse than the default tuning on the
-// file backend (compared on real, deterministic I/O counts).
+// conservation on real files, golden counters and run-file bytes for a
+// leveling and a tiering cell, a tiered merge + scan oracle, and the
+// sim-vs-real smoke: the model-recommended tuning is no worse than the
+// default tuning on the file backend (compared on real, deterministic I/O
+// counts).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +24,7 @@
 #include "camal/memory_arbiter.h"
 #include "camal/sample.h"
 #include "engine/file_engine.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/executor.h"
@@ -50,6 +54,38 @@ lsm::Options SmallOptions() {
   opts.bloom_bits = 8 * 4000;
   opts.block_cache_bytes = 8 * 4096;
   return opts;
+}
+
+/// SmallOptions under tiering with three runs per level: every level-0
+/// merge folds at least three runs together.
+lsm::Options TieredOptions() {
+  lsm::Options opts = SmallOptions();
+  opts.policy = lsm::CompactionPolicy::kTiering;
+  opts.size_ratio = 4.0;
+  opts.runs_per_level = 3;
+  return opts;
+}
+
+/// CRC-32C folded over every `run_*.cam` file of one shard directory, in
+/// file-name order, each file's name hashed ahead of its bytes.
+uint32_t ShardRunDigest(const std::string& shard_dir) {
+  std::vector<std::string> names;
+  for (const auto& f : fs::directory_iterator(shard_dir)) {
+    const std::string name = f.path().filename().string();
+    if (name.rfind("run_", 0) == 0 && f.path().extension() == ".cam") {
+      names.push_back(name);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  uint32_t crc = 0;
+  for (const std::string& name : names) {
+    std::ifstream in(shard_dir + "/" + name, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    crc = util::Crc32c(name.data(), name.size(), crc);
+    crc = util::Crc32c(bytes.data(), bytes.size(), crc);
+  }
+  return crc;
 }
 
 tune::SystemSetup FileSetup(uint64_t entries, size_t shards) {
@@ -649,6 +685,194 @@ TEST(FileEngineTest, SimRecommendedTuningTransfersToFileBackend) {
   EXPECT_LE(m_rec.ios_per_op, m_def.ios_per_op * 1.05)
       << "recommended " << recommended.ToString() << " vs default "
       << fallback.ToString();
+}
+
+/// Per-shard state a file-backend golden cell pins exactly.
+struct ShardGolden {
+  uint64_t block_reads;
+  uint64_t block_writes;
+  uint64_t compaction_block_reads;
+  uint64_t compaction_block_writes;
+  uint64_t merges;
+  uint64_t flushes;
+  uint64_t entries;
+  size_t runs;
+  uint32_t run_digest;
+};
+
+bool operator==(const ShardGolden& a, const ShardGolden& b) {
+  return a.block_reads == b.block_reads && a.block_writes == b.block_writes &&
+         a.compaction_block_reads == b.compaction_block_reads &&
+         a.compaction_block_writes == b.compaction_block_writes &&
+         a.merges == b.merges && a.flushes == b.flushes &&
+         a.entries == b.entries && a.runs == b.runs &&
+         a.run_digest == b.run_digest;
+}
+
+std::ostream& operator<<(std::ostream& os, const ShardGolden& g) {
+  return os << "{" << g.block_reads << ", " << g.block_writes << ", "
+            << g.compaction_block_reads << ", " << g.compaction_block_writes
+            << ", " << g.merges << ", " << g.flushes << ", " << g.entries
+            << ", " << g.runs << ", 0x" << std::hex << g.run_digest
+            << std::dec << "u}";
+}
+
+/// Serves a fixed-seed stream of overwrites, deletes, gets and scans on a
+/// 3-shard file engine, flushes, and checks every shard's counters and run
+/// files (CRC-32C over their bytes) against the recorded values.
+void CheckFileBackendGolden(const lsm::Options& opts, const std::string& tag,
+                            uint64_t disk_entries,
+                            const std::vector<ShardGolden>& expected) {
+  const std::string dir = UniqueDir(tag);
+  std::vector<ShardGolden> got;
+  uint64_t got_disk_entries = 0;
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.keep_files = true;
+    FileEngine eng(3, opts, cfg);
+    util::Random rng(2024);
+    std::vector<lsm::Entry> scan_buf;
+    for (int i = 0; i < 6000; ++i) {
+      const double roll = rng.NextDouble();
+      const uint64_t key = rng.Uniform(2400);
+      if (roll < 0.55) {
+        eng.Put(key & ~1ull, static_cast<uint64_t>(i));
+      } else if (roll < 0.7) {
+        eng.Delete(key & ~1ull);
+      } else if (roll < 0.9) {
+        uint64_t value = 0;
+        eng.Get(key, &value);
+      } else {
+        scan_buf.clear();
+        eng.Scan(key, 16, &scan_buf);
+      }
+    }
+    eng.FlushMemtable();
+    for (size_t s = 0; s < eng.NumShards(); ++s) {
+      const sim::DeviceSnapshot io = eng.ShardCostSnapshot(s);
+      const EngineCounters c = eng.ShardCounters(s);
+      got.push_back({io.block_reads, io.block_writes, c.compaction_block_reads,
+                     c.compaction_block_writes, c.merges, c.flushes,
+                     eng.ShardEntries(s), eng.ShardRunCount(s), 0});
+    }
+    got_disk_entries = eng.DiskEntries();
+  }
+  for (size_t s = 0; s < got.size(); ++s) {
+    got[s].run_digest = ShardRunDigest(dir + "/shard_" + std::to_string(s));
+  }
+  fs::remove_all(dir);
+
+  EXPECT_EQ(got_disk_entries, disk_entries);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s], expected[s]) << "shard " << s;
+  }
+}
+
+TEST(FileEngineTest, LevelingCountersAndRunFilesGolden) {
+  // Recorded before the compaction merge moved to lsm::MergeSorted: the
+  // file backend's merges, scans and run files must reproduce exactly.
+  CheckFileBackendGolden(SmallOptions(), "golden_leveling", 1462,
+                         {{1490, 124, 116, 61, 57, 63, 749, 6, 0x192896b5u},
+                          {1578, 142, 138, 73, 66, 69, 405, 3, 0x4942c657u},
+                          {1661, 135, 132, 70, 63, 65, 308, 2, 0xcaa997dbu}});
+}
+
+TEST(FileEngineTest, TieringCountersAndRunFilesGolden) {
+  CheckFileBackendGolden(TieredOptions(), "golden_tiering", 1625,
+                         {{2482, 84, 72, 21, 18, 63, 912, 9, 0xbeb31145u},
+                          {2514, 96, 92, 27, 22, 69, 405, 3, 0xb6e49367u},
+                          {2627, 91, 88, 26, 21, 65, 308, 2, 0x90376336u}});
+}
+
+TEST(FileEngineTest, TieredMergeAndScanMatchReferenceModel) {
+  // Tiering folds several runs that overwrite the same keys. Scans must
+  // see only the newest version of each key and skip every tombstone,
+  // including a memtable whose first keys past the scan start are all
+  // deletes. Checked against a std::map after every chunk and again after
+  // a clean durable reopen.
+  const std::string dir = UniqueDir("tiered_oracle");
+  const lsm::Options opts = TieredOptions();
+  constexpr uint64_t kDomain = 600;
+  std::map<uint64_t, uint64_t> ref;
+
+  auto check_scan = [&](FileEngine& eng, uint64_t start, size_t n) {
+    std::vector<lsm::Entry> got;
+    const size_t hits = eng.Scan(start, n, &got);
+    ASSERT_EQ(hits, got.size());
+    auto it = ref.lower_bound(start);
+    size_t i = 0;
+    for (; i < n && it != ref.end(); ++i, ++it) {
+      ASSERT_LT(i, got.size()) << "start " << start;
+      ASSERT_EQ(got[i].key, it->first) << "start " << start;
+      ASSERT_EQ(got[i].value, it->second) << "key " << it->first;
+      ASSERT_FALSE(got[i].tombstone);
+    }
+    ASSERT_EQ(got.size(), i) << "start " << start;
+  };
+  auto check_all = [&](FileEngine& eng) {
+    check_scan(eng, 0, kDomain + 1);
+    for (uint64_t k = 0; k < kDomain; ++k) {
+      uint64_t value = 0;
+      const auto it = ref.find(k);
+      ASSERT_EQ(eng.Get(k, &value), it != ref.end()) << "key " << k;
+      if (it != ref.end()) {
+        ASSERT_EQ(value, it->second) << "key " << k;
+      }
+    }
+  };
+
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.durable = true;
+    cfg.keep_files = true;  // the reopen below owns cleanup
+    cfg.wal_sync = fileio::WalSyncPolicy::kNone;
+    FileEngine eng(2, opts, cfg);
+    util::Random rng(5);
+    uint64_t stamp = 0;
+    for (int chunk = 0; chunk < 40; ++chunk) {
+      for (int i = 0; i < 150; ++i) {
+        const uint64_t key = rng.Uniform(kDomain);
+        if (rng.Bernoulli(0.25)) {
+          eng.Delete(key);
+          ref.erase(key);
+        } else {
+          eng.Put(key, ++stamp);
+          ref[key] = stamp;
+        }
+        if (i % 25 == 24) {
+          check_scan(eng, rng.Uniform(kDomain), 1 + rng.Uniform(20));
+        }
+      }
+      // Fresh deletes over a key range put a head of tombstones in front
+      // of every scan that starts there.
+      const uint64_t start = rng.Uniform(kDomain - 40);
+      for (uint64_t k = start; k < start + 32; ++k) {
+        eng.Delete(k);
+        ref.erase(k);
+      }
+      check_scan(eng, start, 8);
+      eng.Put(start + 35, ++stamp);
+      ref[start + 35] = stamp;
+      check_scan(eng, start, 8);
+      check_all(eng);
+      if (HasFatalFailure()) break;
+    }
+    EXPECT_GT(eng.AggregateCounters().merges, 0u);
+  }
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.reopen = true;
+    FileEngine eng(2, opts, cfg);
+    check_all(eng);
+    for (uint64_t start : {0ull, 17ull, 300ull, 599ull}) {
+      check_scan(eng, start, 12);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

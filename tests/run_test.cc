@@ -1,4 +1,5 @@
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "lsm/memtable.h"
 #include "lsm/run.h"
 #include "sim/device.h"
+#include "util/random.h"
 
 namespace camal::lsm {
 namespace {
@@ -240,6 +242,82 @@ TEST(CompactionTest, ThreeWayMergeKeepsSortedOrder) {
   ASSERT_EQ(merged.size(), 6u);
   for (size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LT(merged[i - 1].key, merged[i].key);
+  }
+}
+
+EntrySpan SpanOf(const std::vector<Entry>& entries) {
+  return {entries.data(), entries.data() + entries.size()};
+}
+
+TEST(MergeSortedTest, NewestSpanWinsAcrossThreeSpans) {
+  const std::vector<Entry> newest{{10, 3, false}, {30, 0, true}};
+  const std::vector<Entry> middle{
+      {10, 2, false}, {20, 2, false}, {30, 2, false}};
+  const std::vector<Entry> oldest{
+      {5, 1, false}, {10, 1, false}, {20, 1, false}};
+  const std::vector<EntrySpan> spans{SpanOf(newest), SpanOf(middle),
+                                     SpanOf(oldest)};
+  const std::vector<Entry> kept =
+      MergeSorted(spans, /*drop_tombstones=*/false);
+  const std::vector<Entry> want{
+      {5, 1, false}, {10, 3, false}, {20, 2, false}, {30, 0, true}};
+  EXPECT_EQ(kept, want);
+
+  const std::vector<Entry> dropped =
+      MergeSorted(spans, /*drop_tombstones=*/true);
+  const std::vector<Entry> want_dropped{
+      {5, 1, false}, {10, 3, false}, {20, 2, false}};
+  EXPECT_EQ(dropped, want_dropped);
+}
+
+TEST(MergeSortedTest, EmptySpansContributeNothing) {
+  const std::vector<Entry> none;
+  const std::vector<Entry> some{{1, 1, false}, {4, 4, false}};
+  EXPECT_TRUE(MergeSorted({}, false).empty());
+  EXPECT_TRUE(MergeSorted({SpanOf(none), SpanOf(none)}, true).empty());
+  EXPECT_EQ(MergeSorted({SpanOf(none), SpanOf(some), SpanOf(none)}, false),
+            some);
+}
+
+TEST(MergeSortedTest, AllTombstonesDropToEmptyOutput) {
+  const std::vector<Entry> newer{{2, 0, true}, {6, 0, true}};
+  const std::vector<Entry> older{{2, 0, true}, {4, 0, true}};
+  EXPECT_TRUE(MergeSorted({SpanOf(newer), SpanOf(older)}, true).empty());
+  EXPECT_EQ(MergeSorted({SpanOf(newer), SpanOf(older)}, false).size(), 3u);
+}
+
+TEST(MergeSortedTest, RandomStreamsMatchReferenceMap) {
+  util::Random rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Build each span as a key-unique sorted map, newest first; the
+    // reference applies them oldest first so newer versions overwrite.
+    const size_t num_spans = 1 + rng.Uniform(6);
+    std::vector<std::vector<Entry>> spans(num_spans);
+    for (size_t s = 0; s < num_spans; ++s) {
+      std::map<uint64_t, Entry> sorted;
+      const uint64_t n = rng.Uniform(60);
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t key = rng.Uniform(100);
+        sorted[key] = Entry{key, rng.Next(), rng.Bernoulli(0.3)};
+      }
+      for (const auto& [key, e] : sorted) spans[s].push_back(e);
+    }
+    std::map<uint64_t, Entry> reference;
+    for (size_t s = num_spans; s-- > 0;) {
+      for (const Entry& e : spans[s]) reference[e.key] = e;
+    }
+    std::vector<EntrySpan> newest_first;
+    for (const std::vector<Entry>& span : spans) {
+      newest_first.push_back(SpanOf(span));
+    }
+    for (bool drop : {false, true}) {
+      std::vector<Entry> want;
+      for (const auto& [key, e] : reference) {
+        if (!(drop && e.tombstone)) want.push_back(e);
+      }
+      EXPECT_EQ(MergeSorted(newest_first, drop), want)
+          << "trial " << trial << " drop " << drop;
+    }
   }
 }
 
