@@ -1,6 +1,7 @@
 #include "engine/file_engine.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "engine/manifest.h"
 #include "lsm/bloom.h"
 #include "lsm/compaction.h"
+#include "util/crc32c.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -164,9 +166,10 @@ inline uint64_t CacheKey(uint64_t run_id, uint64_t block_idx) {
   return (run_id << 22) | (block_idx & ((1ULL << 22) - 1));
 }
 
-/// One immutable sorted run persisted as an append-only file. Fence
-/// pointers (first key per block) and the Bloom filter stay in memory;
-/// block contents are fetched by pread.
+/// One immutable sorted run persisted as an append-only file
+/// (`run_<id>.cam`), with its Bloom filter's words beside it in
+/// `run_<id>.blm`. Fence pointers (first key per block) and the filter
+/// stay in memory; block contents are fetched by pread.
 struct FileRun {
   uint64_t id = 0;
   std::string path;
@@ -174,6 +177,9 @@ struct FileRun {
   uint64_t num_entries = 0;
   std::vector<uint64_t> fence;  // first key of each block
   lsm::BloomFilter filter;
+  /// CRC-32C of the filter words, computed once when the filter is built
+  /// or loaded, so manifest records and snapshots never recompute it.
+  uint32_t filter_crc = 0;
   uint64_t min_key = 0;
   uint64_t max_key = 0;
 
@@ -207,6 +213,32 @@ inline const DiskEntry* BlockRecords(const std::vector<char>& block) {
 
 inline lsm::Entry ToEntry(const DiskEntry& d) {
   return lsm::Entry{d.key, d.value, (d.flags & kTombstoneFlag) != 0};
+}
+
+inline std::string RunPath(const std::string& dir, uint64_t id) {
+  return dir + "/run_" + std::to_string(id) + ".cam";
+}
+
+inline std::string FilterPath(const std::string& dir, uint64_t id) {
+  return dir + "/run_" + std::to_string(id) + ".blm";
+}
+
+inline uint32_t FilterCrc(const lsm::BloomFilter& filter) {
+  return util::Crc32c(filter.words().data(),
+                      filter.words().size() * sizeof(uint64_t));
+}
+
+/// Reads exactly `n` bytes at `offset`. False on an error or early EOF.
+inline bool PreadAll(int fd, void* buf, size_t n, uint64_t offset) {
+  auto* p = static_cast<char*>(buf);
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, p, n, static_cast<off_t>(offset));
+    if (got <= 0) return false;
+    p += got;
+    n -= static_cast<size_t>(got);
+    offset += static_cast<uint64_t>(got);
+  }
+  return true;
 }
 
 inline int OpenRead(const std::string& path, bool direct) {
@@ -307,6 +339,32 @@ bool DurableSync(const FileEngineConfig& cfg) {
   return cfg.durable && cfg.wal_sync != fileio::WalSyncPolicy::kNone;
 }
 
+/// Creates (or truncates) `path` and writes `size` bytes into it through
+/// the FileOps seam, fsyncing under `DurableSync` before the close. With
+/// `direct`, O_DIRECT is tried first (the buffer must then be aligned).
+void WriteFile(const FileEngineConfig& cfg, const std::string& path,
+               const char* data, size_t size, bool direct) {
+  fileio::FileOps* ops = cfg.file_ops;
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_TRUNC;
+  int fd = direct ? ops->Open(path, kFlags | O_DIRECT, 0644) : -1;
+  if (fd < 0) fd = ops->Open(path, kFlags, 0644);
+  SysCheck(fd >= 0, "open(write)", path);
+  size_t off = 0;
+  while (off < size) {
+    const int64_t n = ops->PWrite(fd, data + off, size - off, off);
+    SysCheck(n > 0, "pwrite", path);
+    off += static_cast<size_t>(n);
+  }
+  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync", path);
+  ops->Close(fd);
+}
+
+void WriteFilterFile(const FileEngineConfig& cfg, const std::string& path,
+                     const lsm::BloomFilter& filter) {
+  WriteFile(cfg, path, reinterpret_cast<const char*>(filter.words().data()),
+            filter.words().size() * sizeof(uint64_t), /*direct=*/false);
+}
+
 /// Manifest-side metadata of a built run: everything recovery needs to
 /// reopen it without reading a block.
 fileio::ManifestRunMeta RunMetaOf(const FileRun& run) {
@@ -319,8 +377,79 @@ fileio::ManifestRunMeta RunMetaOf(const FileRun& run) {
   meta.bloom_bits = run.filter.memory_bits();
   meta.bloom_hashes = static_cast<uint32_t>(run.filter.num_hashes());
   meta.bloom_bpk = run.filter.bits_per_key();
-  meta.bloom_words = run.filter.words();
+  meta.bloom_crc = run.filter_crc;
   return meta;
+}
+
+/// Loads a run's filter from its `.blm` file, straight into the filter's
+/// word vector, checked against the size and CRC its record logged.
+/// Returns false when the file is missing, has the wrong size, or fails
+/// the CRC.
+bool LoadFilterFile(const std::string& path,
+                    const fileio::ManifestRunMeta& meta,
+                    lsm::BloomFilter* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const size_t bytes = (meta.bloom_bits + 63) / 64 * sizeof(uint64_t);
+  std::vector<uint64_t> words(bytes / sizeof(uint64_t));
+  struct stat st;
+  const bool read = ::fstat(fd, &st) == 0 &&
+                    static_cast<uint64_t>(st.st_size) == bytes &&
+                    fileio::PreadAll(fd, words.data(), bytes, 0);
+  ::close(fd);
+  if (!read || util::Crc32c(words.data(), bytes) != meta.bloom_crc) {
+    return false;
+  }
+  *out = lsm::BloomFilter::FromParts(std::move(words), meta.bloom_bits,
+                                     static_cast<int>(meta.bloom_hashes),
+                                     meta.bloom_bpk);
+  return true;
+}
+
+/// Rebuilds a run's filter from the keys in its run file, as `BuildRun`
+/// built it. Construction is deterministic, so the result is bit-identical
+/// to the filter the record describes. Reads through the shard scratch
+/// buffer and is uncounted, like the rest of recovery.
+lsm::BloomFilter RebuildFilter(FileEngine::Shard& sh,
+                               const FileEngineConfig& cfg, const FileRun& run,
+                               const fileio::ManifestRunMeta& meta) {
+  lsm::BloomFilter filter(run.num_entries, meta.bloom_bpk);
+  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
+  for (size_t blk = 0; blk < run.num_blocks(); ++blk) {
+    SysCheck(fileio::PreadAll(run.fd, sh.scratch.get(), cfg.block_bytes,
+                              blk * cfg.block_bytes),
+             "pread(filter rebuild)", run.path);
+    const uint64_t count = std::min(epb, run.num_entries - blk * epb);
+    const auto* records = reinterpret_cast<const DiskEntry*>(sh.scratch.get());
+    for (uint64_t i = 0; i < count; ++i) filter.Add(records[i].key);
+  }
+  return filter;
+}
+
+/// Reopens a run from its logged metadata: opens the run file for reads
+/// and loads its filter file. A missing or damaged filter file is rebuilt
+/// from the run's keys and rewritten, so it never fails recovery; a
+/// rebuilt filter that disagrees with the logged CRC means the run file
+/// itself no longer matches the manifest, and aborts.
+FileRunPtr OpenRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+                   bool direct_io, fileio::ManifestRunMeta meta) {
+  auto run = std::make_shared<FileRun>();
+  run->id = meta.id;
+  run->path = fileio::RunPath(sh.dir, meta.id);
+  run->num_entries = meta.num_entries;
+  run->min_key = meta.min_key;
+  run->max_key = meta.max_key;
+  run->fence = std::move(meta.fence);
+  run->filter_crc = meta.bloom_crc;
+  run->fd = fileio::OpenRead(run->path, direct_io);
+  const std::string filter_path = fileio::FilterPath(sh.dir, meta.id);
+  if (!LoadFilterFile(filter_path, meta, &run->filter)) {
+    run->filter = RebuildFilter(sh, cfg, *run, meta);
+    CAMAL_CHECK(run->filter.memory_bits() == meta.bloom_bits &&
+                fileio::FilterCrc(run->filter) == meta.bloom_crc);
+    WriteFilterFile(cfg, filter_path, run->filter);
+  }
+  return run;
 }
 
 /// The live shard's full structural state, as a manifest rotation
@@ -346,13 +475,19 @@ fileio::RecoveredShardState SnapshotShardState(const FileEngine::Shard& sh) {
 /// cascade settles, after reconfigure/wake) where the in-memory state is
 /// the authoritative truth.
 void MaybeRotateManifest(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
-  if (sh.manifest == nullptr) return;
-  sh.manifest->MaybeRotate(SnapshotShardState(sh), cfg.manifest_rotate_records);
+  // The threshold check comes first: most calls do not rotate, and the
+  // snapshot copies every live run's fences.
+  if (sh.manifest == nullptr ||
+      !sh.manifest->ShouldRotate(cfg.manifest_rotate_records)) {
+    return;
+  }
+  sh.manifest->Rotate(SnapshotShardState(sh));
 }
 
 /// Builds one run file from sorted, deduplicated `entries`: serializes
 /// them into block-aligned pages, writes the file append-only (one pass,
-/// never modified again), and opens it for reads.
+/// never modified again) and its filter file beside it, and opens the run
+/// for reads.
 FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     bool direct_io, std::vector<lsm::Entry> entries,
                     double bloom_bits_per_key) {
@@ -362,7 +497,7 @@ FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
   auto run = std::make_shared<FileRun>();
   run->id = sh.next_run_id++;
-  run->path = sh.dir + "/run_" + std::to_string(run->id) + ".cam";
+  run->path = fileio::RunPath(sh.dir, run->id);
   run->num_entries = entries.size();
   run->min_key = entries.front().key;
   run->max_key = entries.back().key;
@@ -389,26 +524,13 @@ FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     run->filter.Add(e.key);
   }
 
-  fileio::FileOps* ops = cfg.file_ops;
-  int flags = O_WRONLY | O_CREAT | O_TRUNC;
-  if (direct_io) flags |= O_DIRECT;
-  int fd = ops->Open(run->path, flags, 0644);
-  if (fd < 0 && direct_io) {
-    fd = ops->Open(run->path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  }
-  SysCheck(fd >= 0, "open(write)", run->path);
-  const size_t total = num_blocks * cfg.block_bytes;
-  size_t off = 0;
-  while (off < total) {
-    const int64_t n = ops->PWrite(fd, buf.get() + off, total - off, off);
-    SysCheck(n > 0, "pwrite", run->path);
-    off += static_cast<size_t>(n);
-  }
-  // A run must be durable before the manifest record that references it
-  // commits.
-  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync", run->path);
-  ops->Close(fd);
+  // A run and its filter must be durable before the manifest record that
+  // references them commits (WriteFile fsyncs under DurableSync).
+  WriteFile(cfg, run->path, buf.get(), num_blocks * cfg.block_bytes,
+            direct_io);
   sh.clock.block_writes += num_blocks;
+  run->filter_crc = fileio::FilterCrc(run->filter);
+  WriteFilterFile(cfg, fileio::FilterPath(sh.dir, run->id), run->filter);
 
   run->fd = fileio::OpenRead(run->path, direct_io);
   return run;
@@ -515,7 +637,10 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     for (const FileRunPtr& r : inputs) removed.push_back(r->id);
     sh.manifest->LogCompact(static_cast<uint32_t>(l), removed, added);
   }
-  for (const FileRunPtr& r : inputs) cfg.file_ops->Unlink(r->path);
+  for (const FileRunPtr& r : inputs) {
+    cfg.file_ops->Unlink(r->path);
+    cfg.file_ops->Unlink(fileio::FilterPath(sh.dir, r->id));
+  }
 }
 
 /// Restores the level invariants (runs <= K, entries <= capacity) from
@@ -661,74 +786,44 @@ bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
 constexpr uint64_t kSnapMagic = 0x43414d5348494253ULL;  // "CAMSHIBS"
 
 /// Persists a shard's in-memory structures into its sidecar file and
-/// releases them. The sidecar carries everything materialization cannot
-/// rebuild from the run files alone without charging I/O: the memtable,
-/// per-run metadata (fences, Bloom internals), and the cache's key
-/// recency order. All sidecar I/O is deliberately uncounted — hibernation
-/// is a resource-management event, not workload cost — so every clock and
-/// counter the engine reports stays bit-identical to an eager engine.
+/// releases them. The sidecar carries what materialization cannot rebuild
+/// from the run files without charging I/O: the memtable, per-run metadata
+/// in the manifest's run encoding (fences, Bloom parameters and the CRC of
+/// each run's filter file), and the cache's key recency order. The filter
+/// bits themselves stay in each run's `.blm` file. All sidecar I/O is
+/// deliberately uncounted — hibernation is a resource-management event,
+/// not workload cost — so every clock and counter the engine reports stays
+/// bit-identical to an eager engine.
 void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   // Buffered writes must be durable before their in-memory home is
   // released (the sidecar is belt, the WAL is suspenders: if the sidecar
   // install is lost to a crash, replay still rebuilds the memtable).
   if (sh.wal != nullptr) sh.wal->Commit();
 
-  const std::string path = sh.dir + "/hibernate.snap";
-  std::string image;
-  auto w64 = [&](uint64_t v) {
-    image.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto wbuf = [&](const void* p, size_t n) {
-    image.append(static_cast<const char*>(p), n);
-  };
-
-  w64(kSnapMagic);
-  w64(sh.memtable.size());
+  fileio::ByteWriter w;
+  w.U64(kSnapMagic);
+  w.U64(sh.memtable.size());
   for (const auto& [key, e] : sh.memtable) {
     (void)key;
-    DiskEntry d{e.key, e.value, e.tombstone ? kTombstoneFlag : 0};
-    wbuf(&d, sizeof(d));
+    const DiskEntry d{e.key, e.value, e.tombstone ? kTombstoneFlag : 0};
+    w.Bytes(&d, sizeof(d));
   }
-  w64(sh.levels.size());
+  w.U64(sh.levels.size());
   for (const auto& level : sh.levels) {
-    w64(level.size());
-    for (const FileRunPtr& r : level) {
-      w64(r->id);
-      w64(r->num_entries);
-      w64(r->min_key);
-      w64(r->max_key);
-      w64(r->fence.size());
-      wbuf(r->fence.data(), r->fence.size() * sizeof(uint64_t));
-      w64(r->filter.memory_bits());
-      w64(static_cast<uint64_t>(r->filter.num_hashes()));
-      const double bpk = r->filter.bits_per_key();
-      wbuf(&bpk, sizeof(bpk));
-      const auto& words = r->filter.words();
-      w64(words.size());
-      wbuf(words.data(), words.size() * sizeof(uint64_t));
-    }
+    w.U64(level.size());
+    for (const FileRunPtr& r : level) fileio::EncodeRunMeta(&w, RunMetaOf(*r));
   }
-  const std::vector<uint64_t> keys = sh.cache.KeysMruToLru();
-  w64(keys.size());
-  wbuf(keys.data(), keys.size() * sizeof(uint64_t));
+  w.U64Vec(sh.cache.KeysMruToLru());
+  const std::string image = w.Take();
 
   // Install atomically: write a tmp image, (durably) complete it, then
   // rename into place — a crash leaves either no sidecar or a whole one,
   // never a torn one.
   fileio::FileOps* ops = cfg.file_ops;
+  const std::string path = sh.dir + "/hibernate.snap";
   const std::string tmp = path + ".tmp";
   ops->Unlink(tmp);  // a crashed predecessor's leftovers
-  const int fd = ops->Open(tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  SysCheck(fd >= 0, "open(hibernate)", tmp);
-  size_t off = 0;
-  while (off < image.size()) {
-    const int64_t n = ops->PWrite(fd, image.data() + off, image.size() - off,
-                                  off);
-    SysCheck(n > 0, "pwrite(hibernate)", tmp);
-    off += static_cast<size_t>(n);
-  }
-  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync(hibernate)", tmp);
-  ops->Close(fd);
+  WriteFile(cfg, tmp, image.data(), image.size(), /*direct=*/false);
   SysCheck(ops->Rename(tmp, path) == 0, "rename(hibernate)", path);
 
   // Registering the sidecar in the manifest is what makes hibernation
@@ -758,70 +853,59 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   sh.io_depth = 1;
 }
 
-/// Rehydrates a hibernated shard from its sidecar: reopens run files,
-/// rebuilds fences and Bloom filters from the persisted internals, and
-/// refills the block cache to its exact pre-hibernation recency order
-/// with uncounted preads. The woken shard behaves bit-identically — same
-/// lookup outcomes, same charged reads, same LRU evolution — to one that
-/// never slept.
+/// Rehydrates a hibernated shard from its sidecar: reopens run files and
+/// their filter files (the same CRC-checked loader recovery uses), and
+/// refills the block cache to its exact pre-hibernation recency order with
+/// uncounted preads. The woken shard behaves bit-identically — same lookup
+/// outcomes, same charged reads, same LRU evolution — to one that never
+/// slept.
 void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     bool direct_io, bool engine_uring) {
   const std::string path = sh.dir + "/hibernate.snap";
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  SysCheck(f != nullptr, "fopen(wake)", path);
-  auto r64 = [&]() {
-    uint64_t v = 0;
-    SysCheck(std::fread(&v, sizeof(v), 1, f) == 1, "fread", path);
-    return v;
-  };
-  auto rbuf = [&](void* p, size_t n) {
-    if (n == 0) return;
-    SysCheck(std::fread(p, 1, n, f) == n, "fread", path);
-  };
-
-  CAMAL_CHECK(r64() == kSnapMagic);
-  const uint64_t mem_count = r64();
-  for (uint64_t i = 0; i < mem_count; ++i) {
+  std::string image;
+  {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    SysCheck(fd >= 0, "open(wake)", path);
+    struct stat st;
+    SysCheck(::fstat(fd, &st) == 0, "fstat(wake)", path);
+    image.resize(static_cast<size_t>(st.st_size));
+    SysCheck(fileio::PreadAll(fd, image.data(), image.size(), 0), "pread(wake)",
+             path);
+    ::close(fd);
+  }
+  fileio::ByteReader r(image);
+  CAMAL_CHECK(r.U64() == kSnapMagic);
+  const uint64_t mem_count = r.U64();
+  for (uint64_t i = 0; i < mem_count && r.ok(); ++i) {
     DiskEntry d;
-    rbuf(&d, sizeof(d));
+    r.Bytes(&d, sizeof(d));
     sh.memtable.emplace_hint(sh.memtable.end(), d.key, ToEntry(d));
   }
-  const uint64_t num_levels = r64();
+  // A filter file that must be rebuilt reads its run through the scratch
+  // buffer.
+  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
+  const uint64_t num_levels = r.U64();
+  CAMAL_CHECK(r.ok() && num_levels <= r.Remaining());
   sh.levels.resize(num_levels);
   std::unordered_map<uint64_t, const FileRun*> run_by_id;
   for (uint64_t l = 0; l < num_levels; ++l) {
-    const uint64_t num_runs = r64();
+    const uint64_t num_runs = r.U64();
+    CAMAL_CHECK(r.ok() && num_runs <= r.Remaining());
     sh.levels[l].reserve(num_runs);
     for (uint64_t ri = 0; ri < num_runs; ++ri) {
-      auto run = std::make_shared<FileRun>();
-      run->id = r64();
-      run->num_entries = r64();
-      run->min_key = r64();
-      run->max_key = r64();
-      run->path = sh.dir + "/run_" + std::to_string(run->id) + ".cam";
-      run->fence.resize(r64());
-      rbuf(run->fence.data(), run->fence.size() * sizeof(uint64_t));
-      const uint64_t num_bits = r64();
-      const int num_hashes = static_cast<int>(r64());
-      double bpk = 0.0;
-      rbuf(&bpk, sizeof(bpk));
-      std::vector<uint64_t> words(r64());
-      rbuf(words.data(), words.size() * sizeof(uint64_t));
-      run->filter = lsm::BloomFilter::FromParts(std::move(words), num_bits,
-                                                num_hashes, bpk);
-      run->fd = fileio::OpenRead(run->path, direct_io);
+      fileio::ManifestRunMeta meta = fileio::DecodeRunMeta(&r);
+      CAMAL_CHECK(r.ok());
+      FileRunPtr run = OpenRun(sh, cfg, direct_io, std::move(meta));
       run_by_id.emplace(run->id, run.get());
       sh.levels[l].push_back(std::move(run));
     }
   }
+  const std::vector<uint64_t> keys = r.U64Vec();
+  CAMAL_CHECK(r.ok() && r.AtEnd());
+  cfg.file_ops->Unlink(path);
 
-  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
   const uint64_t capacity = sh.options.block_cache_bytes / cfg.block_bytes;
   sh.cache.Resize(capacity);
-  std::vector<uint64_t> keys(r64());
-  rbuf(keys.data(), keys.size() * sizeof(uint64_t));
-  SysCheck(std::fclose(f) == 0, "fclose", path);
-  cfg.file_ops->Unlink(path);
 
   if (cfg.durable) {
     // Reopen the log writers the shard closed at hibernation and record
@@ -1312,7 +1396,9 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     if (hibernated) keep.insert("hibernate.snap");
     for (const auto& level : st.levels) {
       for (const fileio::ManifestRunMeta& run : level) {
-        keep.insert("run_" + std::to_string(run.id) + ".cam");
+        const std::string stem = "run_" + std::to_string(run.id);
+        keep.insert(stem + ".cam");
+        keep.insert(stem + ".blm");
       }
     }
     for (const auto& entry : fs::directory_iterator(dir)) {
@@ -1341,25 +1427,17 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     return;
   }
 
-  // Live shard: reopen every run straight from its logged metadata —
-  // fences and Blooms come from the manifest, so not one block is read or
-  // rebuilt. Recovery I/O is uncounted (clocks start at zero, like any
-  // fresh engine).
+  // Live shard: reopen every run from its logged metadata. Fences come
+  // from the manifest and each filter from its CRC-checked `.blm` file, so
+  // no block is read unless a filter file is damaged and must be rebuilt
+  // (through the scratch buffer). Recovery I/O is uncounted (clocks start
+  // at zero, like any fresh engine).
+  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
   sh->levels.resize(st.levels.size());
   for (size_t l = 0; l < st.levels.size(); ++l) {
     sh->levels[l].reserve(st.levels[l].size());
     for (fileio::ManifestRunMeta& meta : st.levels[l]) {
-      auto run = std::make_shared<FileRun>();
-      run->id = meta.id;
-      run->path = dir + "/run_" + std::to_string(meta.id) + ".cam";
-      run->num_entries = meta.num_entries;
-      run->min_key = meta.min_key;
-      run->max_key = meta.max_key;
-      run->fence = std::move(meta.fence);
-      run->filter = lsm::BloomFilter::FromParts(
-          std::move(meta.bloom_words), meta.bloom_bits,
-          static_cast<int>(meta.bloom_hashes), meta.bloom_bpk);
-      run->fd = fileio::OpenRead(run->path, direct_io_);
+      FileRunPtr run = OpenRun(*sh, config_, direct_io_, std::move(meta));
       sh->disk_entries += run->num_entries;
       sh->levels[l].push_back(std::move(run));
     }
@@ -1395,7 +1473,6 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   MaybeRotateManifest(*sh, config_);
 
   sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
-  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
   sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(*sh, config_, use_uring_);
   set_.Adopt(s, std::move(sh), ShardState::kMaterialized);

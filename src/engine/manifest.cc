@@ -1,12 +1,28 @@
 #include "engine/manifest.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace camal::engine::fileio {
 
 namespace {
 
-constexpr uint32_t kManifestVersion = 1;
+// Version 2: run records carry their filter file's CRC, not its words.
+constexpr uint32_t kManifestVersion = 2;
+
+/// Reads a record's layout version. A CRC-valid record of another layout
+/// cannot be decoded as this one: replaying it as a torn tail would
+/// truncate the log, and treating the shard as empty would delete its
+/// runs, so the process stops instead.
+void CheckVersion(ByteReader* r) {
+  const uint32_t version = r->U32();
+  if (!r->ok() || version == kManifestVersion) return;
+  std::fprintf(stderr,
+               "manifest: record layout version %u, this build reads %u\n",
+               version, kManifestVersion);
+  std::abort();
+}
 
 enum RecordTag : uint8_t {
   kInit = 1,
@@ -45,32 +61,6 @@ lsm::Options DecodeOptions(ByteReader* r) {
   return o;
 }
 
-void EncodeRun(ByteWriter* w, const ManifestRunMeta& run) {
-  w->U64(run.id);
-  w->U64(run.num_entries);
-  w->U64(run.min_key);
-  w->U64(run.max_key);
-  w->U64Vec(run.fence);
-  w->U64(run.bloom_bits);
-  w->U32(run.bloom_hashes);
-  w->F64(run.bloom_bpk);
-  w->U64Vec(run.bloom_words);
-}
-
-ManifestRunMeta DecodeRun(ByteReader* r) {
-  ManifestRunMeta run;
-  run.id = r->U64();
-  run.num_entries = r->U64();
-  run.min_key = r->U64();
-  run.max_key = r->U64();
-  run.fence = r->U64Vec();
-  run.bloom_bits = r->U64();
-  run.bloom_hashes = r->U32();
-  run.bloom_bpk = r->F64();
-  run.bloom_words = r->U64Vec();
-  return run;
-}
-
 std::string EncodeSnapshot(const RecoveredShardState& st, uint64_t shard) {
   ByteWriter w;
   w.U8(kSnapshot);
@@ -82,7 +72,7 @@ std::string EncodeSnapshot(const RecoveredShardState& st, uint64_t shard) {
   w.U32(static_cast<uint32_t>(st.levels.size()));
   for (const auto& level : st.levels) {
     w.U32(static_cast<uint32_t>(level.size()));
-    for (const ManifestRunMeta& run : level) EncodeRun(&w, run);
+    for (const ManifestRunMeta& run : level) EncodeRunMeta(&w, run);
   }
   w.U8(st.hibernated ? 1 : 0);
   w.U64(st.hib_memtable_entries);
@@ -103,7 +93,7 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
   const uint8_t tag = r.U8();
   switch (tag) {
     case kInit: {
-      r.U32();  // version (single-version format so far)
+      CheckVersion(&r);
       r.U64();  // shard id (engine derives it from the directory name)
       st->options = DecodeOptions(&r);
       *initialized = true;
@@ -115,7 +105,7 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
     }
     case kFlush: {
       st->wal_epoch = r.U64();
-      ManifestRunMeta run = DecodeRun(&r);
+      ManifestRunMeta run = DecodeRunMeta(&r);
       if (!r.ok()) return false;
       *max_run_id = std::max(*max_run_id, run.id);
       if (st->levels.empty()) st->levels.resize(1);
@@ -129,7 +119,7 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
       std::vector<ManifestRunMeta> added;
       added.reserve(added_count);
       for (uint32_t i = 0; i < added_count; ++i) {
-        added.push_back(DecodeRun(&r));
+        added.push_back(DecodeRunMeta(&r));
         if (!r.ok()) return false;
       }
       if (!r.ok() || src >= st->levels.size()) return false;
@@ -167,7 +157,7 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
       break;
     }
     case kSnapshot: {
-      r.U32();  // version
+      CheckVersion(&r);
       r.U64();  // shard id
       RecoveredShardState snap;
       snap.options = DecodeOptions(&r);
@@ -181,7 +171,7 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
         if (!r.ok()) return false;
         snap.levels[l].reserve(num_runs);
         for (uint32_t i = 0; i < num_runs; ++i) {
-          snap.levels[l].push_back(DecodeRun(&r));
+          snap.levels[l].push_back(DecodeRunMeta(&r));
           if (!r.ok()) return false;
         }
       }
@@ -212,6 +202,32 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
 }
 
 }  // namespace
+
+void EncodeRunMeta(ByteWriter* w, const ManifestRunMeta& run) {
+  w->U64(run.id);
+  w->U64(run.num_entries);
+  w->U64(run.min_key);
+  w->U64(run.max_key);
+  w->U64Vec(run.fence);
+  w->U64(run.bloom_bits);
+  w->U32(run.bloom_hashes);
+  w->F64(run.bloom_bpk);
+  w->U32(run.bloom_crc);
+}
+
+ManifestRunMeta DecodeRunMeta(ByteReader* r) {
+  ManifestRunMeta run;
+  run.id = r->U64();
+  run.num_entries = r->U64();
+  run.min_key = r->U64();
+  run.max_key = r->U64();
+  run.fence = r->U64Vec();
+  run.bloom_bits = r->U64();
+  run.bloom_hashes = r->U32();
+  run.bloom_bpk = r->F64();
+  run.bloom_crc = r->U32();
+  return run;
+}
 
 bool RecoverManifest(const std::string& path, RecoveredShardState* out) {
   RecordFileContents log = ReadRecordFile(path);
@@ -281,7 +297,7 @@ void Manifest::LogFlush(uint64_t new_epoch, const ManifestRunMeta& run) {
   ByteWriter w;
   w.U8(kFlush);
   w.U64(new_epoch);
-  EncodeRun(&w, run);
+  EncodeRunMeta(&w, run);
   Log(w.Take());
 }
 
@@ -293,7 +309,7 @@ void Manifest::LogCompact(uint32_t src_level,
   w.U32(src_level);
   w.U64Vec(removed);
   w.U32(static_cast<uint32_t>(added.size()));
-  for (const ManifestRunMeta& run : added) EncodeRun(&w, run);
+  for (const ManifestRunMeta& run : added) EncodeRunMeta(&w, run);
   Log(w.Take());
 }
 
@@ -315,12 +331,6 @@ void Manifest::LogWake() {
   ByteWriter w;
   w.U8(kWake);
   Log(w.Take());
-}
-
-bool Manifest::MaybeRotate(const RecoveredShardState& state,
-                           uint32_t rotate_records) {
-  if (rotate_records == 0 || records_ <= rotate_records) return false;
-  return Rotate(state);
 }
 
 bool Manifest::Rotate(const RecoveredShardState& state) {

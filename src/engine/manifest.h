@@ -14,8 +14,8 @@ namespace camal::engine::fileio {
 
 /// \brief Per-shard manifest: an append-only, CRC-framed log of every
 /// structural change to a shard's file set, from which `reopen=true`
-/// reconstructs the shard (levels, fences, Blooms, hibernation status)
-/// without reading a single run block.
+/// reconstructs the shard (levels, fences, Bloom parameters, hibernation
+/// status) without reading a single run block.
 ///
 /// Record types (first payload byte):
 ///
@@ -34,9 +34,14 @@ namespace camal::engine::fileio {
 /// the log can never durably tear between "runs removed" and "run added" —
 /// any crash leaves either the old state or the new one, nothing between.
 ///
-/// A run's metadata (fences, Bloom internals) rides in the record that
-/// introduces it, so recovery reopens run files for reading but never
-/// rebuilds or rescans them.
+/// A run's metadata (fences, Bloom size, hash count, bits per key, and the
+/// CRC-32C of its filter) rides in the record that introduces it. The
+/// filter's bits live beside the run, in `run_<id>.blm`, written and
+/// fsynced before that record commits, so a record's size does not grow
+/// with the Bloom budget and rotation snapshots never rewrite filter bits.
+/// Recovery reopens run files for reading and loads each filter file
+/// against its logged CRC; it never rescans a run unless that filter file
+/// is missing or damaged.
 
 /// Metadata of one immutable run, as logged/recovered.
 struct ManifestRunMeta {
@@ -48,8 +53,17 @@ struct ManifestRunMeta {
   uint64_t bloom_bits = 0;
   uint32_t bloom_hashes = 0;
   double bloom_bpk = 0.0;
-  std::vector<uint64_t> bloom_words;
+  /// CRC-32C of the run's filter file (`run_<id>.blm`, the raw filter
+  /// words).
+  uint32_t bloom_crc = 0;
 };
+
+/// Appends one run's metadata in the manifest's run encoding (shared with
+/// the hibernation sidecar, so both carry runs the same way).
+void EncodeRunMeta(ByteWriter* w, const ManifestRunMeta& run);
+
+/// Decodes what `EncodeRunMeta` wrote; a short buffer flips `r->ok()`.
+ManifestRunMeta DecodeRunMeta(ByteReader* r);
 
 /// The state a manifest replay yields — everything the engine needs to
 /// rebuild a shard minus the WAL tail (memtable contents).
@@ -105,14 +119,17 @@ class Manifest {
                     const std::vector<std::pair<uint64_t, uint64_t>>& shape);
   void LogWake();
 
-  /// Compacts the log to one `kSnapshot` record when it has grown past
-  /// `rotate_records`: writes `MANIFEST.tmp`, fsyncs it, and renames over
-  /// `MANIFEST` — the rename is the atomic commit point. A failed rename
-  /// is tolerated: the tmp file is unlinked and the old (equivalent,
-  /// longer) log stays authoritative. Returns whether rotation happened.
-  bool MaybeRotate(const RecoveredShardState& state, uint32_t rotate_records);
+  /// Whether the log has grown past `rotate_records` (0: never rotate).
+  /// Callers check this before building the snapshot `Rotate` needs.
+  bool ShouldRotate(uint32_t rotate_records) const {
+    return rotate_records != 0 && records_ > rotate_records;
+  }
 
-  /// Unconditional rotation (tests; recovery-time log compaction).
+  /// Compacts the log to one `kSnapshot` record: writes `MANIFEST.tmp`,
+  /// fsyncs it, and renames over `MANIFEST` — the rename is the atomic
+  /// commit point. A failed rename is tolerated: the tmp file is unlinked
+  /// and the old (equivalent, longer) log stays authoritative. Returns
+  /// whether rotation happened.
   bool Rotate(const RecoveredShardState& state);
 
   size_t record_count() const { return records_; }

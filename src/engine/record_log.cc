@@ -16,8 +16,9 @@ namespace {
 constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 masked CRC.
 
 // A single frame never legitimately approaches this: the largest payloads
-// are manifest snapshots of a shard (fences + Bloom words), low megabytes
-// at most. Anything bigger is a corrupt length field.
+// are manifest snapshots of a shard (every run's fences; filter bits live
+// in each run's `.blm` file, not here), low megabytes at most. Anything
+// bigger is a corrupt length field.
 constexpr uint32_t kMaxPayloadBytes = 256u << 20;
 
 void SysCheckRecord(bool ok, const char* what, const std::string& path) {

@@ -154,6 +154,8 @@ class ByteReader {
     Raw(&v, sizeof(v));
     return v;
   }
+  /// Copies `n` raw bytes into `p` (the mirror of `ByteWriter::Bytes`).
+  void Bytes(void* p, size_t n) { Raw(p, n); }
   std::vector<uint64_t> U64Vec() {
     const uint32_t n = U32();
     // Guard impossible sizes before allocating (a corrupt length must not

@@ -33,9 +33,9 @@ class BloomFilter {
   /// Expected false-positive rate exp(-bpk * ln^2 2), clamped to [~0, 1].
   double TheoreticalFpr() const;
 
-  // Serialization surface (shard hibernation snapshots): raw internal
-  // state, enough to reconstruct a filter that answers every probe
-  // identically.
+  // Serialization surface (the file backend's per-run filter files): raw
+  // internal state, enough to reconstruct a filter that answers every
+  // probe identically.
   const std::vector<uint64_t>& words() const { return words_; }
   int num_hashes() const { return num_hashes_; }
 

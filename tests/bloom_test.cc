@@ -77,8 +77,9 @@ TEST(BloomTest, FromPartsRoundTripsProbes) {
   EXPECT_TRUE(absent.MayContain(7));
 }
 
-// FromParts is fed from disk (manifest records, hibernation sidecars): parts
-// that would let MayContain index past the bit array must be refused.
+// FromParts is fed from disk (a run's filter file, sized by its manifest
+// record or hibernation sidecar): parts that would let MayContain index
+// past the bit array must be refused.
 TEST(BloomDeathTest, FromPartsRejectsInconsistentParts) {
   BloomFilter filter(100, 10.0);  // 1000 bits in 16 words, 7 hashes
   for (uint64_t k = 0; k < 100; ++k) filter.Add(k);

@@ -8,20 +8,27 @@
 // recovery must restore a state logically identical (Gets over the whole
 // key universe + Scans) to the never-crashed reference, without
 // rebuilding a single run. Plus the clean-close paths: reopen restores
-// all shards — including hibernated ones — from their manifests alone.
+// all shards — including hibernated ones — from their manifests alone,
+// and a damaged or missing Bloom filter file (`run_<id>.blm`) is rebuilt
+// from its run, bit-identically, instead of failing the reopen.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "engine/file_engine.h"
 #include "engine/file_ops.h"
+#include "engine/manifest.h"
 #include "lsm/options.h"
+#include "util/crc32c.h"
 
 namespace camal::engine {
 namespace {
@@ -64,13 +71,18 @@ class CrashOps : public fileio::FileOps {
   int sites() const { return sites_; }
   const std::vector<bool>& site_is_write() const { return site_is_write_; }
 
+  /// The armed sites as "<op> <file name>", in site order.
+  const std::vector<std::string>& site_names() const { return site_names_; }
+
   int Open(const std::string& path, int flags, int mode) override {
     if (inert_) {
       errno = EIO;  // nothing may create files after the crash
       return -1;
     }
-    Site(false);
-    return FileOps::Open(path, flags, mode);
+    Site(false, "open", path);
+    const int fd = FileOps::Open(path, flags, mode);
+    if (fd >= 0) fd_path_[fd] = path;
+    return fd;
   }
 
   int64_t PWrite(int fd, const void* buf, uint64_t count,
@@ -81,39 +93,41 @@ class CrashOps : public fileio::FileOps {
       // goes. The CRC framing must reject the half-record on replay.
       FileOps::PWrite(fd, buf, count / 2, offset);
     }
-    Site(true);
+    Site(true, "pwrite", fd_path_[fd]);
     return FileOps::PWrite(fd, buf, count, offset);
   }
 
   int Fsync(int fd) override {
     if (inert_) return 0;
-    Site(false);
+    Site(false, "fsync", fd_path_[fd]);
     return FileOps::Fsync(fd);
   }
 
   int Rename(const std::string& from, const std::string& to) override {
     if (inert_) return 0;
-    Site(false);
+    Site(false, "rename", from);
     return FileOps::Rename(from, to);
   }
 
   int Unlink(const std::string& path) override {
     if (inert_) return 0;
-    Site(false);
+    Site(false, "unlink", path);
     return FileOps::Unlink(path);
   }
 
   int Ftruncate(int fd, uint64_t length) override {
     if (inert_) return 0;
-    Site(false);
+    Site(false, "ftruncate", fd_path_[fd]);
     return FileOps::Ftruncate(fd, length);
   }
 
  private:
-  void Site(bool is_write) {
+  void Site(bool is_write, const char* op, const std::string& path) {
     if (!armed_) return;
     const int site = sites_++;
     site_is_write_.push_back(is_write);
+    site_names_.push_back(std::string(op) + " " +
+                          fs::path(path).filename().string());
     if (site == crash_at_) {
       inert_ = true;
       throw CrashInjected{};
@@ -126,6 +140,8 @@ class CrashOps : public fileio::FileOps {
   int crash_at_ = -1;
   int sites_ = 0;
   std::vector<bool> site_is_write_;
+  std::vector<std::string> site_names_;
+  std::map<int, std::string> fd_path_;
 };
 
 using Reference = std::map<uint64_t, uint64_t>;
@@ -220,33 +236,56 @@ bool RunPass(const Scenario& sc, const std::string& dir, CrashOps* ops,
   return crashed;
 }
 
+/// Records the files the engine creates or opens for writing.
+class OpenLog : public fileio::FileOps {
+ public:
+  int Open(const std::string& path, int flags, int mode) override {
+    opened.push_back(path);
+    return FileOps::Open(path, flags, mode);
+  }
+  std::vector<std::string> opened;
+};
+
 /// Reopens the post-crash (or post-clean-close) file set and checks
 /// logical identity with the reference. Recovery must not rebuild runs:
-/// the reopened engine's write counter stays at zero.
+/// the reopened engine's write counter stays at zero. Nor may it rebuild
+/// a filter: every run the manifest names had its filter file durable
+/// before the record committed, so none is ever missing after a crash.
 void ReopenAndVerify(const Scenario& sc, const std::string& dir,
                      const Reference& ref) {
   {
+    OpenLog log;
     FileEngineConfig cfg;
     cfg.workdir = dir;
     cfg.reopen = true;
+    cfg.file_ops = &log;
     FileEngine eng(sc.shards, sc.options, cfg);
     EXPECT_EQ(eng.CostSnapshot().block_writes, 0u)
         << "recovery rebuilt run files instead of replaying the manifest";
     VerifyMatchesReference(eng, ref, sc.max_key);
+    for (const std::string& path : log.opened) {
+      EXPECT_NE(fs::path(path).extension(), ".blm")
+          << "recovery rebuilt filter file " << path;
+    }
   }
   fs::remove_all(dir);
 }
 
 /// The full matrix: enumerate the armed mutation sites once, then crash
 /// at every site (and, at write sites, crash again mid-write) and prove
-/// recovery restores the reference state each time.
-void RunCrashMatrix(const Scenario& sc, const std::string& tag) {
+/// recovery restores the reference state each time. Returns the armed
+/// sites' names (see `CrashOps::site_names`).
+std::vector<std::string> RunCrashMatrix(const Scenario& sc,
+                                        const std::string& tag) {
   CrashOps counter;
   Reference clean_ref;
   const std::string clean_dir = UniqueDir(tag + "_clean");
-  ASSERT_FALSE(RunPass(sc, clean_dir, &counter, &clean_ref));
+  if (RunPass(sc, clean_dir, &counter, &clean_ref)) {
+    ADD_FAILURE() << "the counting pass crashed";
+    return {};
+  }
   const int sites = counter.sites();
-  ASSERT_GT(sites, 0) << "armed operation performed no mutations";
+  EXPECT_GT(sites, 0) << "armed operation performed no mutations";
   // The clean close itself must reopen to the reference state.
   ReopenAndVerify(sc, clean_dir, clean_ref);
 
@@ -267,6 +306,7 @@ void RunCrashMatrix(const Scenario& sc, const std::string& tag) {
       ReopenAndVerify(sc, dir, ref);
     }
   }
+  return counter.site_names();
 }
 
 lsm::Options CrashOptions(size_t shards) {
@@ -325,7 +365,18 @@ TEST(CrashRecoveryTest, FlushAndCompactionCrashMatrix) {
     PutBatch(eng, batch);
   };
   sc.armed = [](FileEngine& eng) { eng.FlushMemtable(); };
-  RunCrashMatrix(sc, "flush");
+  const std::vector<std::string> sites = RunCrashMatrix(sc, "flush");
+  // The matrix crashed at (and tore) every step of a run's filter file:
+  // its creation, write and fsync before the record that names the run
+  // commits, and its unlink once a merge consumed the run.
+  for (const char* op : {"open", "pwrite", "fsync", "unlink"}) {
+    EXPECT_TRUE(std::any_of(sites.begin(), sites.end(),
+                            [op](const std::string& site) {
+                              return site.rfind(op, 0) == 0 &&
+                                     fs::path(site).extension() == ".blm";
+                            }))
+        << "no armed " << op << " of a filter file";
+  }
 }
 
 TEST(CrashRecoveryTest, HibernateCrashMatrix) {
@@ -513,6 +564,206 @@ TEST(CrashRecoveryTest, HibernatedShardSurvivesRestart) {
     EXPECT_EQ(eng.CostSnapshot().block_writes, 0u);
     VerifyMatchesReference(eng, ref, 1200);  // gets wake the shard
     EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
+  }
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------ damaged filter files
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+/// The largest Bloom filter file of a shard directory (a run with real
+/// filter bits, so every damage mode changes what a load would see).
+std::string LargestFilterFile(const std::string& shard_dir) {
+  std::string best;
+  uint64_t best_size = 0;
+  for (const auto& f : fs::directory_iterator(shard_dir)) {
+    if (f.path().extension() != ".blm") continue;
+    if (best.empty() || f.file_size() > best_size) {
+      best = f.path().filename().string();
+      best_size = f.file_size();
+    }
+  }
+  return best;
+}
+
+/// The filter CRC the shard's manifest logged for run `name`
+/// ("run_<id>.blm").
+uint32_t LoggedFilterCrc(const std::string& shard_dir,
+                         const std::string& name) {
+  const uint64_t id = std::strtoull(name.c_str() + 4, nullptr, 10);
+  fileio::RecoveredShardState st;
+  EXPECT_TRUE(fileio::RecoverManifest(fileio::Manifest::PathFor(shard_dir),
+                                      &st));
+  for (const auto& level : st.levels) {
+    for (const fileio::ManifestRunMeta& run : level) {
+      if (run.id == id) return run.bloom_crc;
+    }
+  }
+  ADD_FAILURE() << "run " << id << " is not live in the manifest";
+  return 0;
+}
+
+/// Every count a shard reports: block I/O, compaction counters, shape.
+std::vector<uint64_t> ShardCounts(const FileEngine& eng, size_t shards) {
+  std::vector<uint64_t> out;
+  for (size_t s = 0; s < shards; ++s) {
+    const sim::DeviceSnapshot io = eng.ShardCostSnapshot(s);
+    const EngineCounters c = eng.ShardCounters(s);
+    for (const uint64_t v :
+         {io.block_reads, io.block_writes, c.compaction_block_reads,
+          c.compaction_block_writes, c.transition_ios, c.flushes, c.merges,
+          static_cast<uint64_t>(eng.ShardRunCount(s)), eng.ShardEntries(s)}) {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
+enum class FilterDamage { kNone, kFlipByte, kTruncate, kDelete };
+
+TEST(CrashRecoveryTest, DamagedFilterFileIsRebuiltOnReopen) {
+  constexpr size_t kShards = 2;
+  constexpr uint64_t kMaxKey = 1200;
+  const lsm::Options opts = CrashOptions(kShards);
+  const std::string base = UniqueDir("blm_base");
+  Reference ref;
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = base;
+    cfg.durable = true;
+    cfg.keep_files = true;
+    FileEngine eng(kShards, opts, cfg);
+    std::vector<Op> batch;
+    for (uint64_t k = 2; k <= kMaxKey; k += 2) {
+      batch.push_back(Put(k, k * 5 + 1));
+      ref[k] = k * 5 + 1;
+    }
+    PutBatch(eng, batch);
+    eng.FlushMemtable();
+    batch.clear();
+    for (uint64_t k = 2; k <= 100; k += 2) {
+      batch.push_back(Put(k, k + 3));
+      ref[k] = k + 3;
+    }
+    PutBatch(eng, batch);  // memtable residue for the WAL
+  }
+  const std::string victim_rel =
+      "/shard_0/" + LargestFilterFile(base + "/shard_0");
+  ASSERT_NE(victim_rel, "/shard_0/");
+  const std::string original = ReadBytes(base + victim_rel);
+  ASSERT_GT(original.size(), 64u);
+  const uint32_t logged_crc =
+      LoggedFilterCrc(base + "/shard_0", victim_rel.substr(9));
+  ASSERT_EQ(util::Crc32c(original.data(), original.size()), logged_crc);
+
+  // Reopens a copy of the base file set with `damage` applied to the
+  // victim filter file, checks the filter file is back byte for byte, then
+  // serves Gets and Scans over the key universe and a write batch that
+  // flushes and merges. Returns every count the engine reports.
+  auto reopen = [&](FilterDamage damage) {
+    const std::string dir = UniqueDir("blm_copy");
+    fs::copy(base, dir, fs::copy_options::recursive);
+    const std::string victim = dir + victim_rel;
+    switch (damage) {
+      case FilterDamage::kNone:
+        break;
+      case FilterDamage::kFlipByte: {
+        std::string bytes = original;
+        bytes[bytes.size() / 2] ^= 0x10;
+        std::ofstream(victim, std::ios::binary | std::ios::trunc) << bytes;
+        break;
+      }
+      case FilterDamage::kTruncate:
+        fs::resize_file(victim, original.size() / 2);
+        break;
+      case FilterDamage::kDelete:
+        fs::remove(victim);
+        break;
+    }
+    std::vector<uint64_t> counts;
+    {
+      FileEngineConfig cfg;
+      cfg.workdir = dir;
+      cfg.reopen = true;
+      FileEngine eng(kShards, opts, cfg);
+      // The rebuild reads the run uncounted, like the rest of recovery.
+      EXPECT_EQ(eng.CostSnapshot().block_reads, 0u);
+      EXPECT_EQ(eng.CostSnapshot().block_writes, 0u);
+      const std::string rewritten = ReadBytes(victim);
+      EXPECT_EQ(rewritten, original);
+      EXPECT_EQ(util::Crc32c(rewritten.data(), rewritten.size()), logged_crc);
+      VerifyMatchesReference(eng, ref, kMaxKey);
+      Reference after = ref;
+      std::vector<Op> batch;
+      for (uint64_t k = 1; k <= 401; k += 2) {
+        batch.push_back(Put(k, k * 7));
+        after[k] = k * 7;
+      }
+      PutBatch(eng, batch);
+      eng.FlushMemtable();
+      VerifyMatchesReference(eng, after, kMaxKey);
+      counts = ShardCounts(eng, kShards);
+    }
+    fs::remove_all(dir);
+    return counts;
+  };
+
+  const std::vector<uint64_t> clean = reopen(FilterDamage::kNone);
+  for (const FilterDamage damage :
+       {FilterDamage::kFlipByte, FilterDamage::kTruncate,
+        FilterDamage::kDelete}) {
+    SCOPED_TRACE("damage mode " + std::to_string(static_cast<int>(damage)));
+    EXPECT_EQ(reopen(damage), clean);
+  }
+  fs::remove_all(base);
+}
+
+TEST(CrashRecoveryTest, DamagedFilterFileOfHibernatedShardIsRebuiltOnWake) {
+  const std::string dir = UniqueDir("blm_hib");
+  const lsm::Options opts = CrashOptions(2);
+  Reference ref;
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.durable = true;
+    cfg.keep_files = true;
+    cfg.lifecycle =
+        ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
+    FileEngine eng(2, opts, cfg);
+    std::vector<Op> batch;
+    for (uint64_t k = 2; k <= 1200; k += 2) {
+      batch.push_back(Put(k, k + 17));
+      ref[k] = k + 17;
+    }
+    PutBatch(eng, batch);
+    eng.FlushMemtable();
+    const std::vector<uint64_t> hot = ShardKeys(eng, 0, 16, 1200);
+    batch.clear();
+    for (const uint64_t k : hot) batch.push_back(GetOp(k));
+    PutBatch(eng, batch);
+    PutBatch(eng, batch);
+    ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
+  }
+  // The sidecar names the runs; their filter bits load from the same
+  // CRC-checked files recovery uses, so a deleted one is rebuilt on wake.
+  const std::string victim =
+      dir + "/shard_1/" + LargestFilterFile(dir + "/shard_1");
+  const std::string original = ReadBytes(victim);
+  ASSERT_GT(original.size(), 64u);
+  fs::remove(victim);
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.reopen = true;
+    FileEngine eng(2, opts, cfg);
+    ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
+    VerifyMatchesReference(eng, ref, 1200);  // gets wake the shard
+    EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
+    EXPECT_EQ(ReadBytes(victim), original);
   }
   fs::remove_all(dir);
 }

@@ -97,8 +97,7 @@ ManifestRunMeta TestRun(uint64_t id, uint64_t entries) {
   run.bloom_bits = 512;
   run.bloom_hashes = 5;
   run.bloom_bpk = 8.0;
-  run.bloom_words = {0xdeadbeefULL, 0x12345678ULL,
-                     0xfeedface00000000ULL + id, 0};
+  run.bloom_crc = 0xfeedface + static_cast<uint32_t>(id);
   return run;
 }
 
@@ -111,7 +110,7 @@ void ExpectRunEq(const ManifestRunMeta& a, const ManifestRunMeta& b) {
   EXPECT_EQ(a.bloom_bits, b.bloom_bits);
   EXPECT_EQ(a.bloom_hashes, b.bloom_hashes);
   EXPECT_DOUBLE_EQ(a.bloom_bpk, b.bloom_bpk);
-  EXPECT_EQ(a.bloom_words, b.bloom_words);
+  EXPECT_EQ(a.bloom_crc, b.bloom_crc);
 }
 
 // ------------------------------------------------------------- record log
@@ -281,6 +280,30 @@ TEST_F(ManifestTest, ReplaysInitFlushCompactOptions) {
   ExpectOptionsEq(st.options, retuned);
 }
 
+TEST_F(ManifestTest, FlushRecordSizeDoesNotDependOnBloomBits) {
+  // Filter bits live in each run's `.blm` file; the record carries only
+  // their size, shape and CRC, so a bigger Bloom budget adds no bytes.
+  ManifestRunMeta small = TestRun(1, 64);
+  small.bloom_bits = 64;
+  ManifestRunMeta big = TestRun(1, 64);
+  big.bloom_bits = uint64_t{1} << 30;
+  uint64_t sizes[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    Manifest m(FileOps::Real(), dir_, /*sync=*/false);
+    m.LogInit(0, TestOptions());
+    const uint64_t before = FileSize(m.path());
+    m.LogFlush(1, i == 0 ? small : big);
+    sizes[i] = FileSize(m.path()) - before;
+  }
+  EXPECT_GT(sizes[0], 0u);
+  EXPECT_EQ(sizes[0], sizes[1]);
+  RecoveredShardState st;
+  ASSERT_TRUE(RecoverManifest(Manifest::PathFor(dir_), &st));
+  ExpectRunEq(st.levels[0][0], big);
+}
+
 TEST_F(ManifestTest, ReplaysHibernateAndWake) {
   {
     Manifest m(FileOps::Real(), dir_, /*sync=*/false);
@@ -326,6 +349,24 @@ TEST_F(ManifestTest, CorruptHeaderRecoversToEmptyState) {
   RecoveredShardState st;
   EXPECT_FALSE(RecoverManifest(Manifest::PathFor(dir_), &st));
   EXPECT_FALSE(st.valid);
+}
+
+TEST_F(ManifestTest, OtherRecordLayoutVersionStopsReplay) {
+  // A whole, CRC-valid kInit record of layout version 1 (run records that
+  // carried filter words): replay must neither misdecode it nor drop the
+  // shard as empty.
+  {
+    ByteWriter w;
+    w.U8(1);   // kInit
+    w.U32(1);  // layout version
+    w.U64(0);  // shard id
+    RecordWriter log(FileOps::Real(), Manifest::PathFor(dir_));
+    log.Append(w.Take());
+    log.Commit();
+  }
+  RecoveredShardState st;
+  EXPECT_DEATH(RecoverManifest(Manifest::PathFor(dir_), &st),
+               "record layout version 1, this build reads 2");
 }
 
 TEST_F(ManifestTest, TornTailKeepsThePrefixState) {
@@ -383,17 +424,19 @@ TEST_F(ManifestTest, RotationCompactsToOneSnapshotRecord) {
   ExpectOptionsEq(after.options, st.options);
 }
 
-TEST_F(ManifestTest, MaybeRotateHonorsThreshold) {
+TEST_F(ManifestTest, ShouldRotateHonorsThreshold) {
   Manifest m(FileOps::Real(), dir_, /*sync=*/false);
   m.LogInit(0, TestOptions());
   m.LogFlush(1, TestRun(1, 64));
+  EXPECT_FALSE(m.ShouldRotate(/*rotate_records=*/16));  // under threshold
+  EXPECT_FALSE(m.ShouldRotate(/*rotate_records=*/2));   // at, not past
+  EXPECT_FALSE(m.ShouldRotate(/*rotate_records=*/0));   // never
+  EXPECT_TRUE(m.ShouldRotate(/*rotate_records=*/1));    // past threshold
   RecoveredShardState st;
   ASSERT_TRUE(RecoverManifest(m.path(), &st));
-  EXPECT_FALSE(m.MaybeRotate(st, /*rotate_records=*/16));  // under threshold
-  EXPECT_FALSE(m.MaybeRotate(st, /*rotate_records=*/2));   // at, not past
-  EXPECT_EQ(m.record_count(), 2u);
-  EXPECT_TRUE(m.MaybeRotate(st, /*rotate_records=*/1));  // past threshold
+  ASSERT_TRUE(m.Rotate(st));
   EXPECT_EQ(m.record_count(), 1u);
+  EXPECT_FALSE(m.ShouldRotate(/*rotate_records=*/1));
 }
 
 /// Fails every rename — the rotation commit point.

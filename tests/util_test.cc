@@ -1,9 +1,11 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -160,6 +162,46 @@ TEST(PercentileSketchTest, InterleavedAddAndQuery) {
   sketch.Add(20.0);
   sketch.Add(0.0);
   EXPECT_DOUBLE_EQ(sketch.Quantile(0.5), 10.0);
+}
+
+TEST(Crc32cTest, StandardCheckVector) {
+  // The CRC-32C catalogue's check value for the ASCII digits 1-9.
+  const char* digits = "123456789";
+  EXPECT_EQ(Crc32c(digits, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable(digits, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(digits, 0), 0u);
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesTableOnRandomBuffers) {
+  // On hosts with SSE4.2 `Crc32c` runs the hardware instruction; either
+  // way it must agree with the table path byte for byte: every alignment
+  // of the start (the hardware loop aligns to 8 bytes first), lengths
+  // that leave every possible tail, and arbitrary continuation seeds.
+  Random rng(29);
+  std::vector<unsigned char> buf(5000 + 16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng.Uniform(16);
+    const size_t len = trial < 64 ? static_cast<size_t>(trial)
+                                  : rng.Uniform(5001);
+    const uint32_t seed =
+        trial % 3 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    const unsigned char* p = buf.data() + offset;
+    ASSERT_EQ(Crc32c(p, len, seed), Crc32cPortable(p, len, seed))
+        << "offset " << offset << " len " << len << " seed " << seed;
+  }
+}
+
+TEST(Crc32cTest, SeedContinuesAStreamAcrossSplits) {
+  Random rng(31);
+  std::vector<unsigned char> buf(777);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t cut = 0; cut <= buf.size(); cut += 37) {
+    const uint32_t head = Crc32c(buf.data(), cut);
+    EXPECT_EQ(Crc32c(buf.data() + cut, buf.size() - cut, head), whole)
+        << "cut " << cut;
+  }
 }
 
 }  // namespace
