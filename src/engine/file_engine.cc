@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <list>
 #include <map>
+#include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -60,17 +62,20 @@ inline void SysCheck(bool ok, const char* what, const std::string& path) {
 }
 
 /// Block-aligned heap buffer (O_DIRECT wants aligned reads and writes; the
-/// same buffers serve the buffered fallback).
-struct FreeDeleter {
-  void operator()(void* p) const { std::free(p); }
+/// same buffers serve the buffered fallback). Allocated through the aligned
+/// `operator new`, so heap accounting that replaces it sees these too.
+struct AlignedDeleter {
+  size_t align = 0;
+  void operator()(char* p) const {
+    ::operator delete[](p, std::align_val_t(align));
+  }
 };
-using AlignedBuf = std::unique_ptr<char[], FreeDeleter>;
+using AlignedBuf = std::unique_ptr<char[], AlignedDeleter>;
 
 inline AlignedBuf AllocAligned(size_t bytes, size_t align) {
-  void* p = nullptr;
-  const int rc = posix_memalign(&p, align, bytes);
-  CAMAL_CHECK(rc == 0 && p != nullptr);
-  return AlignedBuf(static_cast<char*>(p));
+  return AlignedBuf(
+      static_cast<char*>(::operator new[](bytes, std::align_val_t(align))),
+      AlignedDeleter{align});
 }
 
 inline double NowNs() {
@@ -339,30 +344,45 @@ bool DurableSync(const FileEngineConfig& cfg) {
   return cfg.durable && cfg.wal_sync != fileio::WalSyncPolicy::kNone;
 }
 
-/// Creates (or truncates) `path` and writes `size` bytes into it through
-/// the FileOps seam, fsyncing under `DurableSync` before the close. With
-/// `direct`, O_DIRECT is tried first (the buffer must then be aligned).
-void WriteFile(const FileEngineConfig& cfg, const std::string& path,
-               const char* data, size_t size, bool direct) {
+/// Creates (or truncates) `path` for writing through the FileOps seam.
+/// With `direct`, O_DIRECT is tried first (every write must then be
+/// block-aligned).
+int CreateForWrite(const FileEngineConfig& cfg, const std::string& path,
+                   bool direct) {
   fileio::FileOps* ops = cfg.file_ops;
   constexpr int kFlags = O_WRONLY | O_CREAT | O_TRUNC;
   int fd = direct ? ops->Open(path, kFlags | O_DIRECT, 0644) : -1;
   if (fd < 0) fd = ops->Open(path, kFlags, 0644);
   SysCheck(fd >= 0, "open(write)", path);
-  size_t off = 0;
+  return fd;
+}
+
+/// Writes all `size` bytes of `data` at `offset` through the FileOps seam.
+void PWriteAll(const FileEngineConfig& cfg, int fd, const char* data,
+               uint64_t size, uint64_t offset, const std::string& path) {
+  uint64_t off = 0;
   while (off < size) {
-    const int64_t n = ops->PWrite(fd, data + off, size - off, off);
+    const int64_t n =
+        cfg.file_ops->PWrite(fd, data + off, size - off, offset + off);
     SysCheck(n > 0, "pwrite", path);
-    off += static_cast<size_t>(n);
+    off += static_cast<uint64_t>(n);
   }
-  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync", path);
-  ops->Close(fd);
+}
+
+/// Creates (or truncates) `path` and writes `size` bytes into it, fsyncing
+/// under `DurableSync` before the close.
+void WriteFile(const FileEngineConfig& cfg, const std::string& path,
+               const char* data, size_t size) {
+  const int fd = CreateForWrite(cfg, path, /*direct=*/false);
+  PWriteAll(cfg, fd, data, size, 0, path);
+  if (DurableSync(cfg)) SysCheck(cfg.file_ops->Fsync(fd) == 0, "fsync", path);
+  cfg.file_ops->Close(fd);
 }
 
 void WriteFilterFile(const FileEngineConfig& cfg, const std::string& path,
                      const lsm::BloomFilter& filter) {
   WriteFile(cfg, path, reinterpret_cast<const char*>(filter.words().data()),
-            filter.words().size() * sizeof(uint64_t), /*direct=*/false);
+            filter.words().size() * sizeof(uint64_t));
 }
 
 /// Manifest-side metadata of a built run: everything recovery needs to
@@ -406,7 +426,7 @@ bool LoadFilterFile(const std::string& path,
   return true;
 }
 
-/// Rebuilds a run's filter from the keys in its run file, as `BuildRun`
+/// Rebuilds a run's filter from the keys in its run file, as `RunWriter`
 /// built it. Construction is deterministic, so the result is bit-identical
 /// to the filter the record describes. Reads through the shard scratch
 /// buffer and is uncounted, like the rest of recovery.
@@ -484,58 +504,6 @@ void MaybeRotateManifest(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   sh.manifest->Rotate(SnapshotShardState(sh));
 }
 
-/// Builds one run file from sorted, deduplicated `entries`: serializes
-/// them into block-aligned pages, writes the file append-only (one pass,
-/// never modified again) and its filter file beside it, and opens the run
-/// for reads.
-FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-                    bool direct_io, std::vector<lsm::Entry> entries,
-                    double bloom_bits_per_key) {
-  CAMAL_CHECK(!entries.empty());
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
-  const size_t num_blocks = (entries.size() + epb - 1) / epb;
-
-  auto run = std::make_shared<FileRun>();
-  run->id = sh.next_run_id++;
-  run->path = fileio::RunPath(sh.dir, run->id);
-  run->num_entries = entries.size();
-  run->min_key = entries.front().key;
-  run->max_key = entries.back().key;
-  run->filter = lsm::BloomFilter(entries.size(), bloom_bits_per_key);
-  run->fence.reserve(num_blocks);
-
-  fileio::AlignedBuf buf =
-      AllocAligned(num_blocks * cfg.block_bytes, cfg.block_bytes);
-  std::memset(buf.get(), 0, num_blocks * cfg.block_bytes);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const lsm::Entry& e = entries[i];
-    const size_t blk = i / epb;
-    const size_t slot = i % epb;
-    // Records pack densely within each page; pages start at multiples of
-    // block_bytes (24 does not divide 4096, so each page tail stays zero
-    // padding — never decoded, because per-block record counts derive
-    // from num_entries).
-    auto* records =
-        reinterpret_cast<DiskEntry*>(buf.get() + blk * cfg.block_bytes);
-    records[slot].key = e.key;
-    records[slot].value = e.value;
-    records[slot].flags = e.tombstone ? kTombstoneFlag : 0;
-    if (slot == 0) run->fence.push_back(e.key);
-    run->filter.Add(e.key);
-  }
-
-  // A run and its filter must be durable before the manifest record that
-  // references them commits (WriteFile fsyncs under DurableSync).
-  WriteFile(cfg, run->path, buf.get(), num_blocks * cfg.block_bytes,
-            direct_io);
-  sh.clock.block_writes += num_blocks;
-  run->filter_crc = fileio::FilterCrc(run->filter);
-  WriteFilterFile(cfg, fileio::FilterPath(sh.dir, run->id), run->filter);
-
-  run->fd = fileio::OpenRead(run->path, direct_io);
-  return run;
-}
-
 uint64_t LevelEntries(const std::vector<FileRunPtr>& level) {
   uint64_t total = 0;
   for (const FileRunPtr& r : level) total += r->num_entries;
@@ -563,29 +531,208 @@ double BloomBpk(const FileEngine::Shard& sh, uint64_t incoming) {
                             static_cast<double>(total));
 }
 
-/// Reads every entry of `run` sequentially (compaction input: bypasses the
-/// cache, counts real reads as compaction I/O). Records decode straight
-/// out of the scratch buffer into `out`, reserved once for the whole run.
-void ReadAllEntries(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-                    const FileRun& run, std::vector<lsm::Entry>* out) {
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
-  out->reserve(out->size() + run.num_entries);
-  for (size_t blk = 0; blk < run.num_blocks(); ++blk) {
-    const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
-                              static_cast<off_t>(blk * cfg.block_bytes));
-    SysCheck(n == static_cast<ssize_t>(cfg.block_bytes), "pread", run.path);
-    ++sh.clock.block_reads;
-    ++sh.counters.compaction_block_reads;
-    const uint64_t begin = blk * epb;
-    const uint64_t count = std::min(epb, run.num_entries - begin);
-    const auto* records = reinterpret_cast<const DiskEntry*>(sh.scratch.get());
-    for (uint64_t i = 0; i < count; ++i) out->push_back(ToEntry(records[i]));
+/// Blocks per `pwrite` of a run being written, and per `pread` of a
+/// compaction input. Fixed, so neither flush nor compaction holds memory
+/// that grows with the size of the runs it reads or writes.
+constexpr uint64_t kRunWriteBlocks = 64;
+constexpr uint64_t kCompactionReadBlocks = 16;
+
+/// Streams one new run file from sorted, deduplicated entries. Records
+/// pack densely into an aligned chunk of whole blocks (`kRunWriteBlocks`,
+/// or fewer when the run cannot fill that many), and each full chunk goes
+/// to the file in one pwrite through the FileOps seam. The file opens on
+/// the first entry, so a writer that receives none builds no run and takes
+/// no run id. The Bloom filter's size depends on the final entry count, so
+/// the writer keeps the keys (8 bytes each) and builds the filter in
+/// `Finish`.
+class RunWriter {
+ public:
+  /// `max_entries` bounds what the caller will add; the key buffer is
+  /// reserved once to it.
+  RunWriter(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+            bool direct_io, uint64_t max_entries)
+      : sh_(sh),
+        cfg_(cfg),
+        direct_io_(direct_io),
+        max_entries_(max_entries),
+        epb_(EntriesPerBlock(cfg.block_bytes)) {}
+
+  ~RunWriter() {
+    if (fd_ >= 0) cfg_.file_ops->Close(fd_);  // abandoned mid-build
   }
-}
+
+  RunWriter(const RunWriter&) = delete;
+  RunWriter& operator=(const RunWriter&) = delete;
+
+  void Add(const lsm::Entry& e) {
+    if (run_ == nullptr) Open();
+    if (slot_ == 0) {
+      if (chunk_blocks_ == chunk_capacity_) WriteChunk();
+      block_ = chunk_.get() + chunk_blocks_++ * cfg_.block_bytes;
+      run_->fence.push_back(e.key);
+    }
+    // Pages start at multiples of block_bytes; 24 does not divide 4096, so
+    // each page tail stays zero padding, never decoded (per-block record
+    // counts derive from num_entries).
+    const DiskEntry record{e.key, e.value, e.tombstone ? kTombstoneFlag : 0};
+    std::memcpy(block_ + slot_ * sizeof(DiskEntry), &record, sizeof(record));
+    keys_.push_back(e.key);
+    if (++slot_ == epb_) {
+      ZeroTail(epb_);
+      slot_ = 0;
+    }
+  }
+
+  /// Writes the last chunk, makes the run durable, then builds, writes and
+  /// makes durable its filter file (both before the manifest record that
+  /// names the run commits), and opens the run for reads. Returns null
+  /// when no entry was added. The filter's bits per key come from
+  /// `BloomBpk` over the shard's disk entries as they stand now.
+  FileRunPtr Finish() {
+    if (run_ == nullptr) return nullptr;
+    if (slot_ != 0) ZeroTail(slot_);
+    WriteChunk();
+    if (DurableSync(cfg_)) {
+      SysCheck(cfg_.file_ops->Fsync(fd_) == 0, "fsync", run_->path);
+    }
+    cfg_.file_ops->Close(fd_);
+    fd_ = -1;
+    chunk_.reset();
+    sh_.clock.block_writes += run_->num_blocks();
+
+    run_->num_entries = keys_.size();
+    run_->min_key = keys_.front();
+    run_->max_key = keys_.back();
+    run_->filter = lsm::BloomFilter(keys_.size(), BloomBpk(sh_, keys_.size()));
+    for (uint64_t key : keys_) run_->filter.Add(key);
+    keys_ = {};
+    run_->filter_crc = fileio::FilterCrc(run_->filter);
+    WriteFilterFile(cfg_, fileio::FilterPath(sh_.dir, run_->id), run_->filter);
+    run_->fd = fileio::OpenRead(run_->path, direct_io_);
+    return std::move(run_);
+  }
+
+ private:
+  void Open() {
+    run_ = std::make_shared<FileRun>();
+    run_->id = sh_.next_run_id++;
+    run_->path = fileio::RunPath(sh_.dir, run_->id);
+    fd_ = CreateForWrite(cfg_, run_->path, direct_io_);
+    const uint64_t max_blocks = (max_entries_ + epb_ - 1) / epb_;
+    chunk_capacity_ = std::min(kRunWriteBlocks, max_blocks);
+    chunk_ = AllocAligned(chunk_capacity_ * cfg_.block_bytes, cfg_.block_bytes);
+    keys_.reserve(max_entries_);
+    run_->fence.reserve(max_blocks);
+  }
+
+  /// Zeroes the current block past its first `records` records.
+  void ZeroTail(uint64_t records) const {
+    const size_t used = records * sizeof(DiskEntry);
+    std::memset(block_ + used, 0, cfg_.block_bytes - used);
+  }
+
+  /// Appends the chunk's filled blocks to the file and empties it.
+  void WriteChunk() {
+    const uint64_t bytes = chunk_blocks_ * cfg_.block_bytes;
+    PWriteAll(cfg_, fd_, chunk_.get(), bytes, written_bytes_, run_->path);
+    written_bytes_ += bytes;
+    chunk_blocks_ = 0;
+  }
+
+  FileEngine::Shard& sh_;
+  const FileEngineConfig& cfg_;
+  const bool direct_io_;
+  const uint64_t max_entries_;
+  const uint64_t epb_;
+  FileRunPtr run_;
+  int fd_ = -1;
+  fileio::AlignedBuf chunk_;
+  uint64_t chunk_capacity_ = 0;  // blocks the chunk holds
+  uint64_t chunk_blocks_ = 0;    // blocks started in the chunk
+  char* block_ = nullptr;        // the block being filled
+  uint64_t slot_ = 0;            // next record slot in `block_`
+  uint64_t written_bytes_ = 0;
+  std::vector<uint64_t> keys_;
+};
+
+/// Compaction input: streams one run's records front to back through its
+/// own aligned buffer, `kCompactionReadBlocks` blocks (or the whole run,
+/// if smaller) per pread. Bypasses the cache and counts every block it
+/// reads once as a block read and once as a compaction read. A merge
+/// cursor for `lsm::MergeCursors`.
+class CompactionCursor {
+ public:
+  CompactionCursor(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+                   const FileRun& run)
+      : sh_(&sh),
+        cfg_(&cfg),
+        run_(&run),
+        epb_(EntriesPerBlock(cfg.block_bytes)),
+        buf_(AllocAligned(
+            std::min<uint64_t>(kCompactionReadBlocks, run.num_blocks()) *
+                cfg.block_bytes,
+            cfg.block_bytes)) {
+    if (!done()) Load();
+  }
+
+  bool done() const { return idx_ == run_->num_entries; }
+  const lsm::Entry& head() const { return head_; }
+
+  void advance() {
+    if (++idx_ == run_->num_entries) return;
+    if (++slot_ == epb_) {
+      slot_ = 0;
+      if (++block_ == blocks_) {
+        Load();
+        return;
+      }
+    }
+    Decode();
+  }
+
+ private:
+  /// Reads the chunk that starts at the block holding `idx_`.
+  void Load() {
+    const uint64_t first = idx_ / epb_;
+    blocks_ = std::min<uint64_t>(kCompactionReadBlocks,
+                                 run_->num_blocks() - first);
+    SysCheck(fileio::PreadAll(run_->fd, buf_.get(),
+                              blocks_ * cfg_->block_bytes,
+                              first * cfg_->block_bytes),
+             "pread", run_->path);
+    sh_->clock.block_reads += blocks_;
+    sh_->counters.compaction_block_reads += blocks_;
+    block_ = 0;
+    slot_ = 0;
+    Decode();
+  }
+
+  void Decode() {
+    DiskEntry record;
+    std::memcpy(&record,
+                buf_.get() + block_ * cfg_->block_bytes +
+                    slot_ * sizeof(DiskEntry),
+                sizeof(record));
+    head_ = ToEntry(record);
+  }
+
+  FileEngine::Shard* sh_;
+  const FileEngineConfig* cfg_;
+  const FileRun* run_;
+  uint64_t epb_;
+  fileio::AlignedBuf buf_;
+  uint64_t idx_ = 0;     // entry index of head_ within the run
+  uint64_t blocks_ = 0;  // blocks in the buffer
+  uint64_t block_ = 0;   // buffer block holding head_
+  uint64_t slot_ = 0;    // record slot of head_ within its block
+  lsm::Entry head_;
+};
 
 /// Merges every run of level `l` into one run pushed to level `l + 1`
 /// (newest-wins on duplicate keys; tombstones drop when the output
-/// becomes the deepest populated level), then unlinks the inputs.
+/// becomes the deepest populated level), then unlinks the inputs. The
+/// inputs stream through their cursors into the run writer, so the merge
+/// never holds a whole run in memory.
 void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     bool direct_io, size_t l) {
   std::vector<FileRunPtr> inputs = std::move(sh.levels[l]);
@@ -597,29 +744,27 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     if (!sh.levels[d].empty()) deeper_data = true;
   }
 
+  // The output's Bloom bits per key are sized against the disk entries
+  // left once the inputs are gone.
+  const uint64_t drained = LevelEntries(inputs);
+  sh.disk_entries -= drained;
+
   // The level's runs are stored oldest-to-newest; the shared merge core
   // takes them newest first so the freshest version of each key wins, and
   // drops tombstones when nothing deeper is left for them to shadow.
-  std::vector<std::vector<lsm::Entry>> contents(inputs.size());
-  std::vector<lsm::EntrySpan> newest_first;
+  std::vector<CompactionCursor> newest_first;
   newest_first.reserve(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    std::vector<lsm::Entry>& entries = contents[i];
-    ReadAllEntries(sh, cfg, *inputs[inputs.size() - 1 - i], &entries);
-    newest_first.push_back({entries.data(), entries.data() + entries.size()});
+  for (auto it = inputs.rbegin(); it != inputs.rend(); ++it) {
+    newest_first.emplace_back(sh, cfg, **it);
   }
-  std::vector<lsm::Entry> out =
-      lsm::MergeSorted(std::move(newest_first), !deeper_data);
-
-  uint64_t drained = 0;
-  for (const FileRunPtr& r : inputs) drained += r->num_entries;
-  sh.disk_entries -= drained;
+  RunWriter writer(sh, cfg, direct_io, drained);
+  lsm::MergeCursors(newest_first, !deeper_data,
+                    [&writer](const lsm::Entry& e) { writer.Add(e); });
+  newest_first.clear();  // release the read buffers before the filter
+  FileRunPtr run = writer.Finish();
 
   std::vector<fileio::ManifestRunMeta> added;
-  if (!out.empty()) {
-    const uint64_t incoming = out.size();
-    FileRunPtr run =
-        BuildRun(sh, cfg, direct_io, std::move(out), BloomBpk(sh, incoming));
+  if (run != nullptr) {
     sh.counters.compaction_block_writes += run->num_blocks();
     sh.disk_entries += run->num_entries;
     if (sh.manifest != nullptr) added.push_back(RunMetaOf(*run));
@@ -655,21 +800,19 @@ void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   }
 }
 
-/// Drains the memtable into a new level-0 run (no-op when empty).
+/// Drains the memtable into a new level-0 run (no-op when empty). The
+/// memtable feeds the run writer in place.
 void FlushShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                 bool direct_io) {
   if (sh.memtable.empty()) return;
-  std::vector<lsm::Entry> entries;
-  entries.reserve(sh.memtable.size());
+  RunWriter writer(sh, cfg, direct_io, sh.memtable.size());
   for (const auto& [key, entry] : sh.memtable) {
     (void)key;
-    entries.push_back(entry);
+    writer.Add(entry);
   }
   sh.memtable.clear();
+  FileRunPtr run = writer.Finish();
   if (sh.levels.empty()) sh.levels.resize(1);
-  const uint64_t incoming = entries.size();
-  FileRunPtr run =
-      BuildRun(sh, cfg, direct_io, std::move(entries), BloomBpk(sh, incoming));
   sh.disk_entries += run->num_entries;
   if (sh.manifest != nullptr) {
     // The epoch bump rides in the kFlush record: once it commits, every
@@ -823,7 +966,7 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   const std::string path = sh.dir + "/hibernate.snap";
   const std::string tmp = path + ".tmp";
   ops->Unlink(tmp);  // a crashed predecessor's leftovers
-  WriteFile(cfg, tmp, image.data(), image.size(), /*direct=*/false);
+  WriteFile(cfg, tmp, image.data(), image.size());
   SysCheck(ops->Rename(tmp, path) == 0, "rename(hibernate)", path);
 
   // Registering the sidecar in the manifest is what makes hibernation
@@ -1447,20 +1590,27 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   // live (older ones were flushed into a run before the epoch bumped);
   // within the epoch, later records win, same as the memtable they log.
   const fileio::WalReplay replay = fileio::ReadWal(fileio::Wal::PathFor(dir));
+  bool wal_clean = !replay.tail_torn;
   for (const fileio::WalReplayRecord& rec : replay.records) {
-    if (rec.epoch != sh->wal_epoch) continue;
+    if (rec.epoch != sh->wal_epoch) {
+      wal_clean = false;
+      continue;
+    }
     for (const lsm::Entry& e : rec.entries) sh->memtable[e.key] = e;
   }
 
-  // Repair the logs: truncate torn manifest tails, rewrite the WAL to
-  // exactly the recovered memtable (dropping dead epochs and torn bytes),
-  // and compact the manifest if it has grown past the rotation threshold.
+  // Repair the logs: truncate torn manifest tails, and compact the
+  // manifest if it has grown past the rotation threshold. A WAL that holds
+  // only whole records of the live epoch replays to this memtable as it
+  // stands, so the writer resumes appending at its end; otherwise it is
+  // rewritten to exactly the recovered memtable (dropping dead epochs and
+  // torn bytes).
   sh->manifest = std::make_unique<fileio::Manifest>(ops, dir, sync,
                                                     st.num_records);
   if (st.tail_torn) sh->manifest->TruncateTail(st.valid_bytes);
   sh->wal = std::make_unique<fileio::Wal>(ops, dir, config_.wal_sync);
-  sh->wal->Reset();
-  if (!sh->memtable.empty()) {
+  if (!wal_clean) {
+    sh->wal->Reset();
     std::vector<lsm::Entry> entries;
     entries.reserve(sh->memtable.size());
     for (const auto& [key, e] : sh->memtable) {

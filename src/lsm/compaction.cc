@@ -1,7 +1,5 @@
 #include "lsm/compaction.h"
 
-#include <cstdint>
-#include <limits>
 #include <utility>
 
 namespace camal::lsm {
@@ -12,29 +10,8 @@ std::vector<Entry> MergeSorted(std::vector<EntrySpan> newest_first,
   for (const EntrySpan& s : newest_first) total += s.end - s.begin;
   std::vector<Entry> out;
   out.reserve(total);
-
-  for (;;) {
-    uint64_t min_key = std::numeric_limits<uint64_t>::max();
-    bool any = false;
-    for (const EntrySpan& c : newest_first) {
-      if (c.begin == c.end) continue;
-      if (!any || c.begin->key < min_key) {
-        min_key = c.begin->key;
-        any = true;
-      }
-    }
-    if (!any) break;
-
-    bool taken = false;
-    for (EntrySpan& c : newest_first) {
-      if (c.begin == c.end || c.begin->key != min_key) continue;
-      if (!taken) {
-        taken = true;
-        if (!(drop_tombstones && c.begin->tombstone)) out.push_back(*c.begin);
-      }
-      ++c.begin;
-    }
-  }
+  MergeCursors(newest_first, drop_tombstones,
+               [&out](const Entry& e) { out.push_back(e); });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef CAMAL_LSM_COMPACTION_H_
 #define CAMAL_LSM_COMPACTION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "lsm/entry.h"
@@ -8,21 +9,58 @@
 
 namespace camal::lsm {
 
-/// A sorted, key-unique range of entries `[begin, end)` read in place.
+/// A sorted, key-unique range of entries `[begin, end)` read in place. It
+/// is also the simplest merge cursor (see `MergeCursors`).
 struct EntrySpan {
   const Entry* begin;
   const Entry* end;
+
+  bool done() const { return begin == end; }
+  const Entry& head() const { return *begin; }
+  void advance() { ++begin; }
 };
 
-/// The one merge rule both engines compact with: merges sorted spans into
-/// one sorted, deduplicated entry stream.
+/// The one merge rule both engines compact with: merges the sorted,
+/// key-unique streams behind `newest_first` into one sorted, deduplicated
+/// stream handed to `sink`, one entry at a time.
 ///
-/// `newest_first` orders the inputs by recency: when the same key appears in
-/// several spans, the version from the earliest span in the vector wins.
-/// Tombstones are carried through unless `drop_tombstones` is set (legal
-/// only when nothing older lies below the output); an input made only of
-/// dropped tombstones merges to an empty stream. The spans are taken by
-/// value and used as the merge cursors.
+/// A cursor exposes `done()`, `head()` (the current entry, valid while
+/// not done) and `advance()`. `newest_first` orders the inputs by recency:
+/// when the same key appears in several cursors, the version from the
+/// earliest cursor in the vector is the one taken and the others are
+/// skipped. Tombstones are carried through unless `drop_tombstones` is set
+/// (legal only when nothing older lies below the output); inputs made only
+/// of dropped tombstones hand `sink` nothing. The cursors are consumed.
+template <typename Cursor, typename Sink>
+void MergeCursors(std::vector<Cursor>& newest_first, bool drop_tombstones,
+                  Sink&& sink) {
+  for (;;) {
+    uint64_t min_key = 0;
+    bool any = false;
+    for (const Cursor& c : newest_first) {
+      if (c.done()) continue;
+      const uint64_t key = c.head().key;
+      if (!any || key < min_key) {
+        min_key = key;
+        any = true;
+      }
+    }
+    if (!any) return;
+
+    bool taken = false;
+    for (Cursor& c : newest_first) {
+      if (c.done() || c.head().key != min_key) continue;
+      if (!taken) {
+        taken = true;
+        const Entry& e = c.head();
+        if (!(drop_tombstones && e.tombstone)) sink(e);
+      }
+      c.advance();
+    }
+  }
+}
+
+/// `MergeCursors` over in-memory spans, collected into one vector.
 std::vector<Entry> MergeSorted(std::vector<EntrySpan> newest_first,
                                bool drop_tombstones);
 

@@ -1,7 +1,8 @@
 // Crash-point fault-injection matrix for the durability subsystem: a
 // FileOps fault model enumerates every mutating file operation (write,
 // fsync, rename, unlink, truncate, create) inside an armed operation —
-// memtable flush with compaction, idle-shard hibernation, wake — then
+// memtable flush with compaction (also with an output run written in
+// several chunks), idle-shard hibernation, wake — then
 // re-runs the scenario once per site, killing the engine (an injected
 // exception) exactly there, with a torn-write variant that persists only
 // half the buffer at write sites. After every crash, `reopen=true`
@@ -9,7 +10,8 @@
 // key universe + Scans) to the never-crashed reference, without
 // rebuilding a single run. Plus the clean-close paths: reopen restores
 // all shards — including hibernated ones — from their manifests alone,
-// and a damaged or missing Bloom filter file (`run_<id>.blm`) is rebuilt
+// a clean WAL is kept and appended to rather than rewritten, and a
+// damaged or missing Bloom filter file (`run_<id>.blm`) is rebuilt
 // from its run, bit-identically, instead of failing the reopen.
 
 #include <gtest/gtest.h>
@@ -155,6 +157,7 @@ struct Scenario {
   lsm::Options options;
   ShardLifecycleConfig lifecycle;
   uint32_t rotate_records = 128;
+  uint64_t block_bytes = 4096;
   std::function<void(FileEngine&, Reference*)> setup;
   std::function<void(FileEngine&)> armed;
   uint64_t max_key = 0;
@@ -222,6 +225,7 @@ bool RunPass(const Scenario& sc, const std::string& dir, CrashOps* ops,
   cfg.wal_sync = fileio::WalSyncPolicy::kBatch;
   cfg.manifest_rotate_records = sc.rotate_records;
   cfg.lifecycle = sc.lifecycle;
+  cfg.block_bytes = sc.block_bytes;
   cfg.file_ops = ops;
   FileEngine eng(sc.shards, sc.options, cfg);
   sc.setup(eng, ref);
@@ -246,11 +250,22 @@ class OpenLog : public fileio::FileOps {
   std::vector<std::string> opened;
 };
 
+/// Files with extension `ext` in `shard_dir`.
+size_t CountFiles(const std::string& shard_dir, const std::string& ext) {
+  size_t n = 0;
+  for (const auto& f : fs::directory_iterator(shard_dir)) {
+    if (f.path().extension() == ext) ++n;
+  }
+  return n;
+}
+
 /// Reopens the post-crash (or post-clean-close) file set and checks
 /// logical identity with the reference. Recovery must not rebuild runs:
 /// the reopened engine's write counter stays at zero. Nor may it rebuild
 /// a filter: every run the manifest names had its filter file durable
 /// before the record committed, so none is ever missing after a crash.
+/// And the orphan sweep leaves exactly the live runs' files: a run whose
+/// build the crash cut short is gone.
 void ReopenAndVerify(const Scenario& sc, const std::string& dir,
                      const Reference& ref) {
   {
@@ -258,10 +273,19 @@ void ReopenAndVerify(const Scenario& sc, const std::string& dir,
     FileEngineConfig cfg;
     cfg.workdir = dir;
     cfg.reopen = true;
+    cfg.block_bytes = sc.block_bytes;
     cfg.file_ops = &log;
     FileEngine eng(sc.shards, sc.options, cfg);
     EXPECT_EQ(eng.CostSnapshot().block_writes, 0u)
         << "recovery rebuilt run files instead of replaying the manifest";
+    for (size_t s = 0; s < sc.shards; ++s) {
+      const std::string shard_dir = dir + "/shard_" + std::to_string(s);
+      if (!fs::exists(shard_dir)) continue;
+      EXPECT_EQ(CountFiles(shard_dir, ".cam"), eng.ShardRunCount(s))
+          << "shard " << s << " kept a run file no live run owns";
+      EXPECT_EQ(CountFiles(shard_dir, ".blm"), eng.ShardRunCount(s))
+          << "shard " << s << " kept a filter file no live run owns";
+    }
     VerifyMatchesReference(eng, ref, sc.max_key);
     for (const std::string& path : log.opened) {
       EXPECT_NE(fs::path(path).extension(), ".blm")
@@ -377,6 +401,57 @@ TEST(CrashRecoveryTest, FlushAndCompactionCrashMatrix) {
                             }))
         << "no armed " << op << " of a filter file";
   }
+}
+
+TEST(CrashRecoveryTest, ChunkedRunWriteCrashMatrix) {
+  // 512-byte blocks hold 21 records, so the armed merge writes its
+  // ~3000-entry output run in several pwrite chunks: the matrix crashes
+  // (and tears) between and inside them.
+  Scenario sc;
+  sc.shards = 1;
+  sc.block_bytes = 512;
+  sc.options = CrashOptions(1);
+  sc.options.buffer_bytes = 2000 * 128;
+  sc.options.block_cache_bytes = 8 * 512;
+  sc.max_key = 6020;
+  sc.setup = [](FileEngine& eng, Reference* ref) {
+    // The first 2000 keys flush into level 0 (unarmed); the rest stay in
+    // the memtable, with overwrites and deletes of flushed keys.
+    std::vector<Op> batch;
+    for (uint64_t k = 2; k <= 6000; k += 2) {
+      batch.push_back(Put(k, k * 5 + 1));
+      (*ref)[k] = k * 5 + 1;
+    }
+    PutBatch(eng, batch);
+    batch.clear();
+    for (uint64_t k = 2002; k <= 3000; k += 2) {
+      if (k % 10 == 0) {
+        Op op;
+        op.kind = OpKind::kDelete;
+        op.key = k;
+        batch.push_back(op);
+        ref->erase(k);
+      } else {
+        batch.push_back(Put(k, k + 11));
+        (*ref)[k] = k + 11;
+      }
+    }
+    PutBatch(eng, batch);
+  };
+  // Flushes the memtable into a second level-0 run, which merges both
+  // runs into one level-1 run.
+  sc.armed = [](FileEngine& eng) { eng.FlushMemtable(); };
+  const std::vector<std::string> sites = RunCrashMatrix(sc, "chunked");
+  std::map<std::string, int> run_pwrites;
+  for (const std::string& site : sites) {
+    if (site.rfind("pwrite run_", 0) == 0 &&
+        fs::path(site).extension() == ".cam") {
+      ++run_pwrites[site];
+    }
+  }
+  int most = 0;
+  for (const auto& [site, n] : run_pwrites) most = std::max(most, n);
+  EXPECT_GE(most, 2) << "no armed run file was written in several chunks";
 }
 
 TEST(CrashRecoveryTest, HibernateCrashMatrix) {
@@ -516,6 +591,83 @@ TEST(CrashRecoveryTest, CleanCloseReopenRestoresShardsWithoutRebuilding) {
     EXPECT_EQ(eng.DiskEntries(), disk_entries);
     EXPECT_EQ(eng.TotalEntries(), total_entries);
     VerifyMatchesReference(eng, ref, 1500);
+  }
+  fs::remove_all(dir);
+}
+
+/// Records every pwrite and ftruncate, as "<op> <file name>".
+class WriteLog : public fileio::FileOps {
+ public:
+  int Open(const std::string& path, int flags, int mode) override {
+    const int fd = FileOps::Open(path, flags, mode);
+    if (fd >= 0) fd_name_[fd] = fs::path(path).filename().string();
+    return fd;
+  }
+  int64_t PWrite(int fd, const void* buf, uint64_t count,
+                 uint64_t offset) override {
+    writes.push_back("pwrite " + fd_name_[fd]);
+    return FileOps::PWrite(fd, buf, count, offset);
+  }
+  int Ftruncate(int fd, uint64_t length) override {
+    writes.push_back("ftruncate " + fd_name_[fd]);
+    return FileOps::Ftruncate(fd, length);
+  }
+  std::vector<std::string> writes;
+
+ private:
+  std::map<int, std::string> fd_name_;
+};
+
+TEST(CrashRecoveryTest, CleanReopenAppendsToTheRecoveredWal) {
+  // A WAL holding only whole records of the live epoch replays to the
+  // memtable as it stands: a reopen neither truncates nor rewrites it,
+  // and later writes append behind the recovered records.
+  const std::string dir = UniqueDir("wal_reuse");
+  const std::string wal = dir + "/shard_0/WAL";
+  const lsm::Options opts = CrashOptions(1);
+  Reference ref;
+  auto put_keys = [&ref](FileEngine& eng, uint64_t from, uint64_t to) {
+    std::vector<Op> batch;
+    for (uint64_t k = from; k <= to; k += 2) {
+      batch.push_back(Put(k, k * 7));
+      ref[k] = k * 7;
+    }
+    PutBatch(eng, batch);
+  };
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.durable = true;
+    cfg.keep_files = true;
+    FileEngine eng(1, opts, cfg);
+    put_keys(eng, 2, 200);  // 100 entries: one flush, a memtable residue
+    put_keys(eng, 202, 240);
+    ASSERT_EQ(eng.AggregateCounters().flushes, 1u);
+  }
+  const uintmax_t logged = fs::file_size(wal);
+  ASSERT_GT(logged, 0u);
+  {
+    WriteLog log;
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.reopen = true;
+    cfg.keep_files = true;
+    cfg.file_ops = &log;
+    FileEngine eng(1, opts, cfg);
+    for (const std::string& w : log.writes) {
+      EXPECT_NE(w.substr(w.find(' ') + 1), "WAL") << w << " at reopen";
+    }
+    EXPECT_EQ(fs::file_size(wal), logged);
+    VerifyMatchesReference(eng, ref, 260);
+    put_keys(eng, 242, 250);
+  }
+  EXPECT_GT(fs::file_size(wal), logged);
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.reopen = true;
+    FileEngine eng(1, opts, cfg);
+    VerifyMatchesReference(eng, ref, 260);
   }
   fs::remove_all(dir);
 }

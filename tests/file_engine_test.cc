@@ -2,7 +2,9 @@
 // O_DIRECT fallback, point-op vs batched-pipeline equivalence, runtime
 // per-shard reconfiguration under in-flight batches, arbiter budget
 // conservation on real files, golden counters and run-file bytes for a
-// leveling and a tiering cell, a tiered merge + scan oracle, and the
+// leveling and a tiering cell, a tiered merge + scan oracle, streaming
+// merges that span several read and write chunks, an all-tombstone merge
+// that leaves no run behind, and the
 // sim-vs-real smoke: the model-recommended tuning is no worse than the
 // default tuning on the file backend (compared on real, deterministic I/O
 // counts).
@@ -871,6 +873,149 @@ TEST(FileEngineTest, TieredMergeAndScanMatchReferenceModel) {
     for (uint64_t start : {0ull, 17ull, 300ull, 599ull}) {
       check_scan(eng, start, 12);
     }
+  }
+  fs::remove_all(dir);
+}
+
+/// Names of one shard directory's files with extension `ext`, sorted.
+std::vector<std::string> ShardFiles(const std::string& shard_dir,
+                                    const std::string& ext) {
+  std::vector<std::string> names;
+  for (const auto& f : fs::directory_iterator(shard_dir)) {
+    if (f.path().extension() == ext) {
+      names.push_back(f.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// 512-byte blocks (21 records each): a run of a few thousand entries
+/// spans several compaction read chunks and several run-writer chunks.
+FileEngineConfig SmallBlockConfig(const std::string& dir) {
+  FileEngineConfig cfg;
+  cfg.workdir = dir;
+  cfg.block_bytes = 512;
+  return cfg;
+}
+
+/// One shard whose buffer holds every entry the tests write, so each run
+/// comes from an explicit FlushMemtable and, under leveling, the second
+/// flush merges level 0 into the empty level 1.
+lsm::Options BigBufferOptions() {
+  lsm::Options opts;
+  opts.buffer_bytes = 10000 * 128;
+  opts.bloom_bits = 10 * 10000;
+  return opts;
+}
+
+TEST(FileEngineTest, MultiChunkMergeMatchesReferenceAndCountsEveryBlock) {
+  const std::string dir = UniqueDir("multichunk");
+  const std::string shard_dir = dir + "/shard_0";
+  constexpr uint64_t kEpb = 512 / 24;
+  auto blocks_of = [](uint64_t entries) { return (entries + kEpb - 1) / kEpb; };
+  std::map<uint64_t, uint64_t> ref;
+  {
+    FileEngine eng(1, BigBufferOptions(), SmallBlockConfig(dir));
+    util::Random rng(11);
+    // First run: 4000 keys, ~191 blocks.
+    for (uint64_t k = 0; k < 8000; k += 2) {
+      eng.Put(k, k + 1);
+      ref[k] = k + 1;
+    }
+    eng.FlushMemtable();
+    ASSERT_EQ(eng.AggregateCounters().merges, 0u);
+    const std::vector<std::string> first = ShardFiles(shard_dir, ".cam");
+    ASSERT_EQ(first.size(), 1u);
+    const uint64_t first_blocks =
+        fs::file_size(shard_dir + "/" + first[0]) / 512;
+    ASSERT_EQ(first_blocks, blocks_of(4000));
+
+    // Second run: overwrites, new keys and deletes over the same range.
+    std::map<uint64_t, bool> second;  // key -> tombstone
+    for (int i = 0; i < 3000; ++i) {
+      const uint64_t key = rng.Uniform(9000);
+      if (rng.Bernoulli(0.25)) {
+        eng.Delete(key);
+        ref.erase(key);
+        second[key] = true;
+      } else {
+        eng.Put(key, 100000 + static_cast<uint64_t>(i));
+        ref[key] = 100000 + static_cast<uint64_t>(i);
+        second[key] = false;
+      }
+    }
+    const EngineCounters before = eng.AggregateCounters();
+    const sim::DeviceSnapshot io_before = eng.CostSnapshot();
+    eng.FlushMemtable();  // flush, then merge level 0 into level 1
+    const EngineCounters after = eng.AggregateCounters();
+    const sim::DeviceSnapshot io_after = eng.CostSnapshot();
+    ASSERT_EQ(after.merges - before.merges, 1u);
+
+    const std::vector<std::string> merged = ShardFiles(shard_dir, ".cam");
+    ASSERT_EQ(merged.size(), 1u);
+    const uint64_t out_blocks =
+        fs::file_size(shard_dir + "/" + merged[0]) / 512;
+    // The deepest level drops tombstones: the output holds the live keys.
+    EXPECT_EQ(out_blocks, blocks_of(ref.size()));
+    EXPECT_EQ(eng.DiskEntries(), ref.size());
+    const uint64_t second_blocks = blocks_of(second.size());
+    EXPECT_EQ(after.compaction_block_reads - before.compaction_block_reads,
+              first_blocks + second_blocks);
+    EXPECT_EQ(after.compaction_block_writes - before.compaction_block_writes,
+              out_blocks);
+    EXPECT_EQ(io_after.block_reads - io_before.block_reads,
+              first_blocks + second_blocks);
+    EXPECT_EQ(io_after.block_writes - io_before.block_writes,
+              second_blocks + out_blocks);
+    EXPECT_EQ(ShardFiles(shard_dir, ".blm").size(), 1u);
+
+    for (uint64_t k = 0; k < 9000; ++k) {
+      uint64_t value = 0;
+      const auto it = ref.find(k);
+      ASSERT_EQ(eng.Get(k, &value), it != ref.end()) << "key " << k;
+      if (it != ref.end()) {
+        ASSERT_EQ(value, it->second) << "key " << k;
+      }
+    }
+    std::vector<lsm::Entry> all;
+    eng.Scan(0, ref.size() + 10, &all);
+    ASSERT_EQ(all.size(), ref.size());
+    auto it = ref.begin();
+    for (const lsm::Entry& e : all) {
+      ASSERT_EQ(e.key, it->first);
+      ASSERT_EQ(e.value, it->second);
+      ++it;
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(FileEngineTest, AllTombstoneMergeLeavesNoRunBehind) {
+  const std::string dir = UniqueDir("all_tombstones");
+  const std::string shard_dir = dir + "/shard_0";
+  {
+    FileEngine eng(1, BigBufferOptions(), SmallBlockConfig(dir));
+    for (uint64_t k = 0; k < 3000; ++k) eng.Put(k, k);
+    eng.FlushMemtable();  // run_1
+    for (uint64_t k = 0; k < 3000; ++k) eng.Delete(k);
+    eng.FlushMemtable();  // run_2, then a merge that drops everything
+    EXPECT_EQ(eng.AggregateCounters().merges, 1u);
+    EXPECT_EQ(eng.AggregateCounters().compaction_block_writes, 0u);
+    EXPECT_EQ(eng.DiskEntries(), 0u);
+    EXPECT_EQ(eng.ShardRunCount(0), 0u);
+    EXPECT_TRUE(ShardFiles(shard_dir, ".cam").empty());
+    EXPECT_TRUE(ShardFiles(shard_dir, ".blm").empty());
+    uint64_t value = 0;
+    EXPECT_FALSE(eng.Get(17, &value));
+
+    // The empty merge took no run id: the next run is run_3.
+    eng.Put(5, 6);
+    eng.FlushMemtable();
+    EXPECT_EQ(ShardFiles(shard_dir, ".cam"),
+              std::vector<std::string>{"run_3.cam"});
+    EXPECT_EQ(ShardFiles(shard_dir, ".blm"),
+              std::vector<std::string>{"run_3.blm"});
   }
   fs::remove_all(dir);
 }

@@ -286,19 +286,33 @@ TEST(MergeSortedTest, AllTombstonesDropToEmptyOutput) {
   EXPECT_EQ(MergeSorted({SpanOf(newer), SpanOf(older)}, false).size(), 3u);
 }
 
+/// A merge cursor that, like a block-streaming one, hands out a copy of
+/// its head entry instead of a reference into the input.
+struct CopyingCursor {
+  const std::vector<Entry>* entries;
+  size_t idx = 0;
+
+  bool done() const { return idx == entries->size(); }
+  Entry head() const { return (*entries)[idx]; }
+  void advance() { ++idx; }
+};
+
 TEST(MergeSortedTest, RandomStreamsMatchReferenceMap) {
   util::Random rng(17);
   for (int trial = 0; trial < 200; ++trial) {
     // Build each span as a key-unique sorted map, newest first; the
     // reference applies them oldest first so newer versions overwrite.
+    // Keys collide across spans; some spans are empty, and every tenth
+    // trial is all tombstones.
+    const double tombstones = trial % 10 == 0 ? 1.0 : 0.3;
     const size_t num_spans = 1 + rng.Uniform(6);
     std::vector<std::vector<Entry>> spans(num_spans);
     for (size_t s = 0; s < num_spans; ++s) {
       std::map<uint64_t, Entry> sorted;
-      const uint64_t n = rng.Uniform(60);
+      const uint64_t n = rng.Bernoulli(0.2) ? 0 : rng.Uniform(60);
       for (uint64_t i = 0; i < n; ++i) {
         const uint64_t key = rng.Uniform(100);
-        sorted[key] = Entry{key, rng.Next(), rng.Bernoulli(0.3)};
+        sorted[key] = Entry{key, rng.Next(), rng.Bernoulli(tombstones)};
       }
       for (const auto& [key, e] : sorted) spans[s].push_back(e);
     }
@@ -315,8 +329,18 @@ TEST(MergeSortedTest, RandomStreamsMatchReferenceMap) {
       for (const auto& [key, e] : reference) {
         if (!(drop && e.tombstone)) want.push_back(e);
       }
-      EXPECT_EQ(MergeSorted(newest_first, drop), want)
-          << "trial " << trial << " drop " << drop;
+      const std::vector<Entry> sorted = MergeSorted(newest_first, drop);
+      EXPECT_EQ(sorted, want) << "trial " << trial << " drop " << drop;
+
+      // The cursor/sink core over by-value cursors streams the same
+      // entries, in the same order, as the span wrapper.
+      std::vector<CopyingCursor> cursors;
+      for (const std::vector<Entry>& span : spans) cursors.push_back({&span});
+      std::vector<Entry> streamed;
+      MergeCursors(cursors, drop,
+                   [&streamed](const Entry& e) { streamed.push_back(e); });
+      EXPECT_EQ(streamed, sorted) << "trial " << trial << " drop " << drop;
+      for (const CopyingCursor& c : cursors) EXPECT_TRUE(c.done());
     }
   }
 }
