@@ -13,18 +13,17 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <memory>
 #include <new>
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "engine/io_ring.h"
 #include "engine/manifest.h"
+#include "lsm/block_cache.h"
 #include "lsm/bloom.h"
 #include "lsm/compaction.h"
 #include "util/crc32c.h"
@@ -90,85 +89,6 @@ inline double NowNs() {
 /// deterministic.
 inline double Now(const FileEngineConfig& cfg) {
   return cfg.clock_ns ? cfg.clock_ns() : NowNs();
-}
-
-/// An immutable cached block. Shared ownership lets cache hits hand the
-/// caller a reference instead of a copy (runs are append-only, so block
-/// bytes never change once read), and keeps a block a scan cursor holds
-/// alive across an eviction.
-using BlockPtr = std::shared_ptr<const std::vector<char>>;
-
-/// LRU block cache that carries block *contents* (unlike the simulated
-/// `lsm::BlockCache`, which only tracks hit/miss — a real backend must
-/// serve cached bytes, not just skip a charge).
-class ContentCache {
- public:
-  explicit ContentCache(uint64_t capacity_blocks)
-      : capacity_(capacity_blocks) {}
-
-  /// Returns the cached block (promoted to MRU) or nullptr.
-  BlockPtr Lookup(uint64_t key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-  }
-
-  /// Returns the cached block without promoting it. The ring path's
-  /// discovery pass peeks so that resolving access sequences never
-  /// perturbs the LRU order its replay pass reproduces.
-  BlockPtr Peek(uint64_t key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : it->second->second;
-  }
-
-  void Insert(uint64_t key, BlockPtr content) {
-    if (capacity_ == 0) return;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      it->second->second = std::move(content);
-      return;
-    }
-    lru_.emplace_front(key, std::move(content));
-    map_[key] = lru_.begin();
-    EvictToCapacity();
-  }
-
-  void Resize(uint64_t capacity_blocks) {
-    capacity_ = capacity_blocks;
-    EvictToCapacity();
-  }
-
-  /// Cache keys in recency order, most-recent first (hibernation
-  /// snapshots persist this so rehydration rebuilds the exact LRU state).
-  std::vector<uint64_t> KeysMruToLru() const {
-    std::vector<uint64_t> keys;
-    keys.reserve(map_.size());
-    for (const auto& [key, content] : lru_) {
-      (void)content;
-      keys.push_back(key);
-    }
-    return keys;
-  }
-
- private:
-  void EvictToCapacity() {
-    while (map_.size() > capacity_) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-  }
-
-  uint64_t capacity_;
-  std::list<std::pair<uint64_t, BlockPtr>> lru_;
-  std::unordered_map<uint64_t,
-                     std::list<std::pair<uint64_t, BlockPtr>>::iterator>
-      map_;
-};
-
-inline uint64_t CacheKey(uint64_t run_id, uint64_t block_idx) {
-  return (run_id << 22) | (block_idx & ((1ULL << 22) - 1));
 }
 
 /// One immutable sorted run persisted as an append-only file
@@ -258,15 +178,16 @@ inline int OpenRead(const std::string& path, bool direct) {
 }  // namespace fileio
 
 /// One shard: a file set (levels of runs) plus memtable, Bloom filters,
-/// content cache, live options, and its own cost clock. All state is
-/// shard-local so per-shard submission lists can run concurrently.
+/// block cache (carrying each block's bytes), live options, and its own
+/// cost clock. All state is shard-local so per-shard submission lists can
+/// run concurrently.
 struct FileEngine::Shard {
   lsm::Options options;
   std::string dir;
   std::map<uint64_t, lsm::Entry> memtable;
   /// levels[l] holds runs oldest-to-newest (read newest first).
   std::vector<std::vector<fileio::FileRunPtr>> levels;
-  fileio::ContentCache cache{0};
+  lsm::BlockCache cache{0};
   fileio::Clock clock;
   EngineCounters counters;
   uint64_t next_run_id = 1;
@@ -318,22 +239,118 @@ using fileio::SysCheck;
 using fileio::ToEntry;
 namespace fs = std::filesystem;
 
-/// Cache-aware fetch of block `blk` of `run`. A hit hands back the cached
-/// buffer (zero copies); a miss preads into the shard scratch buffer and
-/// materializes the bytes into exactly one heap buffer, shared between the
-/// caller and the cache.
-fileio::BlockPtr FetchBlock(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-                            const FileRun& run, size_t blk) {
-  const uint64_t key = fileio::CacheKey(run.id, blk);
-  if (fileio::BlockPtr hit = sh.cache.Lookup(key)) return hit;
-  const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
-                            static_cast<off_t>(blk * cfg.block_bytes));
-  SysCheck(n == static_cast<ssize_t>(cfg.block_bytes), "pread", run.path);
-  auto block = std::make_shared<std::vector<char>>(
+/// Reads block `blk` of `run` into a new buffer, through the shard scratch
+/// buffer. Uncounted: a read-path miss counts it (`FetchBlock`), a wake
+/// refill does not.
+lsm::BlockPtr ReadBlock(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+                        const FileRun& run, size_t blk) {
+  SysCheck(fileio::PreadAll(run.fd, sh.scratch.get(), cfg.block_bytes,
+                            blk * cfg.block_bytes),
+           "pread", run.path);
+  return std::make_shared<std::vector<char>>(
       sh.scratch.get(), sh.scratch.get() + cfg.block_bytes);
+}
+
+/// Block bytes by cache key: what an io_uring window fetched or peeked.
+using BlockMap = std::unordered_map<uint64_t, lsm::BlockPtr>;
+
+/// Cache-aware fetch of block `blk` of `run`, the read path's one block
+/// access. A hit hands back the cached buffer (zero copies). A miss counts
+/// one block read and reads the block, or takes it from `window` when the
+/// ring already fetched it, then shares that one buffer between the caller
+/// and the cache.
+lsm::BlockPtr FetchBlock(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+                         const FileRun& run, size_t blk,
+                         const BlockMap* window = nullptr) {
+  const uint64_t key = lsm::BlockCache::MakeKey(run.id, blk);
+  lsm::BlockPtr block;
+  if (sh.cache.Lookup(key, &block)) return block;
+  if (window != nullptr) {
+    const auto it = window->find(key);
+    CAMAL_CHECK(it != window->end());
+    block = it->second;
+  } else {
+    block = ReadBlock(sh, cfg, run, blk);
+  }
   ++sh.clock.block_reads;
   sh.cache.Insert(key, block);
   return block;
+}
+
+/// Fence search: the block of `run` whose key range covers `key`, i.e. the
+/// last block whose first key is <= `key` (`key` >= the run's min key).
+size_t FenceBlock(const FileRun& run, uint64_t key) {
+  const auto fit = std::upper_bound(run.fence.begin(), run.fence.end(), key);
+  return static_cast<size_t>(std::distance(run.fence.begin(), fit)) - 1;
+}
+
+/// Number of records in block `blk` of `run` (the last block may be short).
+uint64_t RecordsIn(const FileRun& run, size_t blk, uint64_t epb) {
+  return std::min(epb, run.num_entries - blk * epb);
+}
+
+/// In-block search: the slot of the first of a block's `count` records
+/// whose key is >= `key` (`count` when there is none).
+uint64_t SeekInBlock(const lsm::BlockPtr& block, uint64_t count,
+                     uint64_t key) {
+  const DiskEntry* records = BlockRecords(*block);
+  const DiskEntry* first = std::lower_bound(
+      records, records + count, key,
+      [](const DiskEntry& d, uint64_t k) { return d.key < k; });
+  return static_cast<uint64_t>(first - records);
+}
+
+/// How a point lookup ended.
+enum class GetOutcome {
+  kAbsent,   ///< no live version (never written, or a tombstone)
+  kFound,    ///< a live version; `*value` holds it
+  kBlocked,  ///< `read` had no bytes for a block yet
+};
+
+/// The file engine's one point lookup: the memtable, then every run,
+/// levels top down and newest first within a level. A run that may hold
+/// `key` (key range, then Bloom filter) has the block the fence search
+/// names read through `read(run, blk)`, which returns the block's bytes or
+/// null when they are not available yet. A Bloom false positive pays that
+/// read in vain, exactly like the simulated engine's kNotFoundAfterIo
+/// outcome, and moves on to the next run.
+template <typename Read>
+GetOutcome LookupKey(const FileEngine::Shard& sh, uint64_t epb, uint64_t key,
+                     uint64_t* value, Read&& read) {
+  auto it = sh.memtable.find(key);
+  if (it != sh.memtable.end()) {
+    if (it->second.tombstone) return GetOutcome::kAbsent;
+    if (value != nullptr) *value = it->second.value;
+    return GetOutcome::kFound;
+  }
+  for (const auto& level : sh.levels) {
+    for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
+      const FileRun& run = **rit;
+      if (key < run.min_key || key > run.max_key) continue;
+      if (!run.filter.MayContain(key)) continue;
+      const size_t blk = FenceBlock(run, key);
+      const lsm::BlockPtr block = read(run, blk);
+      if (block == nullptr) return GetOutcome::kBlocked;
+      const uint64_t count = RecordsIn(run, blk, epb);
+      const uint64_t slot = SeekInBlock(block, count, key);
+      const DiskEntry* found = BlockRecords(*block) + slot;
+      if (slot == count || found->key != key) continue;
+      if (found->flags & kTombstoneFlag) return GetOutcome::kAbsent;
+      if (value != nullptr) *value = found->value;
+      return GetOutcome::kFound;
+    }
+  }
+  return GetOutcome::kAbsent;
+}
+
+/// Point lookup through the block cache. Misses pread, or, given a
+/// `window`, take the bytes an io_uring window fetched.
+bool DoGet(FileEngine::Shard& sh, const FileEngineConfig& cfg, uint64_t key,
+           uint64_t* value, const BlockMap* window = nullptr) {
+  return LookupKey(sh, EntriesPerBlock(cfg.block_bytes), key, value,
+                   [&](const FileRun& run, size_t blk) {
+                     return FetchBlock(sh, cfg, run, blk, window);
+                   }) == GetOutcome::kFound;
 }
 
 // --------------------------------------------------------------- durability
@@ -759,7 +776,10 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   }
   RunWriter writer(sh, cfg, direct_io, drained);
   lsm::MergeCursors(newest_first, !deeper_data,
-                    [&writer](const lsm::Entry& e) { writer.Add(e); });
+                    [&writer](const lsm::Entry& e) {
+                      writer.Add(e);
+                      return true;
+                    });
   newest_first.clear();  // release the read buffers before the filter
   FileRunPtr run = writer.Finish();
 
@@ -843,59 +863,33 @@ void DoPut(FileEngine::Shard& sh, const FileEngineConfig& cfg, bool direct_io,
   if (sh.wal != nullptr) sh.wal->Append(sh.wal_epoch, &e, 1);
 }
 
-bool DoGet(FileEngine::Shard& sh, const FileEngineConfig& cfg, uint64_t key,
-           uint64_t* value) {
-  auto it = sh.memtable.find(key);
-  if (it != sh.memtable.end()) {
-    if (it->second.tombstone) return false;
-    if (value != nullptr) *value = it->second.value;
-    return true;
-  }
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
-  for (const auto& level : sh.levels) {
-    for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
-      const FileRun& run = **rit;
-      if (key < run.min_key || key > run.max_key) continue;
-      if (!run.filter.MayContain(key)) continue;
-      // Fence search: the block whose first key is the greatest <= key.
-      const auto fit =
-          std::upper_bound(run.fence.begin(), run.fence.end(), key);
-      const size_t blk =
-          static_cast<size_t>(std::distance(run.fence.begin(), fit)) - 1;
-      const fileio::BlockPtr block = FetchBlock(sh, cfg, run, blk);
-      const uint64_t begin = blk * epb;
-      const uint64_t count = std::min(epb, run.num_entries - begin);
-      const DiskEntry* records = BlockRecords(*block);
-      const DiskEntry* end = records + count;
-      const DiskEntry* found = std::lower_bound(
-          records, end, key,
-          [](const DiskEntry& d, uint64_t k) { return d.key < k; });
-      if (found != end && found->key == key) {
-        if (found->flags & kTombstoneFlag) return false;
-        if (value != nullptr) *value = found->value;
-        return true;
-      }
-      // Bloom false positive: the block read was paid in vain, exactly
-      // like the simulated engine's kNotFoundAfterIo outcome.
-    }
-  }
-  return false;
+/// The queue depth a shard running `options` resolves: shard options
+/// override the engine default when nonzero.
+uint32_t ResolvedQueueDepth(const lsm::Options& options,
+                            const FileEngineConfig& cfg) {
+  return std::max<uint32_t>(
+      1, options.io_queue_depth > 0
+             ? static_cast<uint32_t>(options.io_queue_depth)
+             : cfg.io_queue_depth);
 }
 
-/// Resolves the shard's effective queue depth (shard options override the
-/// engine default when nonzero) and (re)builds its ring + slot buffers.
-/// The ring engages when the engine-level probe passed and either the
-/// mode forces it (kUring) or overlap is actually requested (depth > 1);
-/// kAuto at depth 1 keeps today's pread behavior byte for byte. A no-op
-/// when nothing changed, so arbiter-driven reconfigs stay cheap.
+/// Whether a shard at `depth` engages a ring: the engine-level probe passed
+/// and either the mode forces it (kUring) or overlap is actually requested
+/// (depth > 1); kAuto at depth 1 keeps the pread path byte for byte.
+bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
+                     bool engine_uring) {
+  return engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
+}
+
+/// Resolves the shard's effective queue depth and (re)builds its ring +
+/// slot buffers. A no-op when nothing changed, so arbiter-driven reconfigs
+/// stay cheap. `ResolvedQueueDepth` and `RingWouldEngage` also answer
+/// queue-depth/backend queries for shards that have no live ring state yet
+/// (cold) or released it (hibernated).
 void SetupShardRing(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     bool engine_uring) {
-  const uint32_t depth = std::max<uint32_t>(
-      1, sh.options.io_queue_depth > 0
-             ? static_cast<uint32_t>(sh.options.io_queue_depth)
-             : cfg.io_queue_depth);
-  const bool engage =
-      engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
+  const uint32_t depth = ResolvedQueueDepth(sh.options, cfg);
+  const bool engage = RingWouldEngage(depth, cfg, engine_uring);
   if (depth == sh.io_depth && engage == (sh.ring != nullptr)) return;
   sh.io_depth = depth;
   sh.ring.reset();
@@ -908,22 +902,6 @@ void SetupShardRing(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   for (uint32_t i = 0; i < depth; ++i) {
     sh.ring_bufs.push_back(AllocAligned(cfg.block_bytes, cfg.block_bytes));
   }
-}
-
-/// The queue depth `SetupShardRing` would resolve for `options` — used to
-/// answer queue-depth/backend queries for shards that have no live ring
-/// state yet (cold) or released it (hibernated).
-uint32_t ResolvedQueueDepth(const lsm::Options& options,
-                            const FileEngineConfig& cfg) {
-  return std::max<uint32_t>(
-      1, options.io_queue_depth > 0
-             ? static_cast<uint32_t>(options.io_queue_depth)
-             : cfg.io_queue_depth);
-}
-
-bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
-                     bool engine_uring) {
-  return engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
 }
 
 constexpr uint64_t kSnapMagic = 0x43414d5348494253ULL;  // "CAMSHIBS"
@@ -956,7 +934,7 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
     w.U64(level.size());
     for (const FileRunPtr& r : level) fileio::EncodeRunMeta(&w, RunMetaOf(*r));
   }
-  w.U64Vec(sh.cache.KeysMruToLru());
+  w.U64Vec(sh.cache.Freeze().keys_mru_to_lru);  // also empties the cache
   const std::string image = w.Take();
 
   // Install atomically: write a tmp image, (durably) complete it, then
@@ -989,7 +967,6 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   sh.hib_memtable_size = sh.memtable.size();
   sh.memtable.clear();
   sh.levels.clear();  // closes every run fd
-  sh.cache.Resize(0);
   sh.scratch.reset();
   sh.ring.reset();
   sh.ring_bufs.clear();
@@ -1068,19 +1045,10 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   // bytes when the shard went to sleep.
   const size_t restore = std::min<size_t>(keys.size(), capacity);
   for (size_t i = restore; i-- > 0;) {
-    const uint64_t ckey = keys[i];
-    const uint64_t run_id = ckey >> 22;
-    const uint64_t blk = ckey & ((1ULL << 22) - 1);
+    const auto [run_id, blk] = lsm::BlockCache::SplitKey(keys[i]);
     const auto rit = run_by_id.find(run_id);
     CAMAL_CHECK(rit != run_by_id.end());
-    const FileRun& run = *rit->second;
-    const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
-                              static_cast<off_t>(blk * cfg.block_bytes));
-    SysCheck(n == static_cast<ssize_t>(cfg.block_bytes), "pread(wake)",
-             run.path);
-    sh.cache.Insert(ckey, std::make_shared<std::vector<char>>(
-                              sh.scratch.get(),
-                              sh.scratch.get() + cfg.block_bytes));
+    sh.cache.Insert(keys[i], ReadBlock(sh, cfg, *rit->second, blk));
   }
 
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
@@ -1103,13 +1071,15 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 /// how the LRU evolves, and those decisions depend on strict op order.
 /// So:
 ///
-///   Phase A (discovery) resolves every op's ordered access list with
-///   ring-overlapped reads, consulting the cache through non-promoting
-///   `Peek` and a window content table that dedups in-flight blocks.
-///   Phase B (replay) walks the ops serially in submission order,
-///   replaying `Lookup`/`Insert` against the real cache — producing
-///   exactly the serial path's per-op `ios`, `block_reads`, and final
-///   LRU state.
+///   Phase A (discovery) runs every op's lookup over the blocks at hand:
+///   the window's content table, then the cache through non-promoting
+///   `Peek`. An op whose next block is neither parks on it, and the block
+///   is fetched on the ring (once per window); its completion reruns the
+///   parked ops.
+///   Phase B (replay) runs the pread path's own Get for each op in
+///   submission order, serving its cache misses from the content table —
+///   producing exactly the serial path's per-op `ios`, `block_reads`, and
+///   final LRU state.
 ///
 /// Physical reads can only decrease (in-window duplicate fetches dedup);
 /// every counter the engine reports is bit-identical to the pread path.
@@ -1122,114 +1092,51 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   const uint32_t depth = sh.io_depth;
   const double t0 = Now(cfg);
 
-  // Flattened probe order: runs newest-first within each level, levels
-  // top-down — exactly the order DoGet walks.
-  std::vector<const FileRun*> probe;
-  for (const auto& level : sh.levels) {
-    for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
-      probe.push_back(rit->get());
-    }
-  }
-
-  struct GetState {
-    uint64_t key = 0;
-    size_t next_run = 0;  // next probe[] candidate to consider
-    bool resolved = false;
-    bool found = false;
-    bool waiting = false;  // parked on pending_key's content
-    uint64_t pending_key = 0;
-    const FileRun* pending_run = nullptr;
-    size_t pending_blk = 0;
-    std::vector<uint64_t> accesses;  // cache keys, in probe order
-  };
-  std::vector<GetState> states(window);
-
   // Window content table: block bytes by cache key, filled from cache
-  // peeks and ring completions. Replay inserts into the cache from here.
-  std::unordered_map<uint64_t, fileio::BlockPtr> contents;
-  // Ops parked on a block that is queued or in flight.
+  // peeks and ring completions. Replay serves its misses from here.
+  BlockMap contents;
+  // Ops parked on each block that is queued or in flight (a key is
+  // present exactly while its one fetch is outstanding).
   std::unordered_map<uint64_t, std::vector<size_t>> waiters;
-  // Blocks requested but not yet completed (dedups fetches).
-  std::unordered_set<uint64_t> requested;
   struct Fetch {
     uint64_t key = 0;
     const FileRun* run = nullptr;
     size_t blk = 0;
   };
   std::deque<Fetch> backlog;  // waiting for a free ring slot
-  std::vector<uint64_t> slot_key(depth, 0);
-  std::vector<const FileRun*> slot_run(depth, nullptr);
+  std::vector<Fetch> slot_fetch(depth);
   std::vector<uint32_t> free_slots;
   free_slots.reserve(depth);
   for (uint32_t i = 0; i < depth; ++i) free_slots.push_back(i);
   uint32_t inflight = 0;
 
-  // Advances one op until it resolves or parks on a block that is not
-  // available yet (registering it as a waiter and queueing the fetch).
-  auto advance = [&](size_t si) {
-    GetState& st = states[si];
-    while (!st.resolved) {
-      if (st.waiting) {
-        auto cit = contents.find(st.pending_key);
-        if (cit == contents.end()) return;  // still in flight
-        st.waiting = false;
-        const FileRun& run = *st.pending_run;
-        const uint64_t begin = st.pending_blk * epb;
-        const uint64_t count = std::min(epb, run.num_entries - begin);
-        const DiskEntry* records = BlockRecords(*cit->second);
-        const DiskEntry* end = records + count;
-        const DiskEntry* hit = std::lower_bound(
-            records, end, st.key,
-            [](const DiskEntry& d, uint64_t k) { return d.key < k; });
-        if (hit != end && hit->key == st.key) {
-          st.found = (hit->flags & kTombstoneFlag) == 0;
-          st.resolved = true;
-          return;
-        }
-        continue;  // Bloom false positive: on to the next candidate run
-      }
-      const FileRun* run = nullptr;
-      size_t blk = 0;
-      while (st.next_run < probe.size()) {
-        const FileRun* r = probe[st.next_run++];
-        if (st.key < r->min_key || st.key > r->max_key) continue;
-        if (!r->filter.MayContain(st.key)) continue;
-        const auto fit =
-            std::upper_bound(r->fence.begin(), r->fence.end(), st.key);
-        blk = static_cast<size_t>(std::distance(r->fence.begin(), fit)) - 1;
-        run = r;
-        break;
-      }
-      if (run == nullptr) {
-        st.resolved = true;  // every candidate exhausted: a miss
-        return;
-      }
-      const uint64_t ckey = fileio::CacheKey(run->id, blk);
-      st.accesses.push_back(ckey);
-      st.pending_key = ckey;
-      st.pending_run = run;
-      st.pending_blk = blk;
-      st.waiting = true;
-      if (contents.count(ckey) != 0) continue;  // fetched earlier this window
-      if (fileio::BlockPtr peeked = sh.cache.Peek(ckey)) {
-        contents.emplace(ckey, std::move(peeked));
-        continue;
-      }
-      if (requested.insert(ckey).second) backlog.push_back(Fetch{ckey, run, blk});
-      waiters[ckey].push_back(si);
-      return;
-    }
+  // Runs op `si`'s lookup as far as the blocks at hand go, parking it on
+  // the first block that is missing.
+  auto discover = [&](size_t si) {
+    LookupKey(sh, epb, ops[op_idx[si]].key, nullptr,
+              [&](const FileRun& run, size_t blk) -> lsm::BlockPtr {
+                const uint64_t key = lsm::BlockCache::MakeKey(run.id, blk);
+                auto it = contents.find(key);
+                if (it != contents.end()) return it->second;
+                lsm::BlockPtr peeked;
+                if (sh.cache.Peek(key, &peeked)) {
+                  contents.emplace(key, peeked);
+                  return peeked;
+                }
+                auto [wit, fresh] = waiters.try_emplace(key);
+                if (fresh) backlog.push_back(Fetch{key, &run, blk});
+                wit->second.push_back(si);
+                return nullptr;
+              });
   };
 
   // Moves backlog entries into free ring slots and submits them.
   auto pump = [&] {
     while (inflight < depth && !backlog.empty()) {
-      const Fetch f = backlog.front();
-      backlog.pop_front();
       const uint32_t slot = free_slots.back();
       free_slots.pop_back();
-      slot_key[slot] = f.key;
-      slot_run[slot] = f.run;
+      const Fetch& f = slot_fetch[slot] = backlog.front();
+      backlog.pop_front();
       const bool prepped =
           sh.ring->PrepRead(f.run->fd, sh.ring_bufs[slot].get(),
                             static_cast<unsigned>(cfg.block_bytes),
@@ -1241,68 +1148,41 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     SysCheck(submitted >= 0, "io_uring_enter(submit)", sh.dir);
   };
 
-  // Phase A: seed every op in submission order, then drain completions,
-  // re-advancing parked ops (which may queue further fetches) until all
-  // access sequences are resolved.
-  {
-    // Memtable hits resolve with zero block accesses, like DoGet.
-    for (size_t si = 0; si < window; ++si) {
-      GetState& st = states[si];
-      st.key = ops[op_idx[si]].key;
-      auto it = sh.memtable.find(st.key);
-      if (it != sh.memtable.end()) {
-        st.resolved = true;
-        st.found = !it->second.tombstone;
-      }
+  // Phase A: discover every op in submission order, then drain
+  // completions, rerunning parked ops (which may queue further fetches)
+  // until every lookup has all its blocks at hand.
+  for (size_t si = 0; si < window; ++si) discover(si);
+  pump();
+  std::vector<fileio::IoRing::Completion> comps;
+  while (inflight > 0) {
+    comps.clear();
+    const int n = sh.ring->WaitCompletions(1, &comps);
+    SysCheck(n > 0, "io_uring_enter(wait)", sh.dir);
+    for (const fileio::IoRing::Completion& c : comps) {
+      const auto slot = static_cast<uint32_t>(c.user_data);
+      const Fetch f = slot_fetch[slot];
+      SysCheck(c.result == static_cast<int32_t>(cfg.block_bytes), "ring read",
+               f.run->path);
+      const char* buf = sh.ring_bufs[slot].get();
+      contents.emplace(f.key, std::make_shared<std::vector<char>>(
+                                  buf, buf + cfg.block_bytes));
+      free_slots.push_back(slot);
+      --inflight;
+      auto wit = waiters.find(f.key);
+      const std::vector<size_t> parked = std::move(wit->second);
+      waiters.erase(wit);
+      for (size_t si : parked) discover(si);
     }
-    for (size_t si = 0; si < window; ++si) advance(si);
     pump();
-    std::vector<fileio::IoRing::Completion> comps;
-    while (inflight > 0) {
-      comps.clear();
-      const int n = sh.ring->WaitCompletions(1, &comps);
-      SysCheck(n > 0, "io_uring_enter(wait)", sh.dir);
-      for (const fileio::IoRing::Completion& c : comps) {
-        const auto slot = static_cast<uint32_t>(c.user_data);
-        const FileRun* run = slot_run[slot];
-        SysCheck(c.result == static_cast<int32_t>(cfg.block_bytes),
-                 "ring read", run->path);
-        const uint64_t ckey = slot_key[slot];
-        contents.emplace(
-            ckey, std::make_shared<std::vector<char>>(
-                      sh.ring_bufs[slot].get(),
-                      sh.ring_bufs[slot].get() + cfg.block_bytes));
-        free_slots.push_back(slot);
-        --inflight;
-        auto wit = waiters.find(ckey);
-        if (wit != waiters.end()) {
-          const std::vector<size_t> parked = std::move(wit->second);
-          waiters.erase(wit);
-          for (size_t si : parked) advance(si);
-        }
-      }
-      pump();
-    }
   }
 
-  // Phase B: replay cache decisions serially in submission order. This
-  // charges per-op reads and evolves the LRU exactly as the pread path
-  // would have.
+  // Phase B: the serial Get, op by op, charging reads and evolving the
+  // LRU exactly as the pread path would have.
   for (size_t si = 0; si < window; ++si) {
-    GetState& st = states[si];
-    CAMAL_CHECK(st.resolved);
-    uint64_t ios = 0;
-    for (uint64_t ckey : st.accesses) {
-      if (sh.cache.Lookup(ckey) != nullptr) continue;  // a (promoted) hit
-      ++ios;
-      auto cit = contents.find(ckey);
-      CAMAL_CHECK(cit != contents.end());
-      sh.cache.Insert(ckey, cit->second);
-    }
-    sh.clock.block_reads += ios;
+    const uint64_t reads_before = sh.clock.block_reads;
     OpResult r;
-    r.found = st.found;
-    r.ios = ios;
+    r.found = DoGet(sh, cfg, ops[op_idx[si]].key, nullptr, &contents);
+    r.ios = sh.clock.block_reads - reads_before;
     results[op_idx[si]] = r;
   }
   const double dt = Now(cfg) - t0;
@@ -1313,101 +1193,107 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   }
 }
 
-/// Shard-local range scan: merges the memtable with run cursors (newest
-/// wins, tombstones suppress), appending up to `max_entries` live entries
-/// to `out`. Block fetches are cache-aware real reads.
+/// One source of a shard-local range scan: the memtable, walked in place,
+/// when `run` is null; else one run, read block by block through the
+/// cache. A run cursor reads the block under its position on the first
+/// `head()` there, so a scan reads no block past the last entry it needs,
+/// and it decodes each position once. A merge cursor for
+/// `lsm::MergeCursors`.
+class ScanCursor {
+ public:
+  /// The memtable from its first entry >= `start_key`.
+  ScanCursor(const FileEngine::Shard& sh, uint64_t start_key)
+      : mem_(sh.memtable.lower_bound(start_key)), mem_end_(sh.memtable.end()) {}
+
+  /// `run` from its first entry >= `start_key`. A start inside the run's
+  /// key range reads the block the fence search names to find it.
+  ScanCursor(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+             const FileRun& run, uint64_t start_key)
+      : sh_(&sh),
+        cfg_(&cfg),
+        run_(&run),
+        epb_(EntriesPerBlock(cfg.block_bytes)) {
+    if (start_key <= run.min_key) return;
+    if (start_key > run.max_key) {
+      idx_ = run.num_entries;
+      return;
+    }
+    const size_t blk = FenceBlock(run, start_key);
+    Load(blk);
+    // Past the block's last record, the start is the next block's first
+    // entry: the fence search guarantees its key is >= start_key.
+    idx_ = blk * epb_ + SeekInBlock(block_, RecordsIn(run, blk, epb_),
+                                    start_key);
+  }
+
+  bool done() const {
+    return run_ == nullptr ? mem_ == mem_end_ : idx_ == run_->num_entries;
+  }
+
+  const lsm::Entry& head() const {
+    if (run_ == nullptr) return mem_->second;
+    if (!decoded_) {
+      if (idx_ / epb_ != block_idx_) Load(idx_ / epb_);
+      head_ = ToEntry(BlockRecords(*block_)[idx_ % epb_]);
+      decoded_ = true;
+    }
+    return head_;
+  }
+
+  void advance() {
+    if (run_ == nullptr) {
+      ++mem_;
+    } else {
+      ++idx_;
+      decoded_ = false;
+    }
+  }
+
+ private:
+  void Load(uint64_t blk) const {
+    block_ = FetchBlock(*sh_, *cfg_, *run_, blk);
+    block_idx_ = blk;
+  }
+
+  FileEngine::Shard* sh_ = nullptr;
+  const FileEngineConfig* cfg_ = nullptr;
+  const FileRun* run_ = nullptr;
+  uint64_t epb_ = 1;
+  std::map<uint64_t, lsm::Entry>::const_iterator mem_;
+  std::map<uint64_t, lsm::Entry>::const_iterator mem_end_;
+  uint64_t idx_ = 0;  // entry index of the head within the run
+  // The block holding the head, shared with the cache (eviction-safe),
+  // and the head decoded from it.
+  mutable lsm::BlockPtr block_;
+  mutable uint64_t block_idx_ = ~uint64_t{0};  // none yet
+  mutable lsm::Entry head_;
+  mutable bool decoded_ = false;
+};
+
+/// Shard-local range scan: merges the memtable and every run, newest
+/// first (newest wins, tombstones suppress), appending up to
+/// `max_entries` live entries to `out`. Block fetches are cache-aware
+/// real reads.
 size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                    uint64_t start_key, size_t max_entries,
                    std::vector<lsm::Entry>* out) {
   if (max_entries == 0) return 0;
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
-
-  // The memtable is the newest source, walked in place over its whole
-  // tail: tombstones in it can shadow run entries arbitrarily far into the
-  // scan. Then come the runs, ordered newest-to-oldest.
-  auto mem = sh.memtable.lower_bound(start_key);
-  const auto mem_end = sh.memtable.end();
-  struct RunCursor {
-    const FileRun* run = nullptr;
-    uint64_t idx = 0;
-    int64_t block = -1;
-    fileio::BlockPtr block_data;  // shared with the cache; eviction-safe
-  };
-  std::vector<RunCursor> cursors;
+  // The memtable is the newest source, walked over its whole tail:
+  // tombstones in it can shadow run entries arbitrarily far into the
+  // scan. Then come the runs, levels top down and newest first.
+  std::vector<ScanCursor> cursors;
+  cursors.emplace_back(sh, start_key);
   for (const auto& level : sh.levels) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
-      const FileRun& run = **rit;
-      RunCursor c;
-      c.run = &run;
-      if (start_key <= run.min_key) {
-        c.idx = 0;
-      } else if (start_key > run.max_key) {
-        c.idx = run.num_entries;
-      } else {
-        const auto fit =
-            std::upper_bound(run.fence.begin(), run.fence.end(), start_key);
-        const size_t blk =
-            static_cast<size_t>(std::distance(run.fence.begin(), fit)) - 1;
-        c.block_data = FetchBlock(sh, cfg, run, blk);
-        c.block = static_cast<int64_t>(blk);
-        const uint64_t begin = blk * epb;
-        const uint64_t count = std::min(epb, run.num_entries - begin);
-        const DiskEntry* records = BlockRecords(*c.block_data);
-        uint64_t i = 0;
-        while (i < count && records[i].key < start_key) ++i;
-        // i == count means the next block's first key >= start_key (the
-        // fence search guarantees it).
-        c.idx = begin + i;
-      }
-      cursors.push_back(std::move(c));
+      cursors.emplace_back(sh, cfg, **rit, start_key);
     }
   }
-
-  auto entry_at = [&](RunCursor& c) -> lsm::Entry {
-    const auto blk = static_cast<int64_t>(c.idx / epb);
-    if (blk != c.block) {
-      c.block_data = FetchBlock(sh, cfg, *c.run, static_cast<size_t>(blk));
-      c.block = blk;
-    }
-    return ToEntry(BlockRecords(*c.block_data)[c.idx % epb]);
-  };
-  auto key_at = [&](RunCursor& c) { return entry_at(c).key; };
-
   size_t added = 0;
-  while (added < max_entries) {
-    bool any = mem != mem_end;
-    uint64_t min_key = any ? mem->first : 0;
-    for (RunCursor& c : cursors) {
-      if (c.idx >= c.run->num_entries) continue;
-      const uint64_t k = key_at(c);
-      if (!any || k < min_key) {
-        min_key = k;
-        any = true;
-      }
-    }
-    if (!any) break;
-
-    // Every source positioned at min_key advances; the newest one's entry
-    // is the visible version.
-    bool taken = false;
-    auto take = [&](const lsm::Entry& e) {
-      if (taken) return;
-      taken = true;
-      if (!e.tombstone) {
-        out->push_back(e);
-        ++added;
-      }
-    };
-    if (mem != mem_end && mem->first == min_key) {
-      take(mem->second);
-      ++mem;
-    }
-    for (RunCursor& c : cursors) {
-      if (c.idx >= c.run->num_entries || key_at(c) != min_key) continue;
-      take(entry_at(c));
-      ++c.idx;
-    }
-  }
+  lsm::MergeCursors(cursors, /*drop_tombstones=*/true,
+                    [&](const lsm::Entry& e) {
+                      out->push_back(e);
+                      return ++added < max_entries;
+                    });
   return added;
 }
 
@@ -1666,17 +1552,15 @@ void FileEngine::FreezeShard(size_t /*s*/, std::unique_ptr<Shard>& slot) {
 // ------------------------------------------------------------ public surface
 
 void FileEngine::Put(uint64_t key, uint64_t value) {
-  Shard& sh = *set_.Activate(set_.ShardIndex(key));
-  const double t0 = Now(config_);
-  DoPut(sh, config_, direct_io_, key, value, /*tombstone=*/false);
-  if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
-  sh.clock.elapsed_ns += Now(config_) - t0;
+  Write(key, value, /*tombstone=*/false);
 }
 
-void FileEngine::Delete(uint64_t key) {
+void FileEngine::Delete(uint64_t key) { Write(key, 0, /*tombstone=*/true); }
+
+void FileEngine::Write(uint64_t key, uint64_t value, bool tombstone) {
   Shard& sh = *set_.Activate(set_.ShardIndex(key));
   const double t0 = Now(config_);
-  DoPut(sh, config_, direct_io_, key, 0, /*tombstone=*/true);
+  DoPut(sh, config_, direct_io_, key, value, tombstone);
   if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
   sh.clock.elapsed_ns += Now(config_) - t0;
 }

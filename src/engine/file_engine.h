@@ -129,8 +129,9 @@ struct FileEngineConfig {
 /// File layout: `workdir/shard_<s>/run_<id>.cam`, each an immutable
 /// append-only file of fixed-size blocks written once at flush/compaction
 /// time. Fence pointers (first key per block) and Bloom filters live in
-/// memory; reads fetch single blocks through a content-carrying LRU block
-/// cache sized by `Options::block_cache_bytes`.
+/// memory; reads fetch single blocks through the shared LRU
+/// `lsm::BlockCache`, carrying each block's bytes, sized by
+/// `Options::block_cache_bytes`.
 ///
 /// Determinism: given the same operation sequence, file structure, flush
 /// points, Bloom decisions, cache behavior, and therefore **all I/O
@@ -267,6 +268,10 @@ class FileEngine : public StorageEngine {
   void WakeShard(size_t s, std::unique_ptr<Shard>& slot);
   /// Freezes a shard into its sidecar and releases in-memory state.
   void FreezeShard(size_t s, std::unique_ptr<Shard>& slot);
+
+  /// The single-op write both `Put` and `Delete` run, timed on the
+  /// shard clock and committed to the WAL as its own batch.
+  void Write(uint64_t key, uint64_t value, bool tombstone);
 
   /// `reopen=true` startup: scans the workdir for shard directories and
   /// reconstructs each from its manifest + WAL.

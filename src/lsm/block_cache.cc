@@ -4,7 +4,7 @@ namespace camal::lsm {
 
 BlockCache::BlockCache(uint64_t capacity_blocks) : capacity_(capacity_blocks) {}
 
-bool BlockCache::Lookup(uint64_t key) {
+bool BlockCache::Lookup(uint64_t key, BlockPtr* payload) {
   if (capacity_ == 0) {
     ++misses_;
     return false;
@@ -16,17 +16,26 @@ bool BlockCache::Lookup(uint64_t key) {
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
+  if (payload != nullptr) *payload = it->second->second;
   return true;
 }
 
-void BlockCache::Insert(uint64_t key) {
+bool BlockCache::Peek(uint64_t key, BlockPtr* payload) const {
+  auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  if (payload != nullptr) *payload = it->second->second;
+  return true;
+}
+
+void BlockCache::Insert(uint64_t key, BlockPtr payload) {
   if (capacity_ == 0) return;
   auto it = map_.find(key);
   if (it != map_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
+    it->second->second = std::move(payload);
     return;
   }
-  lru_.push_front(key);
+  lru_.emplace_front(key, std::move(payload));
   map_[key] = lru_.begin();
   EvictToCapacity();
 }
@@ -44,7 +53,8 @@ void BlockCache::Clear() {
 BlockCache::FrozenState BlockCache::Freeze() {
   FrozenState state;
   state.capacity = capacity_;
-  state.keys_mru_to_lru.assign(lru_.begin(), lru_.end());
+  state.keys_mru_to_lru.reserve(lru_.size());
+  for (const auto& [key, payload] : lru_) state.keys_mru_to_lru.push_back(key);
   state.hits = hits_;
   state.misses = misses_;
   Clear();
@@ -57,14 +67,14 @@ void BlockCache::Restore(const FrozenState& state) {
   hits_ = state.hits;
   misses_ = state.misses;
   for (uint64_t key : state.keys_mru_to_lru) {
-    lru_.push_back(key);
+    lru_.emplace_back(key, nullptr);
     map_[key] = std::prev(lru_.end());
   }
 }
 
 void BlockCache::EvictToCapacity() {
   while (map_.size() > capacity_) {
-    map_.erase(lru_.back());
+    map_.erase(lru_.back().first);
     lru_.pop_back();
   }
 }

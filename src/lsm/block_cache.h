@@ -3,16 +3,27 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace camal::lsm {
 
-/// LRU block cache keyed by (run id, block index).
+/// An immutable block's bytes. Shared ownership lets a cache hit hand the
+/// caller a reference instead of a copy (runs are append-only, so a block
+/// never changes once read) and keeps a block a reader holds alive across
+/// an eviction.
+using BlockPtr = std::shared_ptr<const std::vector<char>>;
+
+/// LRU block cache keyed by (run id, block index), used by both engines.
 ///
-/// Only caches read-path block accesses; compaction I/O bypasses the cache,
-/// matching the paper's direct-I/O RocksDB setup where compactions do not
-/// pollute the block cache.
+/// The simulated tree only tracks residency (hit or miss decides whether a
+/// read is charged); the file engine also stores each block's bytes as the
+/// entry's payload, which is null on the sim. Only caches read-path block
+/// accesses; compaction I/O bypasses the cache, matching the paper's
+/// direct-I/O RocksDB setup where compactions do not pollute the block
+/// cache.
 class BlockCache {
  public:
   /// `capacity_blocks` = Mc / block size; 0 disables caching.
@@ -23,14 +34,25 @@ class BlockCache {
 
   /// Composes a cache key from a run id and a block index within the run.
   static uint64_t MakeKey(uint64_t run_id, uint64_t block_idx) {
-    return (run_id << 22) | (block_idx & ((1ULL << 22) - 1));
+    return (run_id << kBlockBits) | (block_idx & kBlockMask);
   }
 
-  /// Returns true on hit (and promotes the block to most-recently-used).
-  bool Lookup(uint64_t key);
+  /// Splits a key made by `MakeKey` back into (run id, block index).
+  static std::pair<uint64_t, uint64_t> SplitKey(uint64_t key) {
+    return {key >> kBlockBits, key & kBlockMask};
+  }
 
-  /// Inserts a block, evicting the least-recently-used block if full.
-  void Insert(uint64_t key);
+  /// Returns true on hit, promotes the block to most-recently-used and,
+  /// when `payload` is given, hands back the block's bytes.
+  bool Lookup(uint64_t key, BlockPtr* payload = nullptr);
+
+  /// Whether the block is resident, handing back its bytes when `payload`
+  /// is given; neither promotes nor counts a hit or a miss.
+  bool Peek(uint64_t key, BlockPtr* payload = nullptr) const;
+
+  /// Inserts a block (promoting and replacing the payload of a resident
+  /// one), evicting the least-recently-used block if full.
+  void Insert(uint64_t key, BlockPtr payload = nullptr);
 
   /// Changes capacity; evicts immediately if shrinking.
   void Resize(uint64_t capacity_blocks);
@@ -64,9 +86,13 @@ class BlockCache {
  private:
   void EvictToCapacity();
 
+  static constexpr int kBlockBits = 22;
+  static constexpr uint64_t kBlockMask = (1ULL << kBlockBits) - 1;
+  using Lru = std::list<std::pair<uint64_t, BlockPtr>>;
+
   uint64_t capacity_;
-  std::list<uint64_t> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
+  Lru lru_;  // (key, payload); front = most recently used
+  std::unordered_map<uint64_t, Lru::iterator> map_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

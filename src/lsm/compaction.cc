@@ -11,7 +11,10 @@ std::vector<Entry> MergeSorted(std::vector<EntrySpan> newest_first,
   std::vector<Entry> out;
   out.reserve(total);
   MergeCursors(newest_first, drop_tombstones,
-               [&out](const Entry& e) { out.push_back(e); });
+               [&out](const Entry& e) {
+                 out.push_back(e);
+                 return true;
+               });
   return out;
 }
 

@@ -20,17 +20,25 @@ struct EntrySpan {
   void advance() { ++begin; }
 };
 
-/// The one merge rule both engines compact with: merges the sorted,
-/// key-unique streams behind `newest_first` into one sorted, deduplicated
-/// stream handed to `sink`, one entry at a time.
+/// The one merge rule of both engines, for compaction and range scans:
+/// merges the sorted, key-unique streams behind `newest_first` into one
+/// sorted, deduplicated stream handed to `sink`, one entry at a time.
 ///
 /// A cursor exposes `done()`, `head()` (the current entry, valid while
 /// not done) and `advance()`. `newest_first` orders the inputs by recency:
 /// when the same key appears in several cursors, the version from the
 /// earliest cursor in the vector is the one taken and the others are
 /// skipped. Tombstones are carried through unless `drop_tombstones` is set
-/// (legal only when nothing older lies below the output); inputs made only
-/// of dropped tombstones hand `sink` nothing. The cursors are consumed.
+/// (compaction sets it only when nothing older lies below the output; a
+/// scan always does, since a tombstone still hides older versions but is
+/// never returned); inputs made only of dropped tombstones hand `sink`
+/// nothing.
+///
+/// `sink` returns whether to go on. Every cursor holding a key advances
+/// past it before the key's entry reaches the sink, so when the sink
+/// returns false the merge stops with no `head()` read past that key: a
+/// cursor that reads lazily never fetches data the caller did not need.
+/// The cursors are consumed.
 template <typename Cursor, typename Sink>
 void MergeCursors(std::vector<Cursor>& newest_first, bool drop_tombstones,
                   Sink&& sink) {
@@ -48,15 +56,16 @@ void MergeCursors(std::vector<Cursor>& newest_first, bool drop_tombstones,
     if (!any) return;
 
     bool taken = false;
+    Entry newest;
     for (Cursor& c : newest_first) {
       if (c.done() || c.head().key != min_key) continue;
       if (!taken) {
         taken = true;
-        const Entry& e = c.head();
-        if (!(drop_tombstones && e.tombstone)) sink(e);
+        newest = c.head();
       }
       c.advance();
     }
+    if (!(drop_tombstones && newest.tombstone) && !sink(newest)) return;
   }
 }
 

@@ -1,7 +1,6 @@
 #include "lsm/lsm_tree.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "lsm/compaction.h"
 #include "lsm/monkey.h"
@@ -80,79 +79,71 @@ bool LsmTree::Get(uint64_t key, uint64_t* value) {
   return false;
 }
 
+namespace {
+
+/// One source of a range scan, read in place: the memtable when `run` is
+/// null, else a run from its first entry >= the start key. Consuming an
+/// entry charges the iterator step, and entering a run block charges that
+/// block's access (cache-aware), in the order the merge consumes them.
+struct ScanCursor {
+  const Run* run;
+  const Entry* pos;  // run cursors: [pos, end) of the run's entries
+  const Entry* end;
+  Memtable::const_iterator mem;  // the memtable cursor: [mem, mem_end)
+  Memtable::const_iterator mem_end;
+  int64_t last_block;
+  uint64_t per_block;
+  sim::Device* device;
+  BlockCache* cache;
+
+  bool done() const { return run == nullptr ? mem == mem_end : pos == end; }
+  const Entry& head() const { return run == nullptr ? mem->second : *pos; }
+  void advance() {
+    device->ChargeCpu(device->config().cpu_iter_next_ns);
+    if (run == nullptr) {
+      ++mem;
+      return;
+    }
+    const auto idx = static_cast<size_t>(pos - run->entries().data());
+    const auto block = static_cast<int64_t>(idx / per_block);
+    if (block != last_block) {
+      run->ChargeBlockAccess(idx, device, cache);
+      last_block = block;
+    }
+    ++pos;
+  }
+};
+
+}  // namespace
+
 size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
                      std::vector<Entry>* out) {
   if (max_entries == 0) return 0;
-  const sim::DeviceConfig& cfg = device_->config();
-
-  // The memtable is the newest source, walked in place over its whole
-  // tail: tombstones in it shadow run entries arbitrarily far into the
-  // scan, so a max_entries-bounded slice could miss live keys. Then come
-  // the runs, ordered newest-to-oldest.
-  auto mem = memtable_.LowerBound(start_key);
-  const auto mem_end = memtable_.end();
-  struct RunCursor {
-    const Run* run;
-    size_t idx;
-    int64_t last_block;
-  };
-  std::vector<RunCursor> cursors;
+  // The memtable is the newest source, walked over its whole tail:
+  // tombstones in it shadow run entries arbitrarily far into the scan, so
+  // a max_entries-bounded slice could miss live keys. Then come the runs,
+  // newest to oldest.
+  const uint64_t per_block = EntriesPerBlock();
+  std::vector<ScanCursor> cursors;
+  cursors.push_back({nullptr, nullptr, nullptr, memtable_.LowerBound(start_key),
+                     memtable_.end(), -1, per_block, device_, &cache_});
   const int deepest = levels_.DeepestNonEmpty();
   for (int level = 0; level <= deepest; ++level) {
     const auto& runs = levels_.At(static_cast<size_t>(level));
     for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-      device_->ChargeCpu(cfg.cpu_run_probe_ns);
-      cursors.push_back({it->get(), (*it)->FirstGeq(start_key, device_), -1});
+      device_->ChargeCpu(device_->config().cpu_run_probe_ns);
+      const std::vector<Entry>& entries = (*it)->entries();
+      const size_t first = (*it)->FirstGeq(start_key, device_);
+      cursors.push_back({it->get(), entries.data() + first,
+                         entries.data() + entries.size(), {}, {}, -1,
+                         per_block, device_, &cache_});
     }
   }
-
-  const uint64_t per_block = EntriesPerBlock();
   size_t added = 0;
-  while (added < max_entries) {
-    uint64_t min_key = std::numeric_limits<uint64_t>::max();
-    bool any = mem != mem_end;
-    if (any) min_key = mem->first;
-    for (const RunCursor& c : cursors) {
-      if (c.idx >= c.run->size()) continue;
-      const uint64_t k = c.run->entry(c.idx).key;
-      if (!any || k < min_key) {
-        min_key = k;
-        any = true;
-      }
-    }
-    if (!any) break;
-
-    // Every source positioned at min_key advances; the newest one's entry
-    // is the visible version.
-    bool taken = false;
-    auto take = [&](const Entry& e) {
-      if (taken) return;
-      taken = true;
-      if (!e.tombstone) {
-        out->push_back(e);
-        ++added;
-      }
-    };
-    if (mem != mem_end && mem->first == min_key) {
-      device_->ChargeCpu(cfg.cpu_iter_next_ns);
-      take(mem->second);
-      ++mem;
-    }
-    for (RunCursor& c : cursors) {
-      if (c.idx >= c.run->size() || c.run->entry(c.idx).key != min_key) {
-        continue;
-      }
-      device_->ChargeCpu(cfg.cpu_iter_next_ns);
-      // Charge the block this entry lives in when the cursor enters it.
-      const auto block = static_cast<int64_t>(c.idx / per_block);
-      if (block != c.last_block) {
-        c.run->ChargeBlockAccess(c.idx, device_, &cache_);
-        c.last_block = block;
-      }
-      take(c.run->entry(c.idx));
-      ++c.idx;
-    }
-  }
+  MergeCursors(cursors, /*drop_tombstones=*/true, [&](const Entry& e) {
+    out->push_back(e);
+    return ++added < max_entries;
+  });
   return added;
 }
 

@@ -4,7 +4,8 @@
 // conservation on real files, golden counters and run-file bytes for a
 // leveling and a tiering cell, a tiered merge + scan oracle, streaming
 // merges that span several read and write chunks, an all-tombstone merge
-// that leaves no run behind, and the
+// that leaves no run behind, scans that read no block past their last
+// entry, and the
 // sim-vs-real smoke: the model-recommended tuning is no worse than the
 // default tuning on the file backend (compared on real, deterministic I/O
 // counts).
@@ -986,6 +987,32 @@ TEST(FileEngineTest, MultiChunkMergeMatchesReferenceAndCountsEveryBlock) {
       ASSERT_EQ(e.key, it->first);
       ASSERT_EQ(e.value, it->second);
       ++it;
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(FileEngineTest, ScanReadsNoBlockPastItsLastEntry) {
+  const std::string dir = UniqueDir("scan_stop");
+  constexpr uint64_t kEpb = 512 / 24;  // 21 records per block
+  {
+    lsm::Options opts = BigBufferOptions();
+    opts.block_cache_bytes = 0;
+    FileEngine eng(1, opts, SmallBlockConfig(dir));
+    for (uint64_t k = 0; k < 4 * kEpb; ++k) eng.Put(k * 2, k);
+    eng.FlushMemtable();  // one run of four blocks, no cache
+    ASSERT_EQ(eng.ShardRunCount(0), 1u);
+    // From the first key of the run and of its second block: exactly one
+    // block's entries read that block only; one entry more reads the next.
+    for (uint64_t first : {uint64_t{0}, kEpb * 2}) {
+      for (size_t len : {kEpb, kEpb + 1}) {
+        const Op op{OpKind::kScan, first, 0, len};
+        OpResult r;
+        eng.ExecuteOps(&op, 1, &r);
+        EXPECT_EQ(r.scan_hits, len) << "start " << first;
+        EXPECT_EQ(r.ios, len == kEpb ? 1u : 2u)
+            << "start " << first << " len " << len;
+      }
     }
   }
   fs::remove_all(dir);

@@ -115,6 +115,28 @@ TEST(LsmTreeTest, ScanPastEndReturnsFewer) {
   EXPECT_EQ(tree.Scan(11, 5, &out), 0u);
 }
 
+TEST(LsmTreeTest, ScanReadsNoBlockPastItsLastEntry) {
+  sim::Device dev(QuietDevice());
+  Options opts = SmallOptions();
+  opts.buffer_bytes = 128 * 256;
+  LsmTree tree(opts, &dev);
+  const uint64_t per_block = opts.EntriesPerBlock(dev.config().block_bytes);
+  for (uint64_t k = 0; k < 4 * per_block; ++k) tree.Put(k * 2, k);
+  tree.FlushMemtable();  // one run of four blocks, no cache
+  ASSERT_EQ(tree.LevelRunCounts(), std::vector<size_t>{1});
+  // From the first key of the run and of its second block: exactly one
+  // block's entries read that block only; one entry more reads the next.
+  for (uint64_t first : {uint64_t{0}, per_block * 2}) {
+    std::vector<Entry> out;
+    const uint64_t before = dev.block_reads();
+    EXPECT_EQ(tree.Scan(first, per_block, &out), per_block);
+    EXPECT_EQ(dev.block_reads() - before, 1u) << "start " << first;
+    const uint64_t again = dev.block_reads();
+    EXPECT_EQ(tree.Scan(first, per_block + 1, &out), per_block + 1);
+    EXPECT_EQ(dev.block_reads() - again, 2u) << "start " << first;
+  }
+}
+
 TEST(LsmTreeTest, LevelingKeepsOneRunPerLevel) {
   sim::Device dev(QuietDevice());
   LsmTree tree(SmallOptions(CompactionPolicy::kLeveling), &dev);

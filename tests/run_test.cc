@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <thread>
@@ -337,10 +338,80 @@ TEST(MergeSortedTest, RandomStreamsMatchReferenceMap) {
       std::vector<CopyingCursor> cursors;
       for (const std::vector<Entry>& span : spans) cursors.push_back({&span});
       std::vector<Entry> streamed;
-      MergeCursors(cursors, drop,
-                   [&streamed](const Entry& e) { streamed.push_back(e); });
+      MergeCursors(cursors, drop, [&streamed](const Entry& e) {
+        streamed.push_back(e);
+        return true;
+      });
       EXPECT_EQ(streamed, sorted) << "trial " << trial << " drop " << drop;
       for (const CopyingCursor& c : cursors) EXPECT_TRUE(c.done());
+    }
+  }
+}
+
+/// A merge cursor that counts the `head()` calls made once `*stopped` is
+/// set: a block-reading cursor would fetch on such a call.
+struct CountingCursor {
+  const std::vector<Entry>* entries;
+  const bool* stopped;
+  size_t* heads_after_stop;
+  size_t idx = 0;
+
+  bool done() const { return idx == entries->size(); }
+  const Entry& head() const {
+    if (*stopped) ++*heads_after_stop;
+    return (*entries)[idx];
+  }
+  void advance() { ++idx; }
+};
+
+TEST(MergeCursorsTest, StopEmitsAPrefixAndReadsNoHeadAfterIt) {
+  util::Random rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t num_spans = 1 + rng.Uniform(5);
+    std::vector<std::vector<Entry>> spans(num_spans);
+    for (std::vector<Entry>& span : spans) {
+      std::map<uint64_t, Entry> sorted;
+      const uint64_t n = rng.Uniform(40);
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t key = rng.Uniform(80);
+        sorted[key] = Entry{key, rng.Next(), rng.Bernoulli(0.3)};
+      }
+      for (const auto& [key, e] : sorted) span.push_back(e);
+    }
+    std::vector<EntrySpan> newest_first;
+    for (const std::vector<Entry>& span : spans) {
+      newest_first.push_back(SpanOf(span));
+    }
+    for (bool drop : {false, true}) {
+      const std::vector<Entry> full = MergeSorted(newest_first, drop);
+      if (full.empty()) continue;
+      const size_t limit = 1 + rng.Uniform(full.size());
+      bool stopped = false;
+      size_t heads_after_stop = 0;
+      std::vector<CountingCursor> cursors;
+      for (const std::vector<Entry>& span : spans) {
+        cursors.push_back({&span, &stopped, &heads_after_stop});
+      }
+      std::vector<Entry> out;
+      MergeCursors(cursors, drop, [&](const Entry& e) {
+        out.push_back(e);
+        stopped = out.size() == limit;
+        return !stopped;
+      });
+      ASSERT_EQ(out.size(), limit) << "trial " << trial;
+      EXPECT_TRUE(std::equal(out.begin(), out.end(), full.begin()))
+          << "trial " << trial << " drop " << drop;
+      EXPECT_EQ(heads_after_stop, 0u) << "trial " << trial;
+      // Every cursor sits on its first entry past the stop key: the ones
+      // that held it advanced past it, and none went further.
+      const uint64_t stop_key = out.back().key;
+      for (const CountingCursor& c : cursors) {
+        const auto past = std::upper_bound(
+            c.entries->begin(), c.entries->end(), stop_key,
+            [](uint64_t k, const Entry& e) { return k < e.key; });
+        EXPECT_EQ(c.idx, static_cast<size_t>(past - c.entries->begin()))
+            << "trial " << trial;
+      }
     }
   }
 }
