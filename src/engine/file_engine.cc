@@ -28,13 +28,12 @@
 #include "lsm/compaction.h"
 #include "util/crc32c.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace camal::engine {
 
 // Implementation-detail types live in a named namespace (not an anonymous
-// one) because they appear as members of FileEngine::Shard, which has
-// external linkage.
+// one) because they appear as members of FileShard, which has external
+// linkage.
 namespace fileio {
 
 namespace fs = std::filesystem;
@@ -181,7 +180,7 @@ inline int OpenRead(const std::string& path, bool direct) {
 /// block cache (carrying each block's bytes), live options, and its own
 /// cost clock. All state is shard-local so per-shard submission lists can
 /// run concurrently.
-struct FileEngine::Shard {
+struct FileShard {
   lsm::Options options;
   std::string dir;
   std::map<uint64_t, lsm::Entry> memtable;
@@ -224,6 +223,8 @@ struct FileEngine::Shard {
   std::vector<std::pair<uint64_t, uint64_t>> hib_level_shape;
 };
 
+void FileShardDeleter::operator()(FileShard* shard) const { delete shard; }
+
 namespace {
 
 using fileio::AllocAligned;
@@ -242,7 +243,7 @@ namespace fs = std::filesystem;
 /// Reads block `blk` of `run` into a new buffer, through the shard scratch
 /// buffer. Uncounted: a read-path miss counts it (`FetchBlock`), a wake
 /// refill does not.
-lsm::BlockPtr ReadBlock(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+lsm::BlockPtr ReadBlock(FileShard& sh, const FileEngineConfig& cfg,
                         const FileRun& run, size_t blk) {
   SysCheck(fileio::PreadAll(run.fd, sh.scratch.get(), cfg.block_bytes,
                             blk * cfg.block_bytes),
@@ -259,7 +260,7 @@ using BlockMap = std::unordered_map<uint64_t, lsm::BlockPtr>;
 /// one block read and reads the block, or takes it from `window` when the
 /// ring already fetched it, then shares that one buffer between the caller
 /// and the cache.
-lsm::BlockPtr FetchBlock(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+lsm::BlockPtr FetchBlock(FileShard& sh, const FileEngineConfig& cfg,
                          const FileRun& run, size_t blk,
                          const BlockMap* window = nullptr) {
   const uint64_t key = lsm::BlockCache::MakeKey(run.id, blk);
@@ -315,7 +316,7 @@ enum class GetOutcome {
 /// read in vain, exactly like the simulated engine's kNotFoundAfterIo
 /// outcome, and moves on to the next run.
 template <typename Read>
-GetOutcome LookupKey(const FileEngine::Shard& sh, uint64_t epb, uint64_t key,
+GetOutcome LookupKey(const FileShard& sh, uint64_t epb, uint64_t key,
                      uint64_t* value, Read&& read) {
   auto it = sh.memtable.find(key);
   if (it != sh.memtable.end()) {
@@ -345,7 +346,7 @@ GetOutcome LookupKey(const FileEngine::Shard& sh, uint64_t epb, uint64_t key,
 
 /// Point lookup through the block cache. Misses pread, or, given a
 /// `window`, take the bytes an io_uring window fetched.
-bool DoGet(FileEngine::Shard& sh, const FileEngineConfig& cfg, uint64_t key,
+bool DoGet(FileShard& sh, const FileEngineConfig& cfg, uint64_t key,
            uint64_t* value, const BlockMap* window = nullptr) {
   return LookupKey(sh, EntriesPerBlock(cfg.block_bytes), key, value,
                    [&](const FileRun& run, size_t blk) {
@@ -447,8 +448,8 @@ bool LoadFilterFile(const std::string& path,
 /// built it. Construction is deterministic, so the result is bit-identical
 /// to the filter the record describes. Reads through the shard scratch
 /// buffer and is uncounted, like the rest of recovery.
-lsm::BloomFilter RebuildFilter(FileEngine::Shard& sh,
-                               const FileEngineConfig& cfg, const FileRun& run,
+lsm::BloomFilter RebuildFilter(FileShard& sh, const FileEngineConfig& cfg,
+                               const FileRun& run,
                                const fileio::ManifestRunMeta& meta) {
   lsm::BloomFilter filter(run.num_entries, meta.bloom_bpk);
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
@@ -468,7 +469,7 @@ lsm::BloomFilter RebuildFilter(FileEngine::Shard& sh,
 /// from the run's keys and rewritten, so it never fails recovery; a
 /// rebuilt filter that disagrees with the logged CRC means the run file
 /// itself no longer matches the manifest, and aborts.
-FileRunPtr OpenRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+FileRunPtr OpenRun(FileShard& sh, const FileEngineConfig& cfg,
                    bool direct_io, fileio::ManifestRunMeta meta) {
   auto run = std::make_shared<FileRun>();
   run->id = meta.id;
@@ -491,7 +492,7 @@ FileRunPtr OpenRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
 /// The live shard's full structural state, as a manifest rotation
 /// snapshot.
-fileio::RecoveredShardState SnapshotShardState(const FileEngine::Shard& sh) {
+fileio::RecoveredShardState SnapshotShardState(const FileShard& sh) {
   fileio::RecoveredShardState st;
   st.valid = true;
   st.options = sh.options;
@@ -511,7 +512,7 @@ fileio::RecoveredShardState SnapshotShardState(const FileEngine::Shard& sh) {
 /// configured threshold. Called only at quiescent points (after a flush
 /// cascade settles, after reconfigure/wake) where the in-memory state is
 /// the authoritative truth.
-void MaybeRotateManifest(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
+void MaybeRotateManifest(FileShard& sh, const FileEngineConfig& cfg) {
   // The threshold check comes first: most calls do not rotate, and the
   // snapshot copies every live run's fences.
   if (sh.manifest == nullptr ||
@@ -528,8 +529,7 @@ uint64_t LevelEntries(const std::vector<FileRunPtr>& level) {
 }
 
 /// Per-level (run count, entry count) of a live shard's file set.
-std::vector<std::pair<uint64_t, uint64_t>> LevelShape(
-    const FileEngine::Shard& sh) {
+std::vector<std::pair<uint64_t, uint64_t>> LevelShape(const FileShard& sh) {
   std::vector<std::pair<uint64_t, uint64_t>> shape;
   shape.reserve(sh.levels.size());
   for (const auto& level : sh.levels) {
@@ -542,7 +542,7 @@ std::vector<std::pair<uint64_t, uint64_t>> LevelShape(
 /// over its (post-build) disk entries. Uniform rather than Monkey-curved:
 /// the real backend validates *budget* tunings; the per-level curve is a
 /// sim-side refinement.
-double BloomBpk(const FileEngine::Shard& sh, uint64_t incoming) {
+double BloomBpk(const FileShard& sh, uint64_t incoming) {
   const uint64_t total = std::max<uint64_t>(1, sh.disk_entries + incoming);
   return std::min(50.0, static_cast<double>(sh.options.bloom_bits) /
                             static_cast<double>(total));
@@ -566,8 +566,8 @@ class RunWriter {
  public:
   /// `max_entries` bounds what the caller will add; the key buffer is
   /// reserved once to it.
-  RunWriter(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-            bool direct_io, uint64_t max_entries)
+  RunWriter(FileShard& sh, const FileEngineConfig& cfg, bool direct_io,
+            uint64_t max_entries)
       : sh_(sh),
         cfg_(cfg),
         direct_io_(direct_io),
@@ -656,7 +656,7 @@ class RunWriter {
     chunk_blocks_ = 0;
   }
 
-  FileEngine::Shard& sh_;
+  FileShard& sh_;
   const FileEngineConfig& cfg_;
   const bool direct_io_;
   const uint64_t max_entries_;
@@ -679,7 +679,7 @@ class RunWriter {
 /// cursor for `lsm::MergeCursors`.
 class CompactionCursor {
  public:
-  CompactionCursor(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+  CompactionCursor(FileShard& sh, const FileEngineConfig& cfg,
                    const FileRun& run)
       : sh_(&sh),
         cfg_(&cfg),
@@ -733,7 +733,7 @@ class CompactionCursor {
     head_ = ToEntry(record);
   }
 
-  FileEngine::Shard* sh_;
+  FileShard* sh_;
   const FileEngineConfig* cfg_;
   const FileRun* run_;
   uint64_t epb_;
@@ -750,7 +750,7 @@ class CompactionCursor {
 /// becomes the deepest populated level), then unlinks the inputs. The
 /// inputs stream through their cursors into the run writer, so the merge
 /// never holds a whole run in memory.
-void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+void MergeLevelDown(FileShard& sh, const FileEngineConfig& cfg,
                     bool direct_io, size_t l) {
   std::vector<FileRunPtr> inputs = std::move(sh.levels[l]);
   sh.levels[l].clear();
@@ -810,8 +810,7 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
 /// Restores the level invariants (runs <= K, entries <= capacity) from
 /// level 0 downward, cascading merges as needed.
-void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-               bool direct_io) {
+void Normalize(FileShard& sh, const FileEngineConfig& cfg, bool direct_io) {
   for (size_t l = 0; l < sh.levels.size(); ++l) {
     while (sh.options.LevelOverflows(l, sh.levels[l].size(),
                                      LevelEntries(sh.levels[l]))) {
@@ -822,8 +821,7 @@ void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
 /// Drains the memtable into a new level-0 run (no-op when empty). The
 /// memtable feeds the run writer in place.
-void FlushShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-                bool direct_io) {
+void FlushShard(FileShard& sh, const FileEngineConfig& cfg, bool direct_io) {
   if (sh.memtable.empty()) return;
   RunWriter writer(sh, cfg, direct_io, sh.memtable.size());
   for (const auto& [key, entry] : sh.memtable) {
@@ -849,9 +847,9 @@ void FlushShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   MaybeRotateManifest(sh, cfg);
 }
 
-/// Untimed single-shard write (the public surface wraps these in the
-/// shard clock; ExecuteOps times them per op).
-void DoPut(FileEngine::Shard& sh, const FileEngineConfig& cfg, bool direct_io,
+/// Untimed single-shard write (`WriteSlot` and the list server time it on
+/// the shard clock).
+void DoPut(FileShard& sh, const FileEngineConfig& cfg, bool direct_io,
            uint64_t key, uint64_t value, bool tombstone) {
   if (sh.memtable.size() >= sh.options.BufferEntries()) {
     FlushShard(sh, cfg, direct_io);
@@ -886,7 +884,7 @@ bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
 /// stay cheap. `ResolvedQueueDepth` and `RingWouldEngage` also answer
 /// queue-depth/backend queries for shards that have no live ring state yet
 /// (cold) or released it (hibernated).
-void SetupShardRing(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+void SetupShardRing(FileShard& sh, const FileEngineConfig& cfg,
                     bool engine_uring) {
   const uint32_t depth = ResolvedQueueDepth(sh.options, cfg);
   const bool engage = RingWouldEngage(depth, cfg, engine_uring);
@@ -915,7 +913,7 @@ constexpr uint64_t kSnapMagic = 0x43414d5348494253ULL;  // "CAMSHIBS"
 /// deliberately uncounted — hibernation is a resource-management event,
 /// not workload cost — so every clock and counter the engine reports stays
 /// bit-identical to an eager engine.
-void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
+void HibernateShardState(FileShard& sh, const FileEngineConfig& cfg) {
   // Buffered writes must be durable before their in-memory home is
   // released (the sidecar is belt, the WAL is suspenders: if the sidecar
   // install is lost to a crash, replay still rebuilds the memtable).
@@ -935,16 +933,21 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
     for (const FileRunPtr& r : level) fileio::EncodeRunMeta(&w, RunMetaOf(*r));
   }
   w.U64Vec(sh.cache.Freeze().keys_mru_to_lru);  // also empties the cache
-  const std::string image = w.Take();
 
-  // Install atomically: write a tmp image, (durably) complete it, then
-  // rename into place — a crash leaves either no sidecar or a whole one,
-  // never a torn one.
+  // Install atomically: write the image as one CRC-framed record to a tmp
+  // file, (durably) complete it, then rename into place — a crash leaves
+  // either no sidecar or a whole one, never a torn one, and bytes damaged
+  // later fail the CRC at wake.
   fileio::FileOps* ops = cfg.file_ops;
   const std::string path = sh.dir + "/hibernate.snap";
   const std::string tmp = path + ".tmp";
   ops->Unlink(tmp);  // a crashed predecessor's leftovers
-  WriteFile(cfg, tmp, image.data(), image.size());
+  {
+    fileio::RecordWriter sidecar(ops, tmp);
+    sidecar.Append(w.Take());
+    sidecar.Commit();
+    if (DurableSync(cfg)) sidecar.Sync();
+  }
   SysCheck(ops->Rename(tmp, path) == 0, "rename(hibernate)", path);
 
   // Registering the sidecar in the manifest is what makes hibernation
@@ -979,21 +982,18 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
 /// uncounted preads. The woken shard behaves bit-identically — same lookup
 /// outcomes, same charged reads, same LRU evolution — to one that never
 /// slept.
-void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+void WakeShardState(FileShard& sh, const FileEngineConfig& cfg,
                     bool direct_io, bool engine_uring) {
   const std::string path = sh.dir + "/hibernate.snap";
-  std::string image;
-  {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    SysCheck(fd >= 0, "open(wake)", path);
-    struct stat st;
-    SysCheck(::fstat(fd, &st) == 0, "fstat(wake)", path);
-    image.resize(static_cast<size_t>(st.st_size));
-    SysCheck(fileio::PreadAll(fd, image.data(), image.size(), 0), "pread(wake)",
-             path);
-    ::close(fd);
+  const fileio::RecordFileContents sidecar = fileio::ReadRecordFile(path);
+  if (sidecar.records.size() != 1 || sidecar.torn_tail) {
+    std::fprintf(stderr,
+                 "FileEngine: hibernation sidecar '%s' is missing or fails "
+                 "its CRC; the shard cannot wake\n",
+                 path.c_str());
+    std::abort();
   }
-  fileio::ByteReader r(image);
+  fileio::ByteReader r(sidecar.records[0]);
   CAMAL_CHECK(r.U64() == kSnapMagic);
   const uint64_t mem_count = r.U64();
   for (uint64_t i = 0; i < mem_count && r.ok(); ++i) {
@@ -1085,9 +1085,8 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 /// every counter the engine reports is bit-identical to the pread path.
 /// Window wall time is attributed evenly across the window's ops (real
 /// latencies are allowed to vary; counters are the determinism contract).
-void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-                      const Op* ops, const size_t* op_idx, size_t window,
-                      OpResult* results) {
+void ExecuteGetWindow(FileShard& sh, const FileEngineConfig& cfg, const Op* ops,
+                      const size_t* op_idx, size_t window, OpResult* results) {
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
   const uint32_t depth = sh.io_depth;
   const double t0 = Now(cfg);
@@ -1202,13 +1201,13 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 class ScanCursor {
  public:
   /// The memtable from its first entry >= `start_key`.
-  ScanCursor(const FileEngine::Shard& sh, uint64_t start_key)
+  ScanCursor(const FileShard& sh, uint64_t start_key)
       : mem_(sh.memtable.lower_bound(start_key)), mem_end_(sh.memtable.end()) {}
 
   /// `run` from its first entry >= `start_key`. A start inside the run's
   /// key range reads the block the fence search names to find it.
-  ScanCursor(FileEngine::Shard& sh, const FileEngineConfig& cfg,
-             const FileRun& run, uint64_t start_key)
+  ScanCursor(FileShard& sh, const FileEngineConfig& cfg, const FileRun& run,
+             uint64_t start_key)
       : sh_(&sh),
         cfg_(&cfg),
         run_(&run),
@@ -1255,7 +1254,7 @@ class ScanCursor {
     block_idx_ = blk;
   }
 
-  FileEngine::Shard* sh_ = nullptr;
+  FileShard* sh_ = nullptr;
   const FileEngineConfig* cfg_ = nullptr;
   const FileRun* run_ = nullptr;
   uint64_t epb_ = 1;
@@ -1274,7 +1273,7 @@ class ScanCursor {
 /// first (newest wins, tombstones suppress), appending up to
 /// `max_entries` live entries to `out`. Block fetches are cache-aware
 /// real reads.
-size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+size_t DoScanShard(FileShard& sh, const FileEngineConfig& cfg,
                    uint64_t start_key, size_t max_entries,
                    std::vector<lsm::Entry>* out) {
   if (max_entries == 0) return 0;
@@ -1297,6 +1296,14 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   return added;
 }
 
+/// Per-level (run count, entry count) of a shard: live, or as it was frozen
+/// at hibernation.
+std::vector<std::pair<uint64_t, uint64_t>> ShapeOf(const FileShard& sh,
+                                                   ShardState state) {
+  return state == ShardState::kHibernated ? sh.hib_level_shape
+                                          : LevelShape(sh);
+}
+
 }  // namespace
 
 // ----------------------------------------------------- construction/teardown
@@ -1308,7 +1315,7 @@ uint64_t FileEngine::NextUniqueId() {
 
 FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
                        const FileEngineConfig& config)
-    : config_(config), set_(this, num_shards, total_options, config.lifecycle) {
+    : ShardSet(num_shards, total_options, config.lifecycle), config_(config) {
   CAMAL_CHECK(config_.block_bytes >= 512 &&
               (config_.block_bytes & (config_.block_bytes - 1)) == 0);
   // Normalize the durability knobs once: reopening implies the layer is
@@ -1349,14 +1356,14 @@ FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
 
   // No slots yet: every shard is cold until recovered or touched.
   if (config_.reopen) RecoverShards();
-  set_.MaterializeIfEager();
+  MaterializeIfEager();
 }
 
 FileEngine::~FileEngine() {
   // Clean close: anything still buffered in a WAL lands (and, per policy,
   // syncs) so `reopen=true` restores the exact logical state. Hibernated
   // shards committed theirs when they went to sleep.
-  for (const auto& [s, e] : set_.entries()) {
+  for (const auto& [s, e] : entries()) {
     if (config_.durable && e.slot->wal != nullptr) e.slot->wal->Commit();
     // Close every run fd before touching the directory tree.
     for (auto& level : e.slot->levels) level.clear();
@@ -1368,7 +1375,7 @@ FileEngine::~FileEngine() {
   } else {
     // The caller owned the directory before us: remove only our shard
     // subtrees, never sibling content. Cold shards never created theirs.
-    for (const auto& [s, e] : set_.entries()) fs::remove_all(e.slot->dir, ec);
+    for (const auto& [s, e] : entries()) fs::remove_all(e.slot->dir, ec);
   }
 }
 
@@ -1385,7 +1392,7 @@ void FileEngine::RecoverShards() {
     const unsigned long long s = std::strtoull(name.c_str() + 6, &end, 10);
     if (end == nullptr || *end != '\0') continue;  // not ours
     // Reopened with a smaller shard count?
-    CAMAL_CHECK(s < set_.num_shards());
+    CAMAL_CHECK(s < NumShards());
     found.emplace_back(static_cast<size_t>(s), entry.path().string());
   }
   // Deterministic recovery order (directory iteration order is not).
@@ -1405,7 +1412,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     return;
   }
 
-  auto sh = std::make_unique<Shard>();
+  Slot sh(new FileShard());
   sh->options = st.options;
   sh->dir = dir;
   sh->wal_epoch = st.wal_epoch;
@@ -1452,7 +1459,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
       fileio::Manifest temp(ops, dir, sync, st.num_records);
       temp.TruncateTail(st.valid_bytes);
     }
-    set_.Adopt(s, std::move(sh), ShardState::kHibernated);
+    Adopt(s, std::move(sh), ShardState::kHibernated);
     return;
   }
 
@@ -1511,13 +1518,13 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
   sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(*sh, config_, use_uring_);
-  set_.Adopt(s, std::move(sh), ShardState::kMaterialized);
+  Adopt(s, std::move(sh), ShardState::kMaterialized);
 }
 
-void FileEngine::CreateShard(size_t s, std::unique_ptr<Shard>& slot,
+void FileEngine::CreateShard(size_t s, Slot& slot,
                              const lsm::Options& options) {
-  slot = std::make_unique<Shard>();
-  Shard& sh = *slot;
+  slot.reset(new FileShard());
+  FileShard& sh = *slot;
   sh.options = options;
   sh.dir = workdir_ + "/shard_" + std::to_string(s);
   std::error_code ec;
@@ -1541,177 +1548,102 @@ void FileEngine::CreateShard(size_t s, std::unique_ptr<Shard>& slot,
   SetupShardRing(sh, config_, use_uring_);
 }
 
-void FileEngine::WakeShard(size_t /*s*/, std::unique_ptr<Shard>& slot) {
+void FileEngine::WakeShard(size_t /*s*/, Slot& slot) {
   WakeShardState(*slot, config_, direct_io_, use_uring_);
 }
 
-void FileEngine::FreezeShard(size_t /*s*/, std::unique_ptr<Shard>& slot) {
+void FileEngine::FreezeShard(size_t /*s*/, Slot& slot) {
   HibernateShardState(*slot, config_);
 }
 
-// ------------------------------------------------------------ public surface
+// --------------------------------------------------------------- shard work
 
-void FileEngine::Put(uint64_t key, uint64_t value) {
-  Write(key, value, /*tombstone=*/false);
+void FileEngine::ServeList(Slot& slot, ShardList& list) {
+  FileShard& sh = *slot;
+  const std::vector<size_t>& indices = list.indices;
+  for (size_t li = 0; li < indices.size();) {
+    const size_t i = indices[li];
+    const Op& op = list.ops[i];
+    // Ring path: a maximal run of consecutive gets becomes one overlapped
+    // submission window. Puts/deletes (may flush or compact) and scans
+    // (content-dependent cursors) stay synchronous barriers, executed
+    // exactly as on the pread path.
+    if (sh.ring != nullptr && op.kind == OpKind::kGet) {
+      size_t end = li + 1;
+      while (end < indices.size() &&
+             list.ops[indices[end]].kind == OpKind::kGet) {
+        ++end;
+      }
+      ExecuteGetWindow(sh, config_, list.ops, indices.data() + li, end - li,
+                       list.results);
+      li = end;
+      continue;
+    }
+    ++li;
+    if (op.kind == OpKind::kScan) {
+      ServeScan(slot, list, i);
+      continue;
+    }
+    const uint64_t ios_before = sh.clock.block_reads + sh.clock.block_writes;
+    const double t0 = Now(config_);
+    OpResult r;
+    if (op.kind == OpKind::kGet) {
+      r.found = DoGet(sh, config_, op.key, nullptr);
+    } else {
+      const bool tombstone = op.kind == OpKind::kDelete;
+      DoPut(sh, config_, direct_io_, op.key, tombstone ? 0 : op.value,
+            tombstone);
+    }
+    const double dt = Now(config_) - t0;
+    r.latency_ns = dt;
+    r.ios = sh.clock.block_reads + sh.clock.block_writes - ios_before;
+    sh.clock.elapsed_ns += dt;
+    list.results[i] = r;
+  }
+  // Group commit: the shard's whole batch of logged writes lands in one
+  // pwrite (+ one fsync under kBatch). Untimed — durability overhead is
+  // measured by bench_recovery, not charged to op latencies.
+  if (sh.wal != nullptr) sh.wal->Commit();
 }
 
-void FileEngine::Delete(uint64_t key) { Write(key, 0, /*tombstone=*/true); }
-
-void FileEngine::Write(uint64_t key, uint64_t value, bool tombstone) {
-  Shard& sh = *set_.Activate(set_.ShardIndex(key));
+void FileEngine::WriteSlot(Slot& slot, uint64_t key, uint64_t value,
+                           bool tombstone) {
+  FileShard& sh = *slot;
   const double t0 = Now(config_);
   DoPut(sh, config_, direct_io_, key, value, tombstone);
   if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
   sh.clock.elapsed_ns += Now(config_) - t0;
 }
 
-bool FileEngine::Get(uint64_t key, uint64_t* value) {
-  Shard& sh = *set_.Activate(set_.ShardIndex(key));
+bool FileEngine::GetSlot(Slot& slot, uint64_t key, uint64_t* value) {
+  FileShard& sh = *slot;
   const double t0 = Now(config_);
   const bool found = DoGet(sh, config_, key, value);
   sh.clock.elapsed_ns += Now(config_) - t0;
   return found;
 }
 
-size_t FileEngine::Scan(uint64_t start_key, size_t max_entries,
-                        std::vector<lsm::Entry>* out) {
-  // Each shard's probe is timed on its own clock.
-  return set_.Scan(pool_, max_entries, out,
-                   [&](std::unique_ptr<Shard>& slot,
-                       std::vector<lsm::Entry>* slice) {
-                     Shard& sh = *slot;
-                     const double t0 = Now(config_);
-                     const size_t n = DoScanShard(sh, config_, start_key,
-                                                  max_entries, slice);
-                     sh.clock.elapsed_ns += Now(config_) - t0;
-                     return n;
-                   });
+size_t FileEngine::ScanSlot(Slot& slot, uint64_t start_key,
+                            size_t max_entries, std::vector<lsm::Entry>* out) {
+  FileShard& sh = *slot;
+  const double t0 = Now(config_);
+  const size_t n = DoScanShard(sh, config_, start_key, max_entries, out);
+  sh.clock.elapsed_ns += Now(config_) - t0;
+  return n;
 }
 
-void FileEngine::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
-  if (count == 0) return;
-  Shards::Batch batch;
-  set_.PlanBatch(ops, count, &batch);
-
-  // Per-(scan, probed shard) bookkeeping: real duration, real I/O count,
-  // and live hits, indexed slot * stride + k so concurrent writers touch
-  // disjoint elements.
-  const size_t stride = batch.lists.size();
-  const size_t num_scans = batch.scan_op.size();
-  std::vector<double> scan_ns(num_scans * stride, 0.0);
-  std::vector<uint64_t> scan_ios(num_scans * stride, 0);
-  std::vector<size_t> scan_hits(num_scans * stride, 0);
-
-  util::ParallelFor(pool_, 0, stride, [&](size_t k) {
-    Shard& sh = **batch.slots[k];
-    std::vector<lsm::Entry> scratch;
-    const std::vector<size_t>& list = batch.lists[k];
-    for (size_t li = 0; li < list.size();) {
-      const size_t i = list[li];
-      const Op& op = ops[i];
-      // Ring path: a maximal run of consecutive gets becomes one
-      // overlapped submission window. Puts/deletes (may flush or
-      // compact) and scans (content-dependent cursors) stay synchronous
-      // barriers, executed exactly as on the pread path.
-      if (sh.ring != nullptr && op.kind == OpKind::kGet) {
-        size_t end = li + 1;
-        while (end < list.size() && ops[list[end]].kind == OpKind::kGet) {
-          ++end;
-        }
-        ExecuteGetWindow(sh, config_, ops, list.data() + li, end - li,
-                         results);
-        li = end;
-        continue;
-      }
-      ++li;
-      const uint64_t ios_before = sh.clock.block_reads + sh.clock.block_writes;
-      const double t0 = Now(config_);
-      if (op.kind == OpKind::kScan) {
-        const size_t slot = batch.scan_slot[i] * stride + k;
-        scratch.clear();
-        scan_hits[slot] =
-            DoScanShard(sh, config_, op.key, op.scan_len, &scratch);
-        const double dt = Now(config_) - t0;
-        scan_ns[slot] = dt;
-        scan_ios[slot] =
-            sh.clock.block_reads + sh.clock.block_writes - ios_before;
-        sh.clock.elapsed_ns += dt;
-        continue;
-      }
-      OpResult r;
-      switch (op.kind) {
-        case OpKind::kGet:
-          r.found = DoGet(sh, config_, op.key, nullptr);
-          break;
-        case OpKind::kPut:
-          DoPut(sh, config_, direct_io_, op.key, op.value, false);
-          break;
-        case OpKind::kDelete:
-          DoPut(sh, config_, direct_io_, op.key, 0, true);
-          break;
-        case OpKind::kScan:
-          break;  // handled above
-      }
-      const double dt = Now(config_) - t0;
-      r.latency_ns = dt;
-      r.ios = sh.clock.block_reads + sh.clock.block_writes - ios_before;
-      sh.clock.elapsed_ns += dt;
-      results[i] = r;
-    }
-    // Group commit: the shard's whole batch of logged writes lands in one
-    // pwrite (+ one fsync under kBatch). Untimed — durability overhead is
-    // measured by bench_recovery, not charged to op latencies.
-    if (sh.wal != nullptr) sh.wal->Commit();
-  });
-
-  // Gather the scans: a probe ran on every resident shard (cold shards
-  // would have contributed zero reads and zero hits); the op's latency is
-  // the sum of its per-shard probe times (serial-equivalent, the
-  // simulated engine's convention), its I/O the sum of real reads.
-  for (size_t slot = 0; slot < num_scans; ++slot) {
-    OpResult r;
-    size_t hits = 0;
-    for (size_t k = 0; k < stride; ++k) {
-      r.latency_ns += scan_ns[slot * stride + k];
-      r.ios += scan_ios[slot * stride + k];
-      hits += scan_hits[slot * stride + k];
-    }
-    const size_t i = batch.scan_op[slot];
-    r.scan_hits = std::min(ops[i].scan_len, hits);
-    results[i] = r;
-  }
-
-  set_.EndBatch();
-  ProfileBatch(ops, count, results);
+void FileEngine::FlushSlot(Slot& slot) {
+  FileShard& sh = *slot;
+  const double t0 = Now(config_);
+  FlushShard(sh, config_, direct_io_);
+  sh.clock.elapsed_ns += Now(config_) - t0;
 }
 
-void FileEngine::FlushMemtable() {
-  // Hibernated shards holding buffered writes wake to flush them; the
-  // rest stay asleep (their flush would be a no-op). Cold shards are
-  // empty by construction.
-  set_.WakeIf([](const std::unique_ptr<Shard>& slot) {
-    return slot->hib_memtable_size > 0;
-  });
-  set_.ForEachResident([&](std::unique_ptr<Shard>& slot) {
-    const double t0 = Now(config_);
-    FlushShard(*slot, config_, direct_io_);
-    slot->clock.elapsed_ns += Now(config_) - t0;
-  });
-}
-
-void FileEngine::Reconfigure(const lsm::Options& new_total_options) {
-  set_.Reconfigure(new_total_options,
-                   [&](size_t s, const lsm::Options& per_shard) {
-                     ReconfigureShard(s, per_shard);
-                   });
-}
-
-void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
-  Shards::Entry* e = set_.ReconfigureShard(s, options);
-  if (e == nullptr) return;  // cold: deferred to materialization
-  Shard& sh = *e->slot;
+void FileEngine::ReconfigureSlot(size_t s, Entry& e,
+                                 const lsm::Options& options) {
+  FileShard& sh = *e.slot;
   CAMAL_CHECK(options.entry_bytes == sh.options.entry_bytes);
-  if (e->state == ShardState::kHibernated) {
+  if (e.state == ShardState::kHibernated) {
     // In-place update while asleep, unless the buffered writes now
     // overflow the new capacity — then the shard must wake to flush,
     // exactly as the live path would.
@@ -1727,7 +1659,7 @@ void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
       }
       return;
     }
-    set_.Activate(s);
+    Activate(s);
   }
   const double t0 = Now(config_);
   sh.options = options;
@@ -1747,14 +1679,51 @@ void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
   sh.clock.elapsed_ns += Now(config_) - t0;
 }
 
+// ---------------------------------------------------------------- shard view
+
+lsm::Options FileEngine::SlotOptions(const Entry& e) const {
+  return e.slot->options;
+}
+
+EngineCounters FileEngine::SlotCounters(const Entry& e) const {
+  return e.slot->counters;
+}
+
+sim::DeviceSnapshot FileEngine::SlotCost(const Slot& slot) const {
+  return slot->clock.Snapshot();
+}
+
+uint64_t FileEngine::SlotEntries(const Entry& e) const {
+  const FileShard& sh = *e.slot;
+  return sh.disk_entries + (e.state == ShardState::kHibernated
+                                ? sh.hib_memtable_size
+                                : sh.memtable.size());
+}
+
+uint64_t FileEngine::SlotDiskEntries(const Entry& e) const {
+  return e.slot->disk_entries;
+}
+
+bool FileEngine::SlotInTransition(const Entry& e) const {
+  // A hibernated shard's frozen shape is judged against its (possibly
+  // updated-in-place) options, exactly as the live shape is.
+  const auto shape = ShapeOf(*e.slot, e.state);
+  for (size_t l = 0; l < shape.size(); ++l) {
+    if (e.slot->options.LevelOverflows(l, shape[l].first, shape[l].second)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 uint32_t FileEngine::ShardQueueDepth(size_t s) const {
-  const Shards::Entry* e = set_.Find(s);
+  const Entry* e = Find(s);
   if (e != nullptr && e->state == ShardState::kMaterialized) {
     return e->slot->ring != nullptr ? e->slot->io_depth : 1;
   }
   // Cold/hibernated: predict the depth materialization will resolve.
   const lsm::Options& options =
-      e != nullptr ? e->slot->options : set_.EffectiveOptions(s);
+      e != nullptr ? e->slot->options : EffectiveOptions(s);
   const uint32_t depth = ResolvedQueueDepth(options, config_);
   return RingWouldEngage(depth, config_, use_uring_) ? depth : 1;
 }
@@ -1768,91 +1737,20 @@ const char* FileEngine::io_backend() const {
     return RingWouldEngage(ResolvedQueueDepth(options, config_), config_,
                            use_uring_);
   };
-  for (const auto& [s, e] : set_.entries()) {
+  for (const auto& [s, e] : entries()) {
     if (e.state == ShardState::kMaterialized ? e.slot->ring != nullptr
                                              : engages(e.slot->options)) {
       return "uring";
     }
   }
-  return set_.AnyColdOptions(engages) ? "uring" : "pread";
-}
-
-lsm::Options FileEngine::ShardOptionsSnapshot(size_t s) const {
-  const Shards::Entry* e = set_.Find(s);
-  return e != nullptr ? e->slot->options : set_.EffectiveOptions(s);
-}
-
-sim::DeviceSnapshot FileEngine::CostSnapshot() const {
-  // Ascending shard order, matching the simulated engine's convention
-  // (clock values here are real measurements, but a stable summation
-  // order keeps the aggregate reproducible given fixed per-shard clocks —
-  // e.g. under an injected virtual clock).
-  sim::DeviceSnapshot total;
-  for (size_t s : set_.SortedIds()) total += ShardCostSnapshot(s);
-  return total;
-}
-
-sim::DeviceSnapshot FileEngine::ShardCostSnapshot(size_t s) const {
-  const Shards::Entry* e = set_.Find(s);
-  return e == nullptr ? sim::DeviceSnapshot{} : e->slot->clock.Snapshot();
-}
-
-EngineCounters FileEngine::AggregateCounters() const {
-  EngineCounters total;
-  for (const auto& [s, e] : set_.entries()) total += e.slot->counters;
-  return total;
-}
-
-EngineCounters FileEngine::ShardCounters(size_t s) const {
-  const Shards::Entry* e = set_.Find(s);
-  return e == nullptr ? EngineCounters{} : e->slot->counters;
-}
-
-uint64_t FileEngine::TotalEntries() const {
-  uint64_t total = 0;
-  for (const auto& [s, e] : set_.entries()) total += ShardEntries(s);
-  return total;
-}
-
-uint64_t FileEngine::DiskEntries() const {
-  uint64_t total = 0;
-  for (const auto& [s, e] : set_.entries()) total += e.slot->disk_entries;
-  return total;
-}
-
-uint64_t FileEngine::ShardEntries(size_t s) const {
-  const Shards::Entry* e = set_.Find(s);
-  if (e == nullptr) return 0;
-  const Shard& sh = *e->slot;
-  return sh.disk_entries + (e->state == ShardState::kHibernated
-                                ? sh.hib_memtable_size
-                                : sh.memtable.size());
-}
-
-bool FileEngine::InTransition() const {
-  for (const auto& [s, e] : set_.entries()) {
-    // A hibernated shard's frozen shape is judged against its (possibly
-    // updated-in-place) options, exactly as the live shape is.
-    const Shard& sh = *e.slot;
-    const auto shape = e.state == ShardState::kHibernated ? sh.hib_level_shape
-                                                          : LevelShape(sh);
-    for (size_t l = 0; l < shape.size(); ++l) {
-      if (sh.options.LevelOverflows(l, shape[l].first, shape[l].second)) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return AnyColdOptions(engages) ? "uring" : "pread";
 }
 
 size_t FileEngine::ShardRunCount(size_t s) const {
-  const Shards::Entry* e = set_.Find(s);
+  const Entry* e = Find(s);
   if (e == nullptr) return 0;
-  const Shard& sh = *e->slot;
   size_t runs = 0;
-  for (const auto& [count, entries] : e->state == ShardState::kHibernated
-                                          ? sh.hib_level_shape
-                                          : LevelShape(sh)) {
+  for (const auto& [count, entries] : ShapeOf(*e->slot, e->state)) {
     runs += count;
   }
   return runs;

@@ -13,10 +13,6 @@
 #include "engine/wal.h"
 #include "lsm/options.h"
 
-namespace camal::util {
-class ThreadPool;
-}  // namespace camal::util
-
 namespace camal::engine {
 
 /// How `FileEngine` issues block reads inside `ExecuteOps`.
@@ -104,6 +100,15 @@ struct FileEngineConfig {
   ShardLifecycleConfig lifecycle;
 };
 
+/// One file-set shard's state (defined in file_engine.cc), owned through a
+/// deleter defined there too, so code that never sees the type may still
+/// hold and destroy shards.
+struct FileShard;
+struct FileShardDeleter {
+  void operator()(FileShard* shard) const;
+};
+using FileShardPtr = std::unique_ptr<FileShard, FileShardDeleter>;
+
 /// \brief Real-IO storage backend: an LSM engine whose sorted runs are
 /// append-only files on a real filesystem, with costs measured by
 /// monotonic clocks instead of the simulated device.
@@ -111,13 +116,21 @@ struct FileEngineConfig {
 /// `FileEngine` is the second `StorageEngine` implementation (next to the
 /// `sim::Device`-priced `lsm::LsmTree`/`ShardedEngine` stack) and exists
 /// to validate that model-driven tunings transfer from the simulator to
-/// an actual device. It keeps the same externally visible structure as
-/// the simulated engine — the same `ShardSet` routing, budget split,
-/// lifecycle, batch plan and scatter-gather `Scan` over N hash-partitioned
-/// shards, per-shard memtable / Bloom filters / block cache, a leveled run
-/// hierarchy shaped by `lsm::Options` (buffer size, size ratio T, policy,
-/// runs-per-level K) — but every run is a real file and every read path
-/// block access is a real `pread`.
+/// an actual device. It shares the simulated engine's `ShardSet` base —
+/// routing, budget split, lifecycle, batch fan-out, scan gathers and
+/// scatter-gather `Scan` over N hash-partitioned shards — and keeps a
+/// per-shard memtable, Bloom filters and block cache, but every run is a
+/// real file and every read-path block access is a real `pread`.
+///
+/// The level policy is its own, not the simulated tree's: a flush adds a
+/// run to level 0, and a level holding more than K runs (or more entries
+/// than its capacity) is rewritten whole into one run appended to the next
+/// level. At K = 1 each level therefore holds at most one run and every
+/// second arrival merges it down; the size ratio T acts only through level
+/// capacity, which does not bind for T >= 3. 400k random puts into one
+/// shard with a 2,048-entry buffer leave 4 runs after 191 merges and
+/// 15,596 compaction block writes at T = 3, 4, 10 and 20 alike, where the
+/// simulated tree writes 101,632 to 196,800 blocks over the same T values.
 ///
 /// Cost accounting is truthful, not simulated: per-shard clocks accumulate
 /// wall time measured around each operation plus real block read/write
@@ -142,7 +155,7 @@ struct FileEngineConfig {
 /// Thread-safety: externally synchronized, like every `StorageEngine`.
 /// Shard state is fully shard-local, so `ExecuteOps` may fan per-shard
 /// submission lists across an attached pool (see `set_pool`).
-class FileEngine : public StorageEngine {
+class FileEngine : public ShardSet<FileEngine, FileShardPtr> {
  public:
   /// Creates `num_shards` file-set shards under `config.workdir`.
   /// `total_options` is the system-wide configuration; each shard receives
@@ -152,74 +165,6 @@ class FileEngine : public StorageEngine {
   FileEngine(size_t num_shards, const lsm::Options& total_options,
              const FileEngineConfig& config);
   ~FileEngine() override;
-
-  FileEngine(const FileEngine&) = delete;
-  FileEngine& operator=(const FileEngine&) = delete;
-
-  void Put(uint64_t key, uint64_t value) override;
-  void Delete(uint64_t key) override;
-  bool Get(uint64_t key, uint64_t* value) override;
-  size_t Scan(uint64_t start_key, size_t max_entries,
-              std::vector<lsm::Entry>* out) override;
-
-  /// Batched execution: the batch is partitioned into one submission list
-  /// per shard/file-set (a scan probe joins every list), the lists run
-  /// concurrently when a pool is attached, and per-op cost comes from a
-  /// monotonic clock around each operation (a scan's latency is the sum
-  /// of its per-shard probe times — the serial-equivalent convention the
-  /// simulated engine uses). Logical results and I/O counts are
-  /// deterministic at any pool size; measured latencies are real.
-  void ExecuteOps(const Op* ops, size_t count, OpResult* results) override;
-  using StorageEngine::ExecuteOps;
-
-  void FlushMemtable() override;
-
-  /// Divides `new_total_options` across shards (same arithmetic as the
-  /// simulated sharded engine) and reconfigures every shard.
-  void Reconfigure(const lsm::Options& new_total_options) override;
-
-  /// Applies shard-local `options` at runtime: the block cache resizes
-  /// immediately, a memtable over the new buffer capacity flushes, and
-  /// future runs size their Bloom filters from the new budget. Existing
-  /// run files converge through subsequent flushes/compactions (lazy,
-  /// like the simulated tree). Safe between `ExecuteOps` batches — this
-  /// is the surface the memory arbiter and the dynamic tuner drive.
-  void ReconfigureShard(size_t shard, const lsm::Options& options) override;
-
-  size_t NumShards() const override { return set_.num_shards(); }
-  size_t ShardIndex(uint64_t key) const override {
-    return set_.ShardIndex(key);
-  }
-
-  lsm::Options ShardOptionsSnapshot(size_t shard) const override;
-
-  ShardState ShardLifecycle(size_t shard) const override {
-    return set_.Lifecycle(shard);
-  }
-  size_t MaterializedShards() const override {
-    return set_.MaterializedShards();
-  }
-  void AppendResidentShards(std::vector<size_t>* out) const override {
-    set_.AppendResidentShards(out);
-  }
-
-  /// Real cost clocks: block_reads/block_writes are actual pread/pwrite
-  /// block counts, elapsed_ns is accumulated monotonic wall time.
-  sim::DeviceSnapshot CostSnapshot() const override;
-  sim::DeviceSnapshot ShardCostSnapshot(size_t shard) const override;
-  EngineCounters AggregateCounters() const override;
-  EngineCounters ShardCounters(size_t shard) const override;
-
-  uint64_t TotalEntries() const override;
-  uint64_t DiskEntries() const override;
-  uint64_t ShardEntries(size_t shard) const override;
-  bool InTransition() const override;
-
-  /// Attaches (or detaches, with nullptr) the worker pool `ExecuteOps`
-  /// and `Scan` fan per-shard work across. Not owned; must outlive its
-  /// use. No pool runs inline.
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
 
   /// True when run files are actually being read with O_DIRECT (the
   /// constructor probes the working directory's filesystem once).
@@ -253,25 +198,47 @@ class FileEngine : public StorageEngine {
   /// under one base directory (the Evaluator's file-backend measurements).
   static uint64_t NextUniqueId();
 
-  /// Opaque per-shard state (defined in file_engine.cc).
-  struct Shard;
-
  private:
-  using Shards = ShardSet<std::unique_ptr<Shard>, FileEngine>;
-  friend Shards;
+  using Slot = FileShardPtr;
+  friend ShardSet<FileEngine, Slot>;
 
   // ShardSet backend: lifecycle transitions of one file-set shard.
   /// Creates shard `s`'s directory, logs, cache, scratch buffers and ring.
-  void CreateShard(size_t s, std::unique_ptr<Shard>& slot,
-                   const lsm::Options& options);
+  void CreateShard(size_t s, Slot& slot, const lsm::Options& options);
   /// Rehydrates a hibernated shard from its sidecar.
-  void WakeShard(size_t s, std::unique_ptr<Shard>& slot);
+  void WakeShard(size_t s, Slot& slot);
   /// Freezes a shard into its sidecar and releases in-memory state.
-  void FreezeShard(size_t s, std::unique_ptr<Shard>& slot);
+  void FreezeShard(size_t s, Slot& slot);
 
-  /// The single-op write both `Put` and `Delete` run, timed on the
-  /// shard clock and committed to the WAL as its own batch.
-  void Write(uint64_t key, uint64_t value, bool tombstone);
+  // ShardSet backend: work on a live shard, timed on the shard clock.
+  /// Serves one batch list: maximal runs of consecutive gets go through
+  /// the shard's io_uring window when it has a ring, every other op is
+  /// timed on its own, and the list's logged writes land in one WAL group
+  /// commit.
+  void ServeList(Slot& slot, ShardList& list);
+  /// The single-op write, committed to the WAL as its own batch.
+  void WriteSlot(Slot& slot, uint64_t key, uint64_t value, bool tombstone);
+  bool GetSlot(Slot& slot, uint64_t key, uint64_t* value);
+  size_t ScanSlot(Slot& slot, uint64_t start_key, size_t max_entries,
+                  std::vector<lsm::Entry>* out);
+  void FlushSlot(Slot& slot);
+  /// Applies shard-local options at runtime: the block cache resizes
+  /// immediately, a memtable over the new buffer capacity flushes, and
+  /// future runs size their Bloom filters from the new budget. Existing
+  /// run files converge through later flushes/compactions (lazy, like the
+  /// simulated tree). A hibernated shard is updated asleep unless its
+  /// buffered writes overflow the new capacity.
+  void ReconfigureSlot(size_t s, Entry& e, const lsm::Options& options);
+
+  // ShardSet backend: the view of a live or hibernated shard. Costs are
+  // real: block_reads/block_writes are actual pread/pwrite block counts,
+  // elapsed_ns is accumulated monotonic wall time.
+  lsm::Options SlotOptions(const Entry& e) const;
+  EngineCounters SlotCounters(const Entry& e) const;
+  sim::DeviceSnapshot SlotCost(const Slot& slot) const;
+  uint64_t SlotEntries(const Entry& e) const;
+  uint64_t SlotDiskEntries(const Entry& e) const;
+  bool SlotInTransition(const Entry& e) const;
 
   /// `reopen=true` startup: scans the workdir for shard directories and
   /// reconstructs each from its manifest + WAL.
@@ -287,8 +254,6 @@ class FileEngine : public StorageEngine {
   bool created_workdir_ = false;
   bool direct_io_ = false;
   bool use_uring_ = false;
-  Shards set_;
-  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace camal::engine

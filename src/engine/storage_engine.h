@@ -166,11 +166,11 @@ struct OpCostWindow {
 /// a batch and receives one `OpResult` per op, in submission order, with
 /// per-op cost attributed by the engine. The base implementation runs the
 /// batch serially and prices each op by diffing `CostSnapshot()` (exactly
-/// what callers historically did); `ShardedEngine` overrides it to execute
-/// shard-local sub-batches concurrently while producing bit-identical
-/// results. Every serving path — closed-loop (`workload::Execute`,
-/// `tune::DynamicTuner`) and open-loop (`serve::Gateway`) — submits
-/// through `ExecuteOps`. The point-op virtuals (`Put`/`Get`/`Delete`/
+/// what callers historically did); `ShardSet`, the base of both sharded
+/// engines, overrides it to execute shard-local sub-batches concurrently
+/// while producing bit-identical results. Every serving path —
+/// closed-loop (`workload::Execute`, `tune::DynamicTuner`) and open-loop
+/// (`serve::Gateway`) — submits through `ExecuteOps`. The point-op virtuals (`Put`/`Get`/`Delete`/
 /// `Scan`) are a compatibility and testing surface, not a serving
 /// entrypoint: use them for bulk loads, assertions, and probing entries,
 /// and expect them to agree with `ExecuteOps` — executing a stream

@@ -10,14 +10,16 @@
 // key universe + Scans) to the never-crashed reference, without
 // rebuilding a single run. Plus the clean-close paths: reopen restores
 // all shards — including hibernated ones — from their manifests alone,
-// a clean WAL is kept and appended to rather than rewritten, and a
-// damaged or missing Bloom filter file (`run_<id>.blm`) is rebuilt
-// from its run, bit-identically, instead of failing the reopen.
+// a clean WAL is kept and appended to rather than rewritten, a damaged
+// or missing Bloom filter file (`run_<id>.blm`) is rebuilt from its run,
+// bit-identically, instead of failing the reopen, and a hibernation
+// sidecar with a damaged byte stops the wake instead of serving it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -918,6 +920,49 @@ TEST(CrashRecoveryTest, DamagedFilterFileOfHibernatedShardIsRebuiltOnWake) {
     EXPECT_EQ(ReadBytes(victim), original);
   }
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------ damaged sidecar
+
+TEST(CrashRecoveryDeathTest, DamagedSidecarStopsTheWake) {
+  const std::string dir = UniqueDir("snap_flip");
+  FileEngineConfig cfg;
+  cfg.workdir = dir;
+  cfg.durable = true;
+  cfg.lifecycle =
+      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
+  FileEngine eng(2, CrashOptions(2), cfg);
+  std::vector<Op> batch;
+  for (uint64_t k = 2; k <= 1200; k += 2) batch.push_back(Put(k, k + 11));
+  PutBatch(eng, batch);
+  eng.FlushMemtable();
+  // A buffered write in shard 1: the sidecar carries it as a memtable
+  // record, its key's 8 bytes followed by its value's.
+  const uint64_t key = ShardKeys(eng, 1, 1, 1200).at(0);
+  const uint64_t value = key + 13;
+  PutBatch(eng, {Put(key, value)});
+  const std::vector<uint64_t> hot = ShardKeys(eng, 0, 16, 1200);
+  batch.clear();
+  for (const uint64_t k : hot) batch.push_back(GetOp(k));
+  PutBatch(eng, batch);
+  PutBatch(eng, batch);
+  ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
+
+  // Flip one bit of that value in the sidecar.
+  const std::string sidecar = dir + "/shard_1/hibernate.snap";
+  std::string bytes = ReadBytes(sidecar);
+  std::string record(16, '\0');
+  std::memcpy(record.data(), &key, sizeof(key));
+  std::memcpy(record.data() + 8, &value, sizeof(value));
+  const size_t at = bytes.find(record);
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 8] ^= 0x01;
+  std::ofstream(sidecar, std::ios::binary | std::ios::trunc) << bytes;
+
+  // Touching the shard wakes it from the damaged image, which must stop
+  // the wake instead of serving `value ^ 1` as a live value.
+  uint64_t got = 0;
+  EXPECT_DEATH(eng.Get(key, &got), "hibernation sidecar .* fails its CRC");
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // counts, block read/write totals, counters, and run-file structure.
 // Across backends, both engines make their shard decisions through one
 // ShardSet, so the same schedule must walk them through the same
-// lifecycle.
+// lifecycle, with the same logical result for every op.
 
 #include <gtest/gtest.h>
 
@@ -467,6 +467,8 @@ TEST(ShardLifecycleTest, BackendsMakeIdenticalLifecycleDecisions) {
 
   bool retuned_hibernated = false;
   size_t hibernated_batches = 0;
+  size_t found_gets = 0;
+  size_t scan_hits = 0;
   for (size_t b = 0; b < 30; ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
     std::vector<Op> batch;
@@ -485,6 +487,15 @@ TEST(ShardLifecycleTest, BackendsMakeIdenticalLifecycleDecisions) {
     sim.ExecuteOps(batch.data(), batch.size(), sim_results.data());
     file.ExecuteOps(batch.data(), batch.size(), file_results.data());
     ExpectSameLifecycle(sim, file);
+    // Both engines hold the same logical contents, so every op's logical
+    // outcome agrees across backends.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(sim_results[i].found, file_results[i].found) << "op " << i;
+      EXPECT_EQ(sim_results[i].scan_hits, file_results[i].scan_hits)
+          << "op " << i;
+      found_gets += sim_results[i].found ? 1 : 0;
+      scan_hits += sim_results[i].scan_hits;
+    }
 
     const size_t asleep = LastShardIn(sim, ShardState::kHibernated);
     if (asleep == sim.NumShards()) continue;
@@ -497,6 +508,8 @@ TEST(ShardLifecycleTest, BackendsMakeIdenticalLifecycleDecisions) {
   }
   EXPECT_TRUE(retuned_hibernated);
   EXPECT_GT(hibernated_batches, 1u);
+  EXPECT_GT(found_gets, 0u);
+  EXPECT_GT(scan_hits, 0u);
 }
 
 }  // namespace
