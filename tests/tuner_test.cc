@@ -424,6 +424,199 @@ TEST(CamalTunerTest, FileSizeRoundWhenEnabled) {
   EXPECT_EQ(tuner.samples().size(), base_tuner.samples().size() + 3);
 }
 
+// Bit-identity goldens for the optional decoupled rounds and the other
+// model-argmin paths: each pins the sample count, the hex-float sampling
+// cost and every field of every configuration a tiny Trees run produces.
+void ExpectConfigs(const std::vector<TuningConfig>& got,
+                   const std::vector<TuningConfig>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].policy, want[i].policy) << i;
+    EXPECT_EQ(got[i].size_ratio, want[i].size_ratio) << i;
+    EXPECT_EQ(got[i].mf_bits, want[i].mf_bits) << i;
+    EXPECT_EQ(got[i].mb_bits, want[i].mb_bits) << i;
+    EXPECT_EQ(got[i].mc_bits, want[i].mc_bits) << i;
+    EXPECT_EQ(got[i].runs_per_level, want[i].runs_per_level) << i;
+    EXPECT_EQ(got[i].file_bytes, want[i].file_bytes) << i;
+    EXPECT_EQ(got[i].io_queue_depth, want[i].io_queue_depth) << i;
+  }
+}
+
+constexpr lsm::CompactionPolicy kLeveling = lsm::CompactionPolicy::kLeveling;
+constexpr lsm::CompactionPolicy kTiering = lsm::CompactionPolicy::kTiering;
+
+TunerOptions TinyTreesOptions() {
+  TunerOptions opts;
+  opts.model_kind = ModelKind::kTrees;
+  opts.threads = 1;
+  opts.seed = 7;
+  return opts;
+}
+
+// A point-read-heavy, a write-heavy and a scan-heavy mix.
+std::vector<model::WorkloadSpec> GoldenMixes() {
+  return {model::WorkloadSpec{0.6, 0.2, 0.1, 0.1},
+          model::WorkloadSpec{0.05, 0.05, 0.1, 0.8},
+          model::WorkloadSpec{0.1, 0.1, 0.6, 0.2}};
+}
+
+TEST(CamalTunerTest, McRoundGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.tune_mc = true;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  EXPECT_EQ(tuner.samples().size(), 35u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.9d6abec616eccp+33);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1p+2, 0x1.c2p+15, 0x1.2cp+13, 0x1.c2p+14, 0, 0, 0},
+      {kLeveling, 0x1p+1, 0x1.482p+15, 0x1.a5ep+15, 0x0p+0, 0, 0, 0},
+      {kLeveling, 0x1.3p+4, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+  };
+  ExpectConfigs(tuner.tuned_configs(), want);
+}
+
+TEST(CamalTunerTest, KIndependentRoundGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.k_mode = KTuningMode::kIndependent;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  EXPECT_EQ(tuner.samples().size(), 35u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.7b0bccb3d1d29p+33);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1.2p+3, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+      {kLeveling, 0x1p+3, 0x1.bd5p+15, 0x1.30bp+15, 0x0p+0, 2, 0, 0},
+      {kLeveling, 0x1.2p+4, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 1, 0, 0},
+  };
+  ExpectConfigs(tuner.tuned_configs(), want);
+}
+
+TEST(CamalTunerTest, KCodependentRoundGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.k_mode = KTuningMode::kCodependent;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  EXPECT_EQ(tuner.samples().size(), 35u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.999b624e810bcp+33);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1.1p+4, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 1, 0, 0},
+      {kLeveling, 0x1.8p+2, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 1, 0, 0},
+      {kLeveling, 0x1.38p+5, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 1, 0, 0},
+  };
+  ExpectConfigs(tuner.tuned_configs(), want);
+}
+
+TEST(CamalTunerTest, FileSizeRoundGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.tune_file_size = true;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  EXPECT_EQ(tuner.samples().size(), 35u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.a2db3c739f617p+33);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1p+2, 0x1.dbf13de4fbbb4p+15, 0x1.120ec21b0444cp+15, 0x0p+0,
+       0, 65536, 0},
+      {kLeveling, 0x1p+3, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+      {kLeveling, 0x1.7p+4, 0x1.194p+16, 0x1.77p+14, 0x0p+0, 0, 0, 0},
+  };
+  ExpectConfigs(tuner.tuned_configs(), want);
+}
+
+TEST(CamalTunerTest, TunePolicyRoundsGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.tune_policy = true;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  EXPECT_EQ(tuner.samples().size(), 46u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.cfd51beaad724p+33);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1.2p+3, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+      {kTiering, 0x1p+1, 0x1.c71e98ebb6993p+14, 0x1.053859c51259bp+16, 0x0p+0,
+       0, 0, 0},
+      {kLeveling, 0x1.3p+4, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+  };
+  ExpectConfigs(tuner.tuned_configs(), want);
+}
+
+TEST(CamalTunerTest, TuneMemoryOffGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.tune_memory = false;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  EXPECT_EQ(tuner.samples().size(), 15u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.91e26b37e2ab9p+32);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1.2p+3, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+      {kLeveling, 0x1.8p+1, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+      {kLeveling, 0x1.28p+5, 0x1.d4cp+15, 0x1.194p+15, 0x0p+0, 0, 0, 0},
+  };
+  ExpectConfigs(tuner.tuned_configs(), want);
+}
+
+// An unseen mix takes the path DynamicTuner drives: every trained
+// workload's recommendation scored under the model for the new mix,
+// against the pruned-grid argmin, at the training scale and at 5x it.
+TEST(CamalTunerTest, RecommendForUnseenMixGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.tune_policy = true;
+  opts.tune_mc = true;
+  CamalTuner tuner(TinySetup(), opts);
+  tuner.Train(GoldenMixes());
+  const model::WorkloadSpec unseen{0.3, 0.3, 0.2, 0.2};
+  SystemSetup big = TinySetup();
+  big.num_entries *= 5;
+  big.total_memory_bits *= 5;
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1p+2, 0x1.c2p+15, 0x1.2cp+13, 0x1.c2p+14, 0, 0, 0},
+      {kLeveling, 0x1p+2, 0x1.194p+18, 0x1.77p+15, 0x1.194p+17, 0, 0, 0},
+      {kLeveling, 0x1.2p+3, 0x1.6ff5619298c71p+12, 0x1.6000a9e6d6739p+16,
+       0x0p+0, 0, 0, 0},
+  };
+  ExpectConfigs({tuner.RecommendFor(unseen, TinySetup().ToModelParams()),
+                 tuner.RecommendFor(unseen, big.ToModelParams()),
+                 tuner.RecommendFor(model::WorkloadSpec{0.05, 0.05, 0.45, 0.45},
+                                    TinySetup().ToModelParams())},
+                want);
+}
+
+// The plain-AL query sequence (every sampled configuration, in order) and
+// the base class's full-grid argmin recommendation.
+TEST(PlainAlTunerTest, QuerySequenceGolden) {
+  TunerOptions opts = TinyTreesOptions();
+  opts.budget_per_workload = 6;
+  opts.tune_mc = true;
+  opts.k_mode = KTuningMode::kIndependent;
+  PlainAlTuner tuner(TinySetup(), opts);
+  tuner.Train({Mixed(), model::WorkloadSpec{0.05, 0.05, 0.1, 0.8}});
+  EXPECT_EQ(tuner.samples().size(), 12u);
+  EXPECT_EQ(tuner.sampling_cost_ns(), 0x1.bfd2b6ae61b6ap+31);
+  std::vector<TuningConfig> queried;
+  for (const Sample& s : tuner.samples()) queried.push_back(s.config);
+  const std::vector<TuningConfig> want = {
+      {kLeveling, 0x1.c8p+5, 0x1.46e76c826087ap+15, 0x1.fa1daa646f9a9p+14,
+       0x1.54137c96cf563p+14, 5, 0, 0},
+      {kLeveling, 0x1.9p+4, 0x1.cbb20e8f14831p+15, 0x1.dac7627fa08c8p+13,
+       0x1.573831a206b3ap+14, 1, 0, 0},
+      {kLeveling, 0x1.fp+4, 0x1.207bb39b8451dp+15, 0x1.9c0ab2e420454p+15,
+       0x1.8bcccc02db475p+12, 8, 0, 0},
+      {kLeveling, 0x1p+1, 0x0p+0, 0x1.77p+16, 0x0p+0, 1, 0, 0},
+      {kLeveling, 0x1.ep+4, 0x1.77p+15, 0x1.2cp+15, 0x1.2cp+13, 4, 0, 0},
+      {kLeveling, 0x1.5p+5, 0x1.77p+15, 0x1.c2p+14, 0x1.2cp+14, 5, 0, 0},
+      {kLeveling, 0x1.8p+2, 0x1.a4d1acecbfac7p+15, 0x1.361ff5db91dbep+15,
+       0x1.30e5d37ae77b1p+11, 6, 0, 0},
+      {kLeveling, 0x1.ap+4, 0x1.d730adb6ae25fp+15, 0x1.564e4adc6e6b6p+13,
+       0x1.82777f246c7e7p+14, 6, 0, 0},
+      {kLeveling, 0x1.8p+2, 0x1.3ea4df9c02d9cp+15, 0x1.50227d5c34c26p+14,
+       0x1.0749e1b5e2c51p+15, 4, 0, 0},
+      {kLeveling, 0x1.4p+3, 0x1.c2p+15, 0x1.2cp+13, 0x1.c2p+14, 6, 0, 0},
+      {kLeveling, 0x1.4p+3, 0x1.068p+16, 0x1.2cp+13, 0x1.2cp+14, 3, 0, 0},
+      {kLeveling, 0x1.2p+4, 0x1.068p+16, 0x1.2cp+13, 0x1.2cp+14, 3, 0, 0},
+  };
+  ExpectConfigs(queried, want);
+  ExpectConfigs({tuner.Recommend(Mixed())},
+                {{kLeveling, 0x1p+3, 0x1.ec3p+15, 0x1.af4p+13, 0x1.2cp+14, 4, 0,
+                  0}});
+}
+
 TEST(PlainAlTunerTest, RespectsBudget) {
   const SystemSetup setup = TinySetup();
   TunerOptions opts;
