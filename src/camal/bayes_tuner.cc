@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "camal/plain_al_tuner.h"
 #include "model/optimum.h"
 
 namespace camal::tune {

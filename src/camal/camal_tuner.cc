@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "camal/extrapolation.h"
 #include "camal/group_sampling.h"
-#include "camal/plain_al_tuner.h"  // SameConfig
 #include "model/optimum.h"
 
 namespace camal::tune {
@@ -21,6 +20,89 @@ bool SameWorkload(const model::WorkloadSpec& a, const model::WorkloadSpec& b) {
          std::fabs(a.q - b.q) < 1e-9 && std::fabs(a.w - b.w) < 1e-9 &&
          std::fabs(a.skew - b.skew) < 1e-9;
 }
+
+/// The Monkey-style point every round starts from: default T, 10 bits/key
+/// of Bloom memory (at most 80% of the budget), the rest to the buffer.
+TuningConfig StartConfig(lsm::CompactionPolicy policy,
+                         const model::SystemParams& sys) {
+  TuningConfig c;
+  c.policy = policy;
+  c.mf_bits = std::min(10.0 * sys.num_entries, 0.8 * sys.total_memory_bits);
+  c.mb_bits = sys.total_memory_bits - c.mf_bits;
+  return c;
+}
+
+/// Where a size-ratio search looks: the theoretical optimum T*, the cap on
+/// sampled size ratios, and the pruned window [lo, hi] of integer size
+/// ratios around T*.
+struct SizeRatioWindow {
+  double t_star;
+  double t_cap;
+  double lo;
+  double hi;
+
+  std::vector<double> Values() const {
+    std::vector<double> out;
+    for (double t = lo; t <= hi + 1e-9; t += 1.0) out.push_back(t);
+    return out;
+  }
+};
+
+/// T* for `start`'s policy (Equation 5 for leveling, numeric otherwise,
+/// with the other parameters at `start`), capped at kTStarCap x T_lim,
+/// rounded and clamped to [2, T_lim]; the window is [T*/kTWindow,
+/// T* x kTWindow] within [2, max(4, kTSearchCap x T_lim)].
+SizeRatioWindow SizeRatioSearch(const model::WorkloadSpec& w,
+                                const model::CostModel& cm,
+                                const TuningConfig& start) {
+  const double t_lim = std::floor(cm.SizeRatioLimit());
+  double t_star = start.policy == lsm::CompactionPolicy::kLeveling
+                      ? model::OptimalSizeRatioLeveling(w, cm)
+                      : model::OptimalSizeRatioNumeric(w, cm,
+                                                       start.ToModelConfig());
+  t_star = std::clamp(
+      std::round(std::min(t_star, CamalTuner::kTStarCap * t_lim)), 2.0, t_lim);
+  const double t_cap = std::max(4.0, CamalTuner::kTSearchCap * t_lim);
+  return {t_star, t_cap,
+          std::max(2.0, std::floor(t_star / CamalTuner::kTWindow)),
+          std::min(t_cap, std::ceil(t_star * CamalTuner::kTWindow))};
+}
+
+/// Theoretical optimal Bloom bits per key at `at`'s size ratio, with its
+/// block-cache memory reserved (Equation 6 for leveling, numeric
+/// otherwise).
+double OptimalBpk(const model::WorkloadSpec& w, const model::CostModel& cm,
+                  const TuningConfig& at, double num_entries) {
+  const double mf_bits =
+      at.policy == lsm::CompactionPolicy::kLeveling
+          ? model::OptimalMfBitsLeveling(w, cm, at.size_ratio, at.mc_bits)
+          : model::OptimalMfBitsNumeric(w, cm, at.ToModelConfig(), at.mc_bits);
+  return mf_bits / num_entries;
+}
+
+/// The pruned bits-per-key window, enumerated from its low end in `step`s:
+/// it spans the theoretical optimum `bpk_star` AND the practical default
+/// (10 bits/key), widened by kPruneRadius and capped at `max_bpk`. The
+/// closed form can badly underestimate filter memory when its buffer-size
+/// derivative is off (e.g. sparse shallow levels make small buffers cheap
+/// for scans).
+std::vector<double> BpkWindow(double bpk_star, double max_bpk, double step) {
+  const double lo =
+      std::max(0.0, std::min(bpk_star, 10.0) - CamalTuner::kPruneRadius);
+  const double hi =
+      std::min(max_bpk, std::max(bpk_star, 10.0) + CamalTuner::kPruneRadius);
+  std::vector<double> out;
+  for (double bpk = lo; bpk <= hi + 1e-9; bpk += step) out.push_back(bpk);
+  return out;
+}
+
+/// One configuration per value, made by `make`.
+template <typename Values, typename Make>
+std::vector<TuningConfig> Map(const Values& values, Make make) {
+  std::vector<TuningConfig> out;
+  for (const auto& v : values) out.push_back(make(v));
+  return out;
+}
 }  // namespace
 
 TuningConfig CamalTuner::RecommendFor(const model::WorkloadSpec& w,
@@ -32,42 +114,31 @@ TuningConfig CamalTuner::RecommendFor(const model::WorkloadSpec& w,
   // the model's predictions are well-grounded at measured configurations,
   // while its global argmin may live in an extrapolated corner. The raw
   // argmin is kept only when it predicts a clear (>25%) advantage.
-  bool have_exact = false;
-  for (const Sample& s : samples_) {
-    if (SameWorkload(s.workload, normalized)) {
-      have_exact = true;
-      break;
-    }
-  }
+  const bool have_exact =
+      std::any_of(samples_.begin(), samples_.end(), [&](const Sample& s) {
+        return SameWorkload(s.workload, normalized);
+      });
   if (!have_exact) {
     if (samples_.empty() || !has_model()) {
       return ModelBackedTuner::RecommendFor(w, target);
     }
     // Distinct trained workloads -> their per-workload recommendations.
     std::vector<model::WorkloadSpec> trained;
+    std::vector<TuningConfig> candidates;
     for (const Sample& s : samples_) {
-      bool seen = false;
-      for (const model::WorkloadSpec& t : trained) {
-        if (SameWorkload(t, s.workload)) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) trained.push_back(s.workload);
-    }
-    TuningConfig best;
-    double best_pred = std::numeric_limits<double>::infinity();
-    for (const model::WorkloadSpec& t : trained) {
-      const TuningConfig candidate = RecommendFor(t, target);
-      const double pred = PredictObjective(normalized, candidate, target);
-      if (pred < best_pred) {
-        best_pred = pred;
-        best = candidate;
+      if (std::none_of(trained.begin(), trained.end(),
+                       [&](const model::WorkloadSpec& t) {
+                         return SameWorkload(t, s.workload);
+                       })) {
+        trained.push_back(s.workload);
+        candidates.push_back(RecommendFor(s.workload, target));
       }
     }
-    TuningConfig chosen = best;
+    const Argmin scored = PredictedArgmin(normalized, candidates, target);
+    TuningConfig chosen =
+        scored.index ? candidates[*scored.index] : TuningConfig{};
     const TuningConfig argmin = ArgminOverGrid(normalized, target);
-    if (PredictObjective(normalized, argmin, target) < 0.75 * best_pred) {
+    if (PredictObjective(normalized, argmin, target) < 0.75 * scored.pred) {
       chosen = argmin;
     }
     ApplyIoDepthRecommendation(normalized, target, &chosen);
@@ -111,92 +182,19 @@ TuningConfig CamalTuner::RecommendFor(const model::WorkloadSpec& w,
 std::vector<TuningConfig> CamalTuner::CandidateGrid(
     const model::WorkloadSpec& w, const model::SystemParams& target) const {
   const model::CostModel cm(target, options_.cost_corrector.get());
-  const double t_lim = std::floor(cm.SizeRatioLimit());
-  const double n = target.num_entries;
-  const double m = target.total_memory_bits;
-  const double min_buf = model::MinBufferBits(target);
   const double max_bpk = MaxBloomBpk(target);
-
-  std::vector<lsm::CompactionPolicy> policies;
-  if (options_.tune_policy) {
-    policies = {lsm::CompactionPolicy::kLeveling,
-                lsm::CompactionPolicy::kTiering};
-  } else {
-    policies = {options_.policy};
-  }
-  std::vector<double> mc_fracs = {0.0};
-  if (options_.tune_mc) mc_fracs = {0.0, 0.1, 0.2, 0.3, 0.4};
-
   std::vector<TuningConfig> grid;
-  for (lsm::CompactionPolicy policy : policies) {
-    TuningConfig defaults;
-    defaults.policy = policy;
-    defaults.mf_bits = std::min(10.0 * n, 0.8 * m);
-    defaults.mb_bits = m - defaults.mf_bits;
-
-    double t_star;
-    if (policy == lsm::CompactionPolicy::kLeveling) {
-      t_star = model::OptimalSizeRatioLeveling(w, cm);
-    } else {
-      t_star = model::OptimalSizeRatioNumeric(w, cm, defaults.ToModelConfig());
-    }
-    t_star = std::clamp(std::round(std::min(t_star, kTStarCap * t_lim)), 2.0,
-                        t_lim);
-    const double t_cap = std::max(4.0, kTSearchCap * t_lim);
-    const double t_lo = std::max(2.0, std::floor(t_star / kTWindow));
-    const double t_hi = std::min(t_cap, std::ceil(t_star * kTWindow));
-
-    std::vector<double> bpk_values;
+  for (lsm::CompactionPolicy policy : SearchPolicies()) {
+    TuningConfig start = StartConfig(policy, target);
+    const SizeRatioWindow tw = SizeRatioSearch(w, cm, start);
+    std::vector<double> bpk_values = {std::min(10.0, max_bpk)};
     if (options_.tune_memory) {
-      double bpk_star;
-      if (policy == lsm::CompactionPolicy::kLeveling) {
-        bpk_star = model::OptimalMfBitsLeveling(w, cm, t_star) / n;
-      } else {
-        TuningConfig probe = defaults;
-        probe.size_ratio = t_star;
-        bpk_star =
-            model::OptimalMfBitsNumeric(w, cm, probe.ToModelConfig()) / n;
-      }
-      // Window spans the theoretical optimum AND the practical default
-      // (10 bits/key): the closed form can badly underestimate filter
-      // memory when its buffer-size derivative is off (e.g. sparse shallow
-      // levels make small buffers cheap for scans).
-      const double lo =
-          std::max(0.0, std::min(bpk_star, 10.0) - kPruneRadius);
-      const double hi =
-          std::min(max_bpk, std::max(bpk_star, 10.0) + kPruneRadius);
-      for (double bpk = lo; bpk <= hi + 1e-9; bpk += 1.0) {
-        bpk_values.push_back(bpk);
-      }
-    } else {
-      bpk_values.push_back(std::min(10.0, max_bpk));
+      start.size_ratio = tw.t_star;
+      bpk_values =
+          BpkWindow(OptimalBpk(w, cm, start, target.num_entries), max_bpk, 1.0);
     }
-
-    for (double t = t_lo; t <= t_hi + 1e-9; t += 1.0) {
-      std::vector<int> k_values = {0};
-      if (options_.k_mode != KTuningMode::kOff) {
-        k_values.clear();
-        for (int k = 1; k <= std::min(8, static_cast<int>(t)); ++k) {
-          k_values.push_back(k);
-        }
-      }
-      for (double bpk : bpk_values) {
-        for (double mc_frac : mc_fracs) {
-          for (int k : k_values) {
-            TuningConfig c;
-            c.policy = policy;
-            c.size_ratio = std::round(t);
-            c.runs_per_level = k;
-            c.mc_bits = mc_frac * m;
-            c.mf_bits =
-                std::clamp(bpk * n, 0.0, m - c.mc_bits - min_buf);
-            if (c.mf_bits < 0.0) continue;
-            c.mb_bits = m - c.mf_bits - c.mc_bits;
-            if (c.mb_bits < min_buf) continue;
-            grid.push_back(c);
-          }
-        }
-      }
+    for (double t : tw.Values()) {
+      AppendGridPoints(policy, t, bpk_values, target, &grid);
     }
   }
   return grid;
@@ -249,16 +247,9 @@ std::vector<double> CamalTuner::Neighborhood(double center, double lo,
 
 void CamalTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {
   tuned_configs_.clear();
-  std::vector<lsm::CompactionPolicy> policies;
-  if (options_.tune_policy) {
-    policies = {lsm::CompactionPolicy::kLeveling,
-                lsm::CompactionPolicy::kTiering};
-  } else {
-    policies = {options_.policy};
-  }
   const model::SystemParams train_sys = train_setup_.ToModelParams();
   for (const model::WorkloadSpec& w : workloads) {
-    for (lsm::CompactionPolicy policy : policies) {
+    for (lsm::CompactionPolicy policy : SearchPolicies()) {
       TrainWorkload(w, policy);
     }
     // Closing AL iterations: sample the model's current favorite within the
@@ -275,235 +266,125 @@ void CamalTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {
   }
 }
 
+TuningConfig CamalTuner::DecoupledRound(
+    const model::WorkloadSpec& w, const std::vector<TuningConfig>& probes,
+    const std::vector<TuningConfig>& window, const TuningConfig& fallback) {
+  CollectSamples(w, probes);
+  RefitModel();
+  const Argmin best =
+      PredictedArgmin(w, window, train_setup_.ToModelParams());
+  return best.index ? window[*best.index] : fallback;
+}
+
 TuningConfig CamalTuner::TrainWorkload(const model::WorkloadSpec& w,
                                        lsm::CompactionPolicy policy) {
   const model::SystemParams sys = train_setup_.ToModelParams();
   const model::CostModel cm(sys, options_.cost_corrector.get());
-  const double t_lim = std::floor(cm.SizeRatioLimit());
   const double n = sys.num_entries;
   const double m = sys.total_memory_bits;
   const double min_buf = model::MinBufferBits(sys);
 
   // Untuned parameters start from the Monkey-style defaults.
-  TuningConfig cur;
-  cur.policy = policy;
-  cur.mf_bits = std::min(10.0 * n, 0.8 * m);
-  cur.mb_bits = m - cur.mf_bits;
-  cur.mc_bits = 0.0;
-
-  auto set_memory = [&](double mf_bits, double mc_bits) {
-    mc_bits = std::max(0.0, mc_bits);
-    mf_bits = std::clamp(mf_bits, 0.0, m - mc_bits - min_buf);
-    cur.mc_bits = mc_bits;
-    cur.mf_bits = mf_bits;
-    cur.mb_bits = m - mf_bits - mc_bits;
+  TuningConfig cur = StartConfig(policy, sys);
+  // `cur` with the given Bloom and cache memory; Mb takes the rest.
+  auto with_memory = [&](double mf_bits, double mc_bits) {
+    TuningConfig c = cur;
+    c.mc_bits = std::max(0.0, mc_bits);
+    c.mf_bits = std::clamp(mf_bits, 0.0, m - c.mc_bits - min_buf);
+    c.mb_bits = m - c.mf_bits - c.mc_bits;
+    return c;
   };
 
   // ---------------- Round 1: size ratio T (and K when co-dependent).
-  double t_star;
-  if (policy == lsm::CompactionPolicy::kLeveling) {
-    t_star = model::OptimalSizeRatioLeveling(w, cm);
-  } else {
-    t_star = model::OptimalSizeRatioNumeric(w, cm, cur.ToModelConfig());
-  }
-  t_star = std::clamp(std::round(std::min(t_star, kTStarCap * t_lim)), 2.0,
-                      t_lim);
-  const double t_cap = std::max(4.0, kTSearchCap * t_lim);
-
+  // The window is pruned around T*: the complexity analysis bounds how far
+  // the intermediate model may pull the parameter.
+  const SizeRatioWindow tw = SizeRatioSearch(w, cm, cur);
   if (options_.k_mode == KTuningMode::kCodependent) {
-    const int k_star = TheoreticalOptimalK(w, cm, t_star);
-    const auto pairs = JointTkNeighborhood(
-        t_star, k_star, options_.samples_per_round * 2, t_cap);
-    std::vector<TuningConfig> round;
-    for (const auto& [t, k] : pairs) {
+    auto with_tk = [&](const std::pair<double, int>& tk) {
       TuningConfig c = cur;
-      c.size_ratio = t;
-      c.runs_per_level = k;
-      round.push_back(c);
+      c.size_ratio = tk.first;
+      c.runs_per_level = tk.second;
+      return c;
+    };
+    std::vector<std::pair<double, int>> joint_window;
+    for (double t : tw.Values()) {
+      for (int k : RunsPerLevelChoices(t)) joint_window.emplace_back(t, k);
     }
-    CollectSamples(w, round);
-    RefitModel();
-    // Joint argmin over (T, K) within the pruned window.
-    double best_pred = std::numeric_limits<double>::infinity();
-    const int t_lo =
-        static_cast<int>(std::max(2.0, std::floor(t_star / kTWindow)));
-    const int t_hi =
-        static_cast<int>(std::min(t_cap, std::ceil(t_star * kTWindow)));
-    for (int t = t_lo; t <= t_hi; ++t) {
-      for (int k = 1; k <= std::min(8, t); ++k) {
-        TuningConfig c = cur;
-        c.size_ratio = t;
-        c.runs_per_level = k;
-        const double pred = PredictObjective(w, c, sys);
-        if (pred < best_pred) {
-          best_pred = pred;
-          cur.size_ratio = t;
-          cur.runs_per_level = k;
-        }
-      }
-    }
+    const int k_star = TheoreticalOptimalK(w, cm, tw.t_star);
+    cur = DecoupledRound(
+        w,
+        Map(JointTkNeighborhood(tw.t_star, k_star,
+                                options_.samples_per_round * 2, tw.t_cap),
+            with_tk),
+        Map(joint_window, with_tk), cur);
   } else {
-    std::vector<TuningConfig> round;
-    for (double t : SizeRatioNeighborhood(t_star, t_cap)) {
+    auto with_t = [&](double t) {
       TuningConfig c = cur;
       c.size_ratio = std::round(t);
-      round.push_back(c);
-    }
-    CollectSamples(w, round);
-    RefitModel();
-    // Argmin within the pruned window around T* — the complexity analysis
-    // bounds how far the intermediate model may pull the parameter.
-    double best_pred = std::numeric_limits<double>::infinity();
-    double best_t = cur.size_ratio;
-    const int t_lo =
-        static_cast<int>(std::max(2.0, std::floor(t_star / kTWindow)));
-    const int t_hi =
-        static_cast<int>(std::min(t_cap, std::ceil(t_star * kTWindow)));
-    for (int t = t_lo; t <= t_hi; ++t) {
-      TuningConfig c = cur;
-      c.size_ratio = t;
-      const double pred = PredictObjective(w, c, sys);
-      if (pred < best_pred) {
-        best_pred = pred;
-        best_t = t;
-      }
-    }
-    cur.size_ratio = best_t;
+      return c;
+    };
+    cur = DecoupledRound(
+        w, Map(SizeRatioNeighborhood(tw.t_star, tw.t_cap), with_t),
+        Map(tw.Values(), with_t), cur);
   }
 
   // ---------------- Round 2: memory split Mf vs Mb.
   if (!options_.tune_memory) {
     return cur;  // Figure 6g "+T" stage: keep the default memory split.
   }
-  double mf_star;
-  if (policy == lsm::CompactionPolicy::kLeveling) {
-    mf_star = model::OptimalMfBitsLeveling(w, cm, cur.size_ratio, cur.mc_bits);
-  } else {
-    mf_star =
-        model::OptimalMfBitsNumeric(w, cm, cur.ToModelConfig(), cur.mc_bits);
-  }
-  const double max_bpk = std::clamp((m - min_buf) / n, 0.0, 16.0);
-  std::vector<double> bpk_samples = Neighborhood(mf_star / n, 0.0, max_bpk, 2.0);
+  const double bpk_star = OptimalBpk(w, cm, cur, n);
+  const double max_bpk = MaxBloomBpk(sys);
+  std::vector<double> bpk_probes = Neighborhood(bpk_star, 0.0, max_bpk, 2.0);
   // Anchor at the practical default when theory lands far from it.
-  if (std::fabs(mf_star / n - 10.0) > 3.0 && 10.0 <= max_bpk) {
-    bpk_samples.push_back(10.0);
+  if (std::fabs(bpk_star - 10.0) > 3.0 && 10.0 <= max_bpk) {
+    bpk_probes.push_back(10.0);
   }
-  {
-    std::vector<TuningConfig> round;
-    for (double bpk : bpk_samples) {
-      TuningConfig c = cur;
-      c.mf_bits = std::clamp(bpk * n, 0.0, m - cur.mc_bits - min_buf);
-      c.mb_bits = m - c.mf_bits - c.mc_bits;
-      round.push_back(c);
-    }
-    CollectSamples(w, round);
-  }
-  RefitModel();
-  {
-    double best_pred = std::numeric_limits<double>::infinity();
-    double best_bpk = cur.mf_bits / n;
-    const double bpk_lo =
-        std::max(0.0, std::min(mf_star / n, 10.0) - kPruneRadius);
-    const double bpk_hi =
-        std::min(max_bpk, std::max(mf_star / n, 10.0) + kPruneRadius);
-    for (double bpk = bpk_lo; bpk <= bpk_hi + 1e-9; bpk += 0.5) {
-      TuningConfig c = cur;
-      c.mf_bits = std::clamp(bpk * n, 0.0, m - cur.mc_bits - min_buf);
-      c.mb_bits = m - c.mf_bits - c.mc_bits;
-      const double pred = PredictObjective(w, c, sys);
-      if (pred < best_pred) {
-        best_pred = pred;
-        best_bpk = bpk;
-      }
-    }
-    set_memory(best_bpk * n, cur.mc_bits);
-  }
+  auto with_bpk = [&](double bpk) { return with_memory(bpk * n, cur.mc_bits); };
+  cur = DecoupledRound(w, Map(bpk_probes, with_bpk),
+                       Map(BpkWindow(bpk_star, max_bpk, 0.5), with_bpk),
+                       with_memory(cur.mf_bits / n * n, cur.mc_bits));
 
   // ---------------- Round 3 (optional): block cache Mc.
   if (options_.tune_mc) {
     // The closed-form model has no cache term; start from a practically
     // reasonable center (15% of the budget).
-    std::vector<TuningConfig> round;
-    for (double frac : Neighborhood(0.15, 0.0, 0.4, 0.15)) {
-      TuningConfig c = cur;
-      const double mc = frac * m;
-      c.mc_bits = mc;
-      c.mf_bits = std::clamp(cur.mf_bits, 0.0, m - mc - min_buf);
-      c.mb_bits = m - c.mf_bits - c.mc_bits;
-      round.push_back(c);
-    }
-    CollectSamples(w, round);
-    RefitModel();
-    double best_pred = std::numeric_limits<double>::infinity();
-    double best_frac = 0.0;
-    for (double frac = 0.0; frac <= 0.45; frac += 0.05) {
-      TuningConfig c = cur;
-      const double mc = frac * m;
-      c.mc_bits = mc;
-      c.mf_bits = std::clamp(cur.mf_bits, 0.0, m - mc - min_buf);
-      c.mb_bits = m - c.mf_bits - c.mc_bits;
-      const double pred = PredictObjective(w, c, sys);
-      if (pred < best_pred) {
-        best_pred = pred;
-        best_frac = frac;
-      }
-    }
-    const double mc = best_frac * m;
-    set_memory(std::min(cur.mf_bits, m - mc - min_buf), mc);
+    auto with_mc = [&](double frac) {
+      return with_memory(cur.mf_bits, frac * m);
+    };
+    std::vector<double> fracs;
+    for (double frac = 0.0; frac <= 0.45; frac += 0.05) fracs.push_back(frac);
+    cur = DecoupledRound(w, Map(Neighborhood(0.15, 0.0, 0.4, 0.15), with_mc),
+                         Map(fracs, with_mc),
+                         with_memory(std::min(cur.mf_bits, m - min_buf), 0.0));
   }
 
   // ---------------- Optional round: K tuned independently after T.
   if (options_.k_mode == KTuningMode::kIndependent) {
-    const int k_star = TheoreticalOptimalK(w, cm, cur.size_ratio);
-    std::vector<TuningConfig> round;
-    for (double k : Neighborhood(k_star, 1.0,
-                                 std::min(8.0, cur.size_ratio), 1.0)) {
+    auto with_k = [&](double k) {
       TuningConfig c = cur;
       c.runs_per_level = static_cast<int>(std::round(k));
-      round.push_back(c);
-    }
-    CollectSamples(w, round);
-    RefitModel();
-    double best_pred = std::numeric_limits<double>::infinity();
-    int best_k = std::max(1, cur.runs_per_level);
-    for (int k = 1; k <= std::min(8, static_cast<int>(cur.size_ratio)); ++k) {
-      TuningConfig c = cur;
-      c.runs_per_level = k;
-      const double pred = PredictObjective(w, c, sys);
-      if (pred < best_pred) {
-        best_pred = pred;
-        best_k = k;
-      }
-    }
-    cur.runs_per_level = best_k;
+      return c;
+    };
+    const int k_star = TheoreticalOptimalK(w, cm, cur.size_ratio);
+    cur = DecoupledRound(
+        w, Map(Neighborhood(k_star, 1.0, std::min(8.0, cur.size_ratio), 1.0),
+               with_k),
+        Map(RunsPerLevelChoices(cur.size_ratio), with_k),
+        with_k(std::max(1, cur.runs_per_level)));
   }
 
   // ---------------- Optional round: SST file size.
   if (options_.tune_file_size) {
-    const std::vector<uint64_t> candidates = {32 * 1024, 64 * 1024,
-                                              128 * 1024};
-    std::vector<TuningConfig> round;
-    for (uint64_t fb : candidates) {
+    auto with_file = [&](uint64_t file_bytes) {
       TuningConfig c = cur;
-      c.file_bytes = fb;
-      round.push_back(c);
-    }
-    CollectSamples(w, round);
-    RefitModel();
-    double best_pred = std::numeric_limits<double>::infinity();
-    uint64_t best_fb = 0;
-    for (uint64_t fb : {uint64_t{0}, uint64_t{16 * 1024}, uint64_t{32 * 1024},
-                        uint64_t{64 * 1024}, uint64_t{128 * 1024},
-                        uint64_t{256 * 1024}}) {
-      TuningConfig c = cur;
-      c.file_bytes = fb;
-      const double pred = PredictObjective(w, c, sys);
-      if (pred < best_pred) {
-        best_pred = pred;
-        best_fb = fb;
-      }
-    }
-    cur.file_bytes = best_fb;
+      c.file_bytes = file_bytes;
+      return c;
+    };
+    const std::vector<uint64_t> probes = {32 * 1024, 64 * 1024, 128 * 1024};
+    const std::vector<uint64_t> window = {0,         16 * 1024,  32 * 1024,
+                                          64 * 1024, 128 * 1024, 256 * 1024};
+    cur = DecoupledRound(w, Map(probes, with_file), Map(window, with_file),
+                         with_file(0));
   }
 
   return cur;

@@ -20,6 +20,9 @@ namespace camal::tune {
 ///  3. refits the ML model on all samples gathered so far (across
 ///     workloads), and
 ///  4. fixes the parameter at the model's argmin before the next round.
+/// `DecoupledRound` runs steps 2-4 for every round (the argmin is
+/// `ModelBackedTuner::PredictedArgmin`); each round supplies only its
+/// probe configurations, its pruned window and its fallback.
 class CamalTuner : public ModelBackedTuner {
  public:
   CamalTuner(const SystemSetup& full_setup, const TunerOptions& options);
@@ -70,6 +73,14 @@ class CamalTuner : public ModelBackedTuner {
   /// the tuned configuration (at training scale).
   TuningConfig TrainWorkload(const model::WorkloadSpec& w,
                              lsm::CompactionPolicy policy);
+
+  /// One decoupled round: measures every probe configuration, refits the
+  /// model, and returns the window candidate it predicts best — or
+  /// `fallback` when no candidate predicts below +infinity.
+  TuningConfig DecoupledRound(const model::WorkloadSpec& w,
+                              const std::vector<TuningConfig>& probes,
+                              const std::vector<TuningConfig>& window,
+                              const TuningConfig& fallback);
 
   /// Integer neighborhood of `center` within [lo, hi], at most
   /// `samples_per_round` distinct values spread +-2 around the center.

@@ -40,8 +40,9 @@ TuningConfig IncumbentConfig(const lsm::Options& live) {
 }
 
 /// Candidate identity for deduplication: racing two copies of one config
-/// wastes windows without telling the race anything.
-bool SameConfig(const TuningConfig& a, const TuningConfig& b) {
+/// wastes windows without telling the race anything. Exact equality of
+/// the tree shape (policy, T, K) and of all three memory shares.
+bool SameShapeAndMemory(const TuningConfig& a, const TuningConfig& b) {
   return a.policy == b.policy && a.size_ratio == b.size_ratio &&
          a.mf_bits == b.mf_bits && a.mb_bits == b.mb_bits &&
          a.mc_bits == b.mc_bits && a.runs_per_level == b.runs_per_level;
@@ -155,7 +156,7 @@ void DynamicTuner::StartRace(engine::StorageEngine* engine, size_t s,
       return;
     }
     for (const RaceCandidate& existing : race.candidates) {
-      if (SameConfig(existing.config, c)) return;
+      if (SameShapeAndMemory(existing.config, c)) return;
     }
     RaceCandidate cand;
     cand.config = c;

@@ -2,19 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "model/optimum.h"
 
 namespace camal::tune {
-
-bool SameConfig(const TuningConfig& a, const TuningConfig& b) {
-  return a.policy == b.policy &&
-         std::fabs(a.size_ratio - b.size_ratio) < 0.5 &&
-         std::fabs(a.mf_bits - b.mf_bits) < 1.0 &&
-         std::fabs(a.mc_bits - b.mc_bits) < 1.0 &&
-         a.runs_per_level == b.runs_per_level && a.file_bytes == b.file_bytes;
-}
 
 PlainAlTuner::PlainAlTuner(const SystemSetup& full_setup,
                            const TunerOptions& options)
@@ -51,24 +42,15 @@ TuningConfig PlainAlTuner::NextQuery(
     const model::WorkloadSpec& w, const model::SystemParams& sys,
     const std::vector<TuningConfig>& already) const {
   const std::vector<TuningConfig> grid = CandidateGrid(w, sys);
-  TuningConfig best = grid.front();
-  double best_pred = std::numeric_limits<double>::infinity();
+  std::vector<TuningConfig> fresh;
   for (const TuningConfig& c : grid) {
-    bool seen = false;
-    for (const TuningConfig& a : already) {
-      if (SameConfig(a, c)) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    const double pred = PredictObjective(w, c, sys);
-    if (pred < best_pred) {
-      best_pred = pred;
-      best = c;
+    if (std::none_of(already.begin(), already.end(),
+                     [&](const TuningConfig& a) { return SameConfig(a, c); })) {
+      fresh.push_back(c);
     }
   }
-  return best;
+  const Argmin best = PredictedArgmin(w, fresh, sys);
+  return best.index ? fresh[*best.index] : grid.front();
 }
 
 void PlainAlTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {

@@ -26,9 +26,6 @@ class PlainAlTuner : public ModelBackedTuner {
                          const std::vector<TuningConfig>& already) const;
 };
 
-/// Returns true when two configurations are (almost) the same point.
-bool SameConfig(const TuningConfig& a, const TuningConfig& b);
-
 }  // namespace camal::tune
 
 #endif  // CAMAL_CAMAL_PLAIN_AL_TUNER_H_

@@ -223,6 +223,14 @@ std::string TuningConfig::ToString() const {
   return buf;
 }
 
+bool SameConfig(const TuningConfig& a, const TuningConfig& b) {
+  return a.policy == b.policy &&
+         std::fabs(a.size_ratio - b.size_ratio) < 0.5 &&
+         std::fabs(a.mf_bits - b.mf_bits) < 1.0 &&
+         std::fabs(a.mc_bits - b.mc_bits) < 1.0 &&
+         a.runs_per_level == b.runs_per_level && a.file_bytes == b.file_bytes;
+}
+
 TuningConfig MonkeyDefaultConfig(const SystemSetup& setup) {
   TuningConfig c;
   c.policy = lsm::CompactionPolicy::kLeveling;

@@ -208,6 +208,12 @@ struct TuningConfig {
   std::string ToString() const;
 };
 
+/// True when two configurations are (almost) the same point: same policy,
+/// runs per level and file size, size ratios within 0.5, Bloom and cache
+/// memory within one bit each. Mb is not compared (it is what the budget
+/// leaves), nor is the queue depth (it never changes results).
+bool SameConfig(const TuningConfig& a, const TuningConfig& b);
+
 /// The paper's "well-tuned RocksDB" baseline configuration: leveling,
 /// T = 10, 10 bits/key of Bloom memory, the rest to the write buffer.
 TuningConfig MonkeyDefaultConfig(const SystemSetup& setup);

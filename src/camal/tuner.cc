@@ -2,12 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "model/optimum.h"
 #include "util/status.h"
 
 namespace camal::tune {
+
+namespace {
+/// Gives `c` `bpk` bits per key of Bloom memory and `mc_frac` of the
+/// budget as block cache, the write buffer the rest; false when that
+/// leaves the buffer below its minimum.
+bool SplitMemory(double bpk, double mc_frac, const model::SystemParams& target,
+                 TuningConfig* c) {
+  const double m = target.total_memory_bits;
+  const double min_buf = model::MinBufferBits(target);
+  c->mc_bits = mc_frac * m;
+  c->mf_bits = std::min(bpk * target.num_entries, m - c->mc_bits - min_buf);
+  c->mb_bits = m - c->mf_bits - c->mc_bits;
+  return c->mf_bits >= 0.0 && c->mb_bits >= min_buf;
+}
+}  // namespace
+
+std::vector<int> RunsPerLevelChoices(double size_ratio) {
+  std::vector<int> out;
+  for (int k = 1; k <= std::min(8, static_cast<int>(size_ratio)); ++k) {
+    out.push_back(k);
+  }
+  return out;
+}
 
 ModelBackedTuner::ModelBackedTuner(const SystemSetup& full_setup,
                                    const TunerOptions& options)
@@ -86,24 +108,42 @@ void ModelBackedTuner::ApplyIoDepthRecommendation(
       w.Normalized(), c->ToModelConfig(), options_.max_io_queue_depth);
 }
 
+std::vector<lsm::CompactionPolicy> ModelBackedTuner::SearchPolicies() const {
+  if (options_.tune_policy) {
+    return {lsm::CompactionPolicy::kLeveling, lsm::CompactionPolicy::kTiering};
+  }
+  return {options_.policy};
+}
+
+void ModelBackedTuner::AppendGridPoints(lsm::CompactionPolicy policy, double t,
+                                        const std::vector<double>& bpk_values,
+                                        const model::SystemParams& target,
+                                        std::vector<TuningConfig>* grid) const {
+  const std::vector<double> mc_fracs =
+      options_.tune_mc ? std::vector<double>{0.0, 0.1, 0.2, 0.3, 0.4}
+                       : std::vector<double>{0.0};
+  const std::vector<int> k_values = options_.k_mode == KTuningMode::kOff
+                                        ? std::vector<int>{0}
+                                        : RunsPerLevelChoices(t);
+  for (double bpk : bpk_values) {
+    for (double mc_frac : mc_fracs) {
+      for (int k : k_values) {
+        TuningConfig c;
+        c.policy = policy;
+        c.size_ratio = t;
+        c.runs_per_level = k;
+        if (SplitMemory(bpk, mc_frac, target, &c)) grid->push_back(c);
+      }
+    }
+  }
+}
+
 std::vector<TuningConfig> ModelBackedTuner::CandidateGrid(
     const model::WorkloadSpec& /*w*/,
     const model::SystemParams& target) const {
   const model::CostModel cm(target, options_.cost_corrector.get());
   const int t_lim = static_cast<int>(std::floor(cm.SizeRatioLimit()));
-  const double n = target.num_entries;
-  const double m = target.total_memory_bits;
   const double max_bpk = MaxBloomBpk(target);
-
-  std::vector<lsm::CompactionPolicy> policies;
-  if (options_.tune_policy) {
-    policies = {lsm::CompactionPolicy::kLeveling,
-                lsm::CompactionPolicy::kTiering};
-  } else {
-    policies = {options_.policy};
-  }
-  std::vector<double> mc_fracs = {0.0};
-  if (options_.tune_mc) mc_fracs = {0.0, 0.1, 0.2, 0.3, 0.4};
   // With the memory round disabled, only the Monkey default split is
   // eligible (Figure 6g "+T" stage).
   std::vector<double> bpk_values;
@@ -116,34 +156,23 @@ std::vector<TuningConfig> ModelBackedTuner::CandidateGrid(
   }
 
   std::vector<TuningConfig> grid;
-  for (lsm::CompactionPolicy policy : policies) {
+  for (lsm::CompactionPolicy policy : SearchPolicies()) {
     for (int t = 2; t <= t_lim; t += (t_lim > 24 ? 2 : 1)) {
-      std::vector<int> k_values = {0};
-      if (options_.k_mode != KTuningMode::kOff) {
-        k_values.clear();
-        const int k_max = std::min(t, 8);
-        for (int k = 1; k <= k_max; ++k) k_values.push_back(k);
-      }
-      for (double bpk : bpk_values) {
-        for (double mc_frac : mc_fracs) {
-          for (int k : k_values) {
-            TuningConfig c;
-            c.policy = policy;
-            c.size_ratio = t;
-            c.runs_per_level = k;
-            c.mc_bits = mc_frac * m;
-            c.mf_bits = std::min(bpk * n, m - c.mc_bits -
-                                              model::MinBufferBits(target));
-            if (c.mf_bits < 0.0) continue;
-            c.mb_bits = m - c.mf_bits - c.mc_bits;
-            if (c.mb_bits < model::MinBufferBits(target)) continue;
-            grid.push_back(c);
-          }
-        }
-      }
+      AppendGridPoints(policy, t, bpk_values, target, &grid);
     }
   }
   return grid;
+}
+
+ModelBackedTuner::Argmin ModelBackedTuner::PredictedArgmin(
+    const model::WorkloadSpec& w, const std::vector<TuningConfig>& candidates,
+    const model::SystemParams& target, double bound) const {
+  Argmin best{std::nullopt, bound};
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const double pred = PredictObjective(w, candidates[i], target);
+    if (pred < best.pred) best = Argmin{i, pred};
+  }
+  return best;
 }
 
 TuningConfig ModelBackedTuner::ArgminOverGrid(
@@ -151,15 +180,8 @@ TuningConfig ModelBackedTuner::ArgminOverGrid(
   CAMAL_CHECK(has_model());
   const std::vector<TuningConfig> grid = CandidateGrid(w, target);
   CAMAL_CHECK(!grid.empty());
-  TuningConfig best = grid.front();
-  double best_pred = std::numeric_limits<double>::infinity();
-  for (const TuningConfig& c : grid) {
-    const double pred = PredictObjective(w, c, target);
-    if (pred < best_pred) {
-      best_pred = pred;
-      best = c;
-    }
-  }
+  const Argmin coarse = PredictedArgmin(w, grid, target);
+  const TuningConfig anchor = coarse.index ? grid[*coarse.index] : grid.front();
 
   // Local refinement around the coarse winner: T +- 2 step 1, bpk +- 2
   // step 0.5, mc +- 5%. The window is anchored at the *coarse* winner
@@ -169,10 +191,10 @@ TuningConfig ModelBackedTuner::ArgminOverGrid(
   const double n = target.num_entries;
   const double m = target.total_memory_bits;
   const double max_bpk = MaxBloomBpk(target);
-  const TuningConfig anchor = best;
   const double base_bpk = anchor.mf_bits / n;
   const double base_mc_frac = anchor.mc_bits / m;
   const double bpk_radius = options_.tune_memory ? 2.0 : 0.0;
+  std::vector<TuningConfig> local;
   for (double t = std::max(2.0, anchor.size_ratio - 2.0);
        t <= std::min(t_lim, anchor.size_ratio + 2.0); t += 1.0) {
     for (double bpk = std::max(0.0, base_bpk - bpk_radius);
@@ -183,21 +205,12 @@ TuningConfig ModelBackedTuner::ArgminOverGrid(
         if (!options_.tune_mc && mc_frac > 0.0) continue;
         TuningConfig c = anchor;
         c.size_ratio = t;
-        c.mc_bits = mc_frac * m;
-        c.mf_bits = std::min(bpk * n,
-                             m - c.mc_bits - model::MinBufferBits(target));
-        if (c.mf_bits < 0.0) continue;
-        c.mb_bits = m - c.mf_bits - c.mc_bits;
-        if (c.mb_bits < model::MinBufferBits(target)) continue;
-        const double pred = PredictObjective(w, c, target);
-        if (pred < best_pred) {
-          best_pred = pred;
-          best = c;
-        }
+        if (SplitMemory(bpk, mc_frac, target, &c)) local.push_back(c);
       }
     }
   }
-  return best;
+  const Argmin refined = PredictedArgmin(w, local, target, coarse.pred);
+  return refined.index ? local[*refined.index] : anchor;
 }
 
 TuningConfig ModelBackedTuner::Recommend(const model::WorkloadSpec& w) const {

@@ -2,7 +2,9 @@
 #define CAMAL_CAMAL_TUNER_H_
 
 #include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "camal/evaluator.h"
@@ -15,6 +17,10 @@ namespace camal::tune {
 
 /// How `K` (runs per level) is brought into the search space (Section 8.4).
 enum class KTuningMode { kOff, kIndependent, kCodependent };
+
+/// The runs-per-level values a search tries at size ratio `size_ratio`:
+/// 1 through min(8, T).
+std::vector<int> RunsPerLevelChoices(double size_ratio);
 
 /// Knobs shared by every tuning strategy.
 struct TunerOptions {
@@ -156,6 +162,34 @@ class ModelBackedTuner : public TunerBase {
   /// (complexity-analysis-driven pruning, Design 1 of the paper).
   virtual std::vector<TuningConfig> CandidateGrid(
       const model::WorkloadSpec& w, const model::SystemParams& target) const;
+
+  /// The compaction policies a search spans: both when `tune_policy` is
+  /// set, otherwise just `policy`.
+  std::vector<lsm::CompactionPolicy> SearchPolicies() const;
+
+  /// Appends the grid points at size ratio `t` under `policy`: every
+  /// bits-per-key value x block-cache fraction (when `tune_mc`) x runs per
+  /// level (when K is tuned) that leaves the write buffer its minimum.
+  void AppendGridPoints(lsm::CompactionPolicy policy, double t,
+                        const std::vector<double>& bpk_values,
+                        const model::SystemParams& target,
+                        std::vector<TuningConfig>* grid) const;
+
+  /// Result of `PredictedArgmin`.
+  struct Argmin {
+    /// The winning candidate's index; nullopt when none beat the bound.
+    std::optional<size_t> index;
+    /// The winner's prediction, or the bound when there is no winner.
+    double pred;
+  };
+
+  /// The candidate the model predicts best for `w` at `target`: the one
+  /// with the lowest prediction strictly below `bound`, the earliest on
+  /// ties. Predicts every candidate exactly once.
+  Argmin PredictedArgmin(
+      const model::WorkloadSpec& w, const std::vector<TuningConfig>& candidates,
+      const model::SystemParams& target,
+      double bound = std::numeric_limits<double>::infinity()) const;
 
   /// Argmin of the model over the candidate grid, with one local
   /// refinement pass around the best coarse point.

@@ -976,22 +976,101 @@ void HibernateShardState(FileShard& sh, const FileEngineConfig& cfg) {
   sh.io_depth = 1;
 }
 
+/// Rebuilds a shard live from its durable state `st` (the replayed
+/// manifest): reopens every run from its logged metadata, replays the WAL
+/// tail of the shard's epoch into the memtable, and reopens (repairing)
+/// both logs. Fences come from the manifest and each filter from its
+/// CRC-checked `.blm` file, so no block is read unless a filter file is
+/// damaged and must be rebuilt (through the scratch buffer). The I/O is
+/// uncounted (clocks start at zero, like any fresh engine). The shard's
+/// dir, options and WAL epoch must already be set.
+void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
+                      bool direct_io, bool engine_uring,
+                      fileio::RecoveredShardState* st) {
+  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
+  sh.disk_entries = 0;
+  sh.levels.resize(st->levels.size());
+  for (size_t l = 0; l < st->levels.size(); ++l) {
+    sh.levels[l].reserve(st->levels[l].size());
+    for (fileio::ManifestRunMeta& meta : st->levels[l]) {
+      FileRunPtr run = OpenRun(sh, cfg, direct_io, std::move(meta));
+      sh.disk_entries += run->num_entries;
+      sh.levels[l].push_back(std::move(run));
+    }
+  }
+
+  // WAL tail replay: only records stamped with the recovered epoch are
+  // live (older ones were flushed into a run before the epoch bumped);
+  // within the epoch, later records win, same as the memtable they log.
+  const fileio::WalReplay replay =
+      fileio::ReadWal(fileio::Wal::PathFor(sh.dir));
+  bool wal_clean = !replay.tail_torn;
+  for (const fileio::WalReplayRecord& rec : replay.records) {
+    if (rec.epoch != sh.wal_epoch) {
+      wal_clean = false;
+      continue;
+    }
+    for (const lsm::Entry& e : rec.entries) sh.memtable[e.key] = e;
+  }
+
+  // Repair the logs: truncate torn manifest tails, and compact the
+  // manifest if it has grown past the rotation threshold. A WAL that holds
+  // only whole records of the live epoch replays to this memtable as it
+  // stands, so the writer resumes appending at its end; otherwise it is
+  // rewritten to exactly the recovered memtable (dropping dead epochs and
+  // torn bytes).
+  sh.manifest = std::make_unique<fileio::Manifest>(
+      cfg.file_ops, sh.dir, DurableSync(cfg), st->num_records);
+  if (st->tail_torn) sh.manifest->TruncateTail(st->valid_bytes);
+  sh.wal = std::make_unique<fileio::Wal>(cfg.file_ops, sh.dir, cfg.wal_sync);
+  if (!wal_clean) {
+    sh.wal->Reset();
+    std::vector<lsm::Entry> entries;
+    entries.reserve(sh.memtable.size());
+    for (const auto& [key, e] : sh.memtable) {
+      (void)key;
+      entries.push_back(e);
+    }
+    sh.wal->Append(sh.wal_epoch, entries.data(), entries.size());
+    sh.wal->Commit();
+  }
+  MaybeRotateManifest(sh, cfg);
+
+  sh.cache.Resize(sh.options.block_cache_bytes / cfg.block_bytes);
+  sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
+  SetupShardRing(sh, cfg, engine_uring);
+}
+
 /// Rehydrates a hibernated shard from its sidecar: reopens run files and
 /// their filter files (the same CRC-checked loader recovery uses), and
 /// refills the block cache to its exact pre-hibernation recency order with
 /// uncounted preads. The woken shard behaves bit-identically — same lookup
 /// outcomes, same charged reads, same LRU evolution — to one that never
-/// slept.
+/// slept. A missing or damaged sidecar stops a non-durable engine; a
+/// durable one wakes the shard through the live recovery path instead,
+/// since the manifest and the WAL (committed before the sidecar was
+/// written) hold everything but the cache's recency order.
 void WakeShardState(FileShard& sh, const FileEngineConfig& cfg,
                     bool direct_io, bool engine_uring) {
   const std::string path = sh.dir + "/hibernate.snap";
   const fileio::RecordFileContents sidecar = fileio::ReadRecordFile(path);
   if (sidecar.records.size() != 1 || sidecar.torn_tail) {
-    std::fprintf(stderr,
-                 "FileEngine: hibernation sidecar '%s' is missing or fails "
-                 "its CRC; the shard cannot wake\n",
-                 path.c_str());
-    std::abort();
+    if (!cfg.durable) {
+      std::fprintf(stderr,
+                   "FileEngine: hibernation sidecar '%s' is missing or fails "
+                   "its CRC; the shard cannot wake\n",
+                   path.c_str());
+      std::abort();
+    }
+    fileio::RecoveredShardState st;
+    CAMAL_CHECK(fileio::RecoverManifest(fileio::Manifest::PathFor(sh.dir),
+                                        &st));
+    cfg.file_ops->Unlink(path);
+    RebuildLiveShard(sh, cfg, direct_io, engine_uring, &st);
+    sh.manifest->LogWake();
+    sh.hib_memtable_size = 0;
+    sh.hib_level_shape.clear();
+    return;
   }
   fileio::ByteReader r(sidecar.records[0]);
   CAMAL_CHECK(r.U64() == kSnapMagic);
@@ -1463,61 +1542,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     return;
   }
 
-  // Live shard: reopen every run from its logged metadata. Fences come
-  // from the manifest and each filter from its CRC-checked `.blm` file, so
-  // no block is read unless a filter file is damaged and must be rebuilt
-  // (through the scratch buffer). Recovery I/O is uncounted (clocks start
-  // at zero, like any fresh engine).
-  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
-  sh->levels.resize(st.levels.size());
-  for (size_t l = 0; l < st.levels.size(); ++l) {
-    sh->levels[l].reserve(st.levels[l].size());
-    for (fileio::ManifestRunMeta& meta : st.levels[l]) {
-      FileRunPtr run = OpenRun(*sh, config_, direct_io_, std::move(meta));
-      sh->disk_entries += run->num_entries;
-      sh->levels[l].push_back(std::move(run));
-    }
-  }
-
-  // WAL tail replay: only records stamped with the recovered epoch are
-  // live (older ones were flushed into a run before the epoch bumped);
-  // within the epoch, later records win, same as the memtable they log.
-  const fileio::WalReplay replay = fileio::ReadWal(fileio::Wal::PathFor(dir));
-  bool wal_clean = !replay.tail_torn;
-  for (const fileio::WalReplayRecord& rec : replay.records) {
-    if (rec.epoch != sh->wal_epoch) {
-      wal_clean = false;
-      continue;
-    }
-    for (const lsm::Entry& e : rec.entries) sh->memtable[e.key] = e;
-  }
-
-  // Repair the logs: truncate torn manifest tails, and compact the
-  // manifest if it has grown past the rotation threshold. A WAL that holds
-  // only whole records of the live epoch replays to this memtable as it
-  // stands, so the writer resumes appending at its end; otherwise it is
-  // rewritten to exactly the recovered memtable (dropping dead epochs and
-  // torn bytes).
-  sh->manifest = std::make_unique<fileio::Manifest>(ops, dir, sync,
-                                                    st.num_records);
-  if (st.tail_torn) sh->manifest->TruncateTail(st.valid_bytes);
-  sh->wal = std::make_unique<fileio::Wal>(ops, dir, config_.wal_sync);
-  if (!wal_clean) {
-    sh->wal->Reset();
-    std::vector<lsm::Entry> entries;
-    entries.reserve(sh->memtable.size());
-    for (const auto& [key, e] : sh->memtable) {
-      (void)key;
-      entries.push_back(e);
-    }
-    sh->wal->Append(sh->wal_epoch, entries.data(), entries.size());
-    sh->wal->Commit();
-  }
-  MaybeRotateManifest(*sh, config_);
-
-  sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
-  sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(*sh, config_, use_uring_);
+  RebuildLiveShard(*sh, config_, direct_io_, use_uring_, &st);
   Adopt(s, std::move(sh), ShardState::kMaterialized);
 }
 

@@ -924,14 +924,13 @@ TEST(CrashRecoveryTest, DamagedFilterFileOfHibernatedShardIsRebuiltOnWake) {
 
 // ------------------------------------------------ damaged sidecar
 
-TEST(CrashRecoveryDeathTest, DamagedSidecarStopsTheWake) {
-  const std::string dir = UniqueDir("snap_flip");
-  FileEngineConfig cfg;
-  cfg.workdir = dir;
-  cfg.durable = true;
-  cfg.lifecycle =
-      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
-  FileEngine eng(2, CrashOptions(2), cfg);
+// Puts keys 2..1200 (even, value k + 11) across two lazy shards, flushes,
+// buffers one more write of shard 1's first key (value key + 13), lets
+// shard 1 hibernate, then flips one bit of that buffered value in its
+// sidecar — or, with `remove`, deletes the sidecar. Returns the key.
+uint64_t HibernateShardOneAndDamageItsSidecar(FileEngine& eng,
+                                              const std::string& dir,
+                                              bool remove = false) {
   std::vector<Op> batch;
   for (uint64_t k = 2; k <= 1200; k += 2) batch.push_back(Put(k, k + 11));
   PutBatch(eng, batch);
@@ -946,21 +945,63 @@ TEST(CrashRecoveryDeathTest, DamagedSidecarStopsTheWake) {
   for (const uint64_t k : hot) batch.push_back(GetOp(k));
   PutBatch(eng, batch);
   PutBatch(eng, batch);
-  ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
+  EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
 
-  // Flip one bit of that value in the sidecar.
   const std::string sidecar = dir + "/shard_1/hibernate.snap";
+  if (remove) {
+    EXPECT_TRUE(fs::remove(sidecar));
+    return key;
+  }
   std::string bytes = ReadBytes(sidecar);
   std::string record(16, '\0');
   std::memcpy(record.data(), &key, sizeof(key));
   std::memcpy(record.data() + 8, &value, sizeof(value));
   const size_t at = bytes.find(record);
-  ASSERT_NE(at, std::string::npos);
+  EXPECT_NE(at, std::string::npos);
   bytes[at + 8] ^= 0x01;
   std::ofstream(sidecar, std::ios::binary | std::ios::trunc) << bytes;
+  return key;
+}
 
-  // Touching the shard wakes it from the damaged image, which must stop
-  // the wake instead of serving `value ^ 1` as a live value.
+FileEngineConfig HibernatingConfig(const std::string& dir, bool durable) {
+  FileEngineConfig cfg;
+  cfg.workdir = dir;
+  cfg.durable = durable;
+  cfg.lifecycle =
+      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
+  return cfg;
+}
+
+// A durable engine holds everything the sidecar does in its manifest and
+// WAL: with the sidecar damaged or gone, the wake rebuilds the shard
+// through the live recovery path and serves the committed values, never
+// `value ^ 1`.
+TEST(CrashRecoveryTest, DamagedSidecarWakesFromTheLogs) {
+  for (const bool remove : {false, true}) {
+    SCOPED_TRACE(remove ? "sidecar removed" : "sidecar damaged");
+    const std::string dir = UniqueDir(remove ? "snap_gone" : "snap_flip");
+    FileEngine eng(2, CrashOptions(2), HibernatingConfig(dir, true));
+    const uint64_t key = HibernateShardOneAndDamageItsSidecar(eng, dir, remove);
+
+    uint64_t got = 0;
+    ASSERT_TRUE(eng.Get(key, &got));
+    EXPECT_EQ(got, key + 13);
+    EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
+    for (const uint64_t k : ShardKeys(eng, 1, 1200, 1200)) {
+      if (k == key) continue;
+      ASSERT_TRUE(eng.Get(k, &got)) << k;
+      EXPECT_EQ(got, k + 11) << k;
+    }
+  }
+}
+
+// Without the logs nothing else holds the shard's buffered writes: the
+// wake stops rather than serving `value ^ 1` as a live value.
+TEST(CrashRecoveryDeathTest, DamagedSidecarStopsANonDurableWake) {
+  const std::string dir = UniqueDir("snap_flip_nd");
+  FileEngine eng(2, CrashOptions(2), HibernatingConfig(dir, false));
+  const uint64_t key = HibernateShardOneAndDamageItsSidecar(eng, dir);
+
   uint64_t got = 0;
   EXPECT_DEATH(eng.Get(key, &got), "hibernation sidecar .* fails its CRC");
 }
