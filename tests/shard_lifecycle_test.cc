@@ -306,14 +306,19 @@ std::string UniqueDir(const std::string& tag) {
          std::to_string(FileEngine::NextUniqueId());
 }
 
-TEST(ShardLifecycleTest, HibernateWakeRehibernateMatchesEagerOnFile) {
+/// Hibernates and wakes two of four file shards twice, against an eager
+/// twin serving the same batches. The hibernating engine runs with the
+/// durability layer off or on; the eager twin never logs, since
+/// durability I/O is uncounted and must move no count.
+void HibernateWakeRehibernateMatchesEager(bool durable) {
   tune::SystemSetup setup = SmallSetup(4);
   setup.num_entries = 3000;
   setup.total_memory_bits = 16 * 3000;
   const lsm::Options total = tune::MonkeyDefaultConfig(setup).ToOptions(setup);
 
   FileEngineConfig hib_cfg;
-  hib_cfg.workdir = UniqueDir("hib");
+  hib_cfg.workdir = UniqueDir(durable ? "hib_durable" : "hib");
+  hib_cfg.durable = durable;
   hib_cfg.lifecycle =
       ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
   FileEngine hib(setup.num_shards, total, hib_cfg);
@@ -385,6 +390,13 @@ TEST(ShardLifecycleTest, HibernateWakeRehibernateMatchesEagerOnFile) {
   }
   EXPECT_EQ(hib.TotalEntries(), eager.TotalEntries());
   EXPECT_EQ(hib.DiskEntries(), eager.DiskEntries());
+}
+
+TEST(ShardLifecycleTest, HibernateWakeRehibernateMatchesEagerOnFile) {
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "not durable");
+    HibernateWakeRehibernateMatchesEager(durable);
+  }
 }
 
 // ---------------------------------------------------------------------------
