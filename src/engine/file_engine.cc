@@ -200,24 +200,21 @@ struct FileShard {
   std::vector<fileio::AlignedBuf> ring_bufs;
   uint32_t io_depth = 1;
 
-  /// Durability state (null with `FileEngineConfig::durable` off — the
-  /// layer then has zero hot-path presence). The manifest logs every
-  /// structural transition of the file set; the WAL logs memtable
-  /// contents, stamped with `wal_epoch`. A flush bumps the epoch (in the
-  /// manifest's kFlush record, the durable marker that older WAL entries
-  /// now live in a run) and resets the WAL.
+  /// Durability state (null on a live shard with
+  /// `FileEngineConfig::durable` off — the layer then has zero hot-path
+  /// presence). The manifest logs every structural transition of the file
+  /// set; the WAL logs memtable contents, stamped with `wal_epoch`. A flush
+  /// bumps the epoch (in the manifest's kFlush record, the durable marker
+  /// that older WAL entries now live in a run) and resets the WAL.
   std::unique_ptr<fileio::Manifest> manifest;
   std::unique_ptr<fileio::Wal> wal;
   uint64_t wal_epoch = 0;
-  /// Manifest record count carried across hibernation (the writer and its
-  /// fd close while asleep).
-  size_t manifest_records = 0;
 
   /// Hibernation state. While hibernated, the heavy members above
-  /// (memtable, levels and their fds, cache contents, scratch, ring) are
-  /// released into the sidecar file `dir + "/hibernate.snap"`; the cheap
-  /// residuals below keep the observability surface (entries, run counts,
-  /// transition status) answerable without rehydrating.
+  /// (memtable, levels and their fds, cache contents, scratch, ring, log
+  /// writers) are released, and the shard's manifest and WAL are its one
+  /// image; the cheap residuals below keep the observability surface
+  /// (entries, run counts, transition status) answerable without waking.
   uint64_t hib_memtable_size = 0;
   /// Per-level (run count, entry count) at hibernation time.
   std::vector<std::pair<uint64_t, uint64_t>> hib_level_shape;
@@ -387,20 +384,15 @@ void PWriteAll(const FileEngineConfig& cfg, int fd, const char* data,
   }
 }
 
-/// Creates (or truncates) `path` and writes `size` bytes into it, fsyncing
-/// under `DurableSync` before the close.
-void WriteFile(const FileEngineConfig& cfg, const std::string& path,
-               const char* data, size_t size) {
-  const int fd = CreateForWrite(cfg, path, /*direct=*/false);
-  PWriteAll(cfg, fd, data, size, 0, path);
-  if (DurableSync(cfg)) SysCheck(cfg.file_ops->Fsync(fd) == 0, "fsync", path);
-  cfg.file_ops->Close(fd);
-}
-
+/// Creates (or truncates) `path` and writes the filter's words into it,
+/// fsyncing under `DurableSync` before the close.
 void WriteFilterFile(const FileEngineConfig& cfg, const std::string& path,
                      const lsm::BloomFilter& filter) {
-  WriteFile(cfg, path, reinterpret_cast<const char*>(filter.words().data()),
-            filter.words().size() * sizeof(uint64_t));
+  const int fd = CreateForWrite(cfg, path, /*direct=*/false);
+  PWriteAll(cfg, fd, reinterpret_cast<const char*>(filter.words().data()),
+            filter.words().size() * sizeof(uint64_t), 0, path);
+  if (DurableSync(cfg)) SysCheck(cfg.file_ops->Fsync(fd) == 0, "fsync", path);
+  cfg.file_ops->Close(fd);
 }
 
 /// Manifest-side metadata of a built run: everything recovery needs to
@@ -902,91 +894,41 @@ void SetupShardRing(FileShard& sh, const FileEngineConfig& cfg,
   }
 }
 
-constexpr uint64_t kSnapMagic = 0x43414d5348494253ULL;  // "CAMSHIBS"
-
-/// Persists a shard's in-memory structures into its sidecar file and
-/// releases them. The sidecar carries what materialization cannot rebuild
-/// from the run files without charging I/O: the memtable, per-run metadata
-/// in the manifest's run encoding (fences, Bloom parameters and the CRC of
-/// each run's filter file), and the cache's key recency order. The filter
-/// bits themselves stay in each run's `.blm` file. All sidecar I/O is
-/// deliberately uncounted — hibernation is a resource-management event,
-/// not workload cost — so every clock and counter the engine reports stays
-/// bit-identical to an eager engine.
-void HibernateShardState(FileShard& sh, const FileEngineConfig& cfg) {
-  // Buffered writes must be durable before their in-memory home is
-  // released (the sidecar is belt, the WAL is suspenders: if the sidecar
-  // install is lost to a crash, replay still rebuilds the memtable).
-  if (sh.wal != nullptr) sh.wal->Commit();
-
-  fileio::ByteWriter w;
-  w.U64(kSnapMagic);
-  w.U64(sh.memtable.size());
-  for (const auto& [key, e] : sh.memtable) {
-    (void)key;
-    const DiskEntry d{e.key, e.value, e.tombstone ? kTombstoneFlag : 0};
-    w.Bytes(&d, sizeof(d));
-  }
-  w.U64(sh.levels.size());
-  for (const auto& level : sh.levels) {
-    w.U64(level.size());
-    for (const FileRunPtr& r : level) fileio::EncodeRunMeta(&w, RunMetaOf(*r));
-  }
-  w.U64Vec(sh.cache.Freeze().keys_mru_to_lru);  // also empties the cache
-
-  // Install atomically: write the image as one CRC-framed record to a tmp
-  // file, (durably) complete it, then rename into place — a crash leaves
-  // either no sidecar or a whole one, never a torn one, and bytes damaged
-  // later fail the CRC at wake.
+/// Opens empty logs for a shard: stale files from an earlier engine in a
+/// reused directory must not be appended to.
+void OpenFreshLogs(FileShard& sh, const FileEngineConfig& cfg,
+                   fileio::WalSyncPolicy wal_sync) {
   fileio::FileOps* ops = cfg.file_ops;
-  const std::string path = sh.dir + "/hibernate.snap";
-  const std::string tmp = path + ".tmp";
-  ops->Unlink(tmp);  // a crashed predecessor's leftovers
-  {
-    fileio::RecordWriter sidecar(ops, tmp);
-    sidecar.Append(w.Take());
-    sidecar.Commit();
-    if (DurableSync(cfg)) sidecar.Sync();
-  }
-  SysCheck(ops->Rename(tmp, path) == 0, "rename(hibernate)", path);
-
-  // Registering the sidecar in the manifest is what makes hibernation
-  // survive the process: a reopened engine sees the kHibernate record and
-  // restores the shard asleep. Crash before this record commits → the
-  // manifest still says "live" and recovery takes the WAL path (the stray
-  // sidecar is swept as an orphan).
-  sh.hib_level_shape = LevelShape(sh);
-  if (sh.manifest != nullptr) {
-    sh.manifest->LogHibernate(sh.memtable.size(), sh.hib_level_shape);
-    // A hibernated shard holds no descriptors: the log writers close too
-    // (the record count survives in a residual for the wake reopen).
-    sh.manifest_records = sh.manifest->record_count();
-    sh.manifest.reset();
-    sh.wal.reset();
-  }
-
-  // Cheap residuals (with the level shape above) keep size/transition
-  // queries answerable while asleep.
-  sh.hib_memtable_size = sh.memtable.size();
-  sh.memtable.clear();
-  sh.levels.clear();  // closes every run fd
-  sh.scratch.reset();
-  sh.ring.reset();
-  sh.ring_bufs.clear();
-  sh.io_depth = 1;
+  ops->Unlink(fileio::Manifest::PathFor(sh.dir));
+  ops->Unlink(fileio::Wal::PathFor(sh.dir));
+  sh.manifest =
+      std::make_unique<fileio::Manifest>(ops, sh.dir, DurableSync(cfg));
+  sh.wal = std::make_unique<fileio::Wal>(ops, sh.dir, wal_sync);
 }
 
-/// Rebuilds a shard live from its durable state `st` (the replayed
-/// manifest): reopens every run from its logged metadata, replays the WAL
-/// tail of the shard's epoch into the memtable, and reopens (repairing)
-/// both logs. Fences come from the manifest and each filter from its
-/// CRC-checked `.blm` file, so no block is read unless a filter file is
-/// damaged and must be rebuilt (through the scratch buffer). The I/O is
-/// uncounted (clocks start at zero, like any fresh engine). The shard's
-/// dir, options and WAL epoch must already be set.
+/// Rewrites the WAL to hold exactly the memtable, as one record of the
+/// live epoch, and commits it.
+void RewriteWal(FileShard& sh) {
+  sh.wal->Reset();
+  std::vector<lsm::Entry> entries;
+  entries.reserve(sh.memtable.size());
+  for (const auto& [key, e] : sh.memtable) entries.push_back(e);
+  sh.wal->Append(sh.wal_epoch, entries.data(), entries.size());
+  sh.wal->Commit();
+}
+
+/// Rebuilds a shard live from its image: `st`, the replayed manifest, and
+/// `wal`, its read WAL. Reopens every run from its logged metadata,
+/// replays the WAL tail of the shard's epoch into the memtable, and
+/// reopens (repairing) both logs. Fences come from the manifest and each
+/// filter from its CRC-checked `.blm` file, so no block is read unless a
+/// filter file is damaged and must be rebuilt (through the scratch
+/// buffer). The I/O is uncounted (clocks start at zero, like any fresh
+/// engine). The shard's dir, options and WAL epoch must already be set.
 void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
                       bool direct_io, bool engine_uring,
-                      fileio::RecoveredShardState* st) {
+                      fileio::RecoveredShardState* st,
+                      const fileio::WalReplay& wal) {
   sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
   sh.disk_entries = 0;
   sh.levels.resize(st->levels.size());
@@ -1002,10 +944,8 @@ void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
   // WAL tail replay: only records stamped with the recovered epoch are
   // live (older ones were flushed into a run before the epoch bumped);
   // within the epoch, later records win, same as the memtable they log.
-  const fileio::WalReplay replay =
-      fileio::ReadWal(fileio::Wal::PathFor(sh.dir));
-  bool wal_clean = !replay.tail_torn;
-  for (const fileio::WalReplayRecord& rec : replay.records) {
+  bool wal_clean = !wal.tail_torn;
+  for (const fileio::WalReplayRecord& rec : wal.records) {
     if (rec.epoch != sh.wal_epoch) {
       wal_clean = false;
       continue;
@@ -1013,128 +953,63 @@ void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
     for (const lsm::Entry& e : rec.entries) sh.memtable[e.key] = e;
   }
 
-  // Repair the logs: truncate torn manifest tails, and compact the
-  // manifest if it has grown past the rotation threshold. A WAL that holds
-  // only whole records of the live epoch replays to this memtable as it
-  // stands, so the writer resumes appending at its end; otherwise it is
-  // rewritten to exactly the recovered memtable (dropping dead epochs and
-  // torn bytes).
+  // Repair the logs: truncate torn manifest tails. A WAL that holds only
+  // whole records of the live epoch replays to this memtable as it stands,
+  // so the writer resumes appending at its end; otherwise it is rewritten
+  // to exactly the recovered memtable (dropping dead epochs and torn
+  // bytes).
   sh.manifest = std::make_unique<fileio::Manifest>(
       cfg.file_ops, sh.dir, DurableSync(cfg), st->num_records);
   if (st->tail_torn) sh.manifest->TruncateTail(st->valid_bytes);
   sh.wal = std::make_unique<fileio::Wal>(cfg.file_ops, sh.dir, cfg.wal_sync);
-  if (!wal_clean) {
-    sh.wal->Reset();
-    std::vector<lsm::Entry> entries;
-    entries.reserve(sh.memtable.size());
-    for (const auto& [key, e] : sh.memtable) {
-      (void)key;
-      entries.push_back(e);
-    }
-    sh.wal->Append(sh.wal_epoch, entries.data(), entries.size());
-    sh.wal->Commit();
-  }
-  MaybeRotateManifest(sh, cfg);
+  if (!wal_clean) RewriteWal(sh);
 
   sh.cache.Resize(sh.options.block_cache_bytes / cfg.block_bytes);
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(sh, cfg, engine_uring);
 }
 
-/// Rehydrates a hibernated shard from its sidecar: reopens run files and
-/// their filter files (the same CRC-checked loader recovery uses), and
-/// refills the block cache to its exact pre-hibernation recency order with
-/// uncounted preads. The woken shard behaves bit-identically — same lookup
-/// outcomes, same charged reads, same LRU evolution — to one that never
-/// slept. A missing or damaged sidecar stops a non-durable engine; a
-/// durable one wakes the shard through the live recovery path instead,
-/// since the manifest and the WAL (committed before the sidecar was
-/// written) hold everything but the cache's recency order.
-void WakeShardState(FileShard& sh, const FileEngineConfig& cfg,
-                    bool direct_io, bool engine_uring) {
-  const std::string path = sh.dir + "/hibernate.snap";
-  const fileio::RecordFileContents sidecar = fileio::ReadRecordFile(path);
-  if (sidecar.records.size() != 1 || sidecar.torn_tail) {
-    if (!cfg.durable) {
-      std::fprintf(stderr,
-                   "FileEngine: hibernation sidecar '%s' is missing or fails "
-                   "its CRC; the shard cannot wake\n",
-                   path.c_str());
-      std::abort();
-    }
-    fileio::RecoveredShardState st;
-    CAMAL_CHECK(fileio::RecoverManifest(fileio::Manifest::PathFor(sh.dir),
-                                        &st));
-    cfg.file_ops->Unlink(path);
-    RebuildLiveShard(sh, cfg, direct_io, engine_uring, &st);
-    sh.manifest->LogWake();
-    sh.hib_memtable_size = 0;
-    sh.hib_level_shape.clear();
-    return;
+/// Stops the wake of a non-durable shard whose image is not whole: a
+/// manifest that is invalid, torn or not hibernated, a torn WAL, or a WAL
+/// whose live entries differ from the count `kHibernate` logged. Nothing
+/// else holds the shard's buffered writes, so it cannot wake without
+/// losing or altering them.
+void CheckWholeImage(const FileShard& sh, bool manifest_valid,
+                     const fileio::RecoveredShardState& st,
+                     const fileio::WalReplay& wal) {
+  uint64_t logged = 0;
+  for (const fileio::WalReplayRecord& rec : wal.records) {
+    if (rec.epoch == sh.wal_epoch) logged += rec.entries.size();
   }
-  fileio::ByteReader r(sidecar.records[0]);
-  CAMAL_CHECK(r.U64() == kSnapMagic);
-  const uint64_t mem_count = r.U64();
-  for (uint64_t i = 0; i < mem_count && r.ok(); ++i) {
-    DiskEntry d;
-    r.Bytes(&d, sizeof(d));
-    sh.memtable.emplace_hint(sh.memtable.end(), d.key, ToEntry(d));
+  if (!manifest_valid || st.tail_torn || !st.hibernated || wal.tail_torn ||
+      logged != st.hib_memtable_entries) {
+    std::fprintf(stderr,
+                 "FileEngine: the hibernation manifest or WAL of '%s' is "
+                 "damaged; the shard cannot wake\n",
+                 sh.dir.c_str());
+    std::abort();
   }
-  // A filter file that must be rebuilt reads its run through the scratch
-  // buffer.
-  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
-  const uint64_t num_levels = r.U64();
-  CAMAL_CHECK(r.ok() && num_levels <= r.Remaining());
-  sh.levels.resize(num_levels);
+}
+
+/// Refills a woken shard's block cache from `keys` (most recent first) up
+/// to its capacity, which may have shrunk while the shard slept, inserting
+/// least-recent first so promotion lands every key in its original
+/// recency slot. Uncounted reads: the cache held these bytes when the
+/// shard went to sleep.
+void RefillCache(FileShard& sh, const FileEngineConfig& cfg,
+                 const std::vector<uint64_t>& keys) {
   std::unordered_map<uint64_t, const FileRun*> run_by_id;
-  for (uint64_t l = 0; l < num_levels; ++l) {
-    const uint64_t num_runs = r.U64();
-    CAMAL_CHECK(r.ok() && num_runs <= r.Remaining());
-    sh.levels[l].reserve(num_runs);
-    for (uint64_t ri = 0; ri < num_runs; ++ri) {
-      fileio::ManifestRunMeta meta = fileio::DecodeRunMeta(&r);
-      CAMAL_CHECK(r.ok());
-      FileRunPtr run = OpenRun(sh, cfg, direct_io, std::move(meta));
-      run_by_id.emplace(run->id, run.get());
-      sh.levels[l].push_back(std::move(run));
-    }
+  for (const auto& level : sh.levels) {
+    for (const FileRunPtr& run : level) run_by_id.emplace(run->id, run.get());
   }
-  const std::vector<uint64_t> keys = r.U64Vec();
-  CAMAL_CHECK(r.ok() && r.AtEnd());
-  cfg.file_ops->Unlink(path);
-
-  const uint64_t capacity = sh.options.block_cache_bytes / cfg.block_bytes;
-  sh.cache.Resize(capacity);
-
-  if (cfg.durable) {
-    // Reopen the log writers the shard closed at hibernation and record
-    // the transition. A crash between the sidecar unlink above and this
-    // record landing is safe: the manifest still says "hibernated", and
-    // recovery, finding no sidecar, falls back to the live path — run
-    // metadata from the manifest, memtable from the WAL (committed before
-    // the sidecar was written).
-    sh.manifest = std::make_unique<fileio::Manifest>(
-        cfg.file_ops, sh.dir, DurableSync(cfg), sh.manifest_records);
-    sh.wal = std::make_unique<fileio::Wal>(cfg.file_ops, sh.dir, cfg.wal_sync);
-    sh.manifest->LogWake();
-  }
-  // Refill most-recent-first up to the (possibly shrunk-while-asleep)
-  // capacity, inserting least-recent first so promotion lands every key
-  // in its original recency slot. Uncounted reads: the cache held these
-  // bytes when the shard went to sleep.
-  const size_t restore = std::min<size_t>(keys.size(), capacity);
+  const size_t restore =
+      std::min<size_t>(keys.size(), sh.cache.capacity_blocks());
   for (size_t i = restore; i-- > 0;) {
     const auto [run_id, blk] = lsm::BlockCache::SplitKey(keys[i]);
     const auto rit = run_by_id.find(run_id);
     CAMAL_CHECK(rit != run_by_id.end());
     sh.cache.Insert(keys[i], ReadBlock(sh, cfg, *rit->second, blk));
   }
-
-  sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(sh, cfg, engine_uring);
-  sh.hib_memtable_size = 0;
-  sh.hib_level_shape.clear();
-  MaybeRotateManifest(sh, cfg);
 }
 
 /// Executes a maximal run of consecutive `kGet` ops from one shard's
@@ -1480,7 +1355,6 @@ void FileEngine::RecoverShards() {
 }
 
 void FileEngine::RecoverShard(size_t s, const std::string& dir) {
-  fileio::FileOps* ops = config_.file_ops;
   fileio::RecoveredShardState st;
   if (!fileio::RecoverManifest(fileio::Manifest::PathFor(dir), &st)) {
     // No replayable manifest (absent, empty, or corrupt from record 0):
@@ -1497,18 +1371,10 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   sh->wal_epoch = st.wal_epoch;
   sh->next_run_id = st.next_run_id;
 
-  // A manifest that says "hibernated" is believed only if the sidecar
-  // made it to disk; otherwise (crash in the hibernate window) the shard
-  // recovers live from run metadata + WAL.
-  const std::string sidecar = dir + "/hibernate.snap";
-  const bool hibernated = st.hibernated && fs::exists(sidecar);
-
   // Sweep orphans: files the durable state does not reference — run files
-  // whose introducing record never committed, rotation/sidecar tmp files,
-  // a sidecar the manifest no longer claims.
+  // whose introducing record never committed, rotation tmp files.
   {
     std::set<std::string> keep = {"MANIFEST", "WAL"};
-    if (hibernated) keep.insert("hibernate.snap");
     for (const auto& level : st.levels) {
       for (const fileio::ManifestRunMeta& run : level) {
         const std::string stem = "run_" + std::to_string(run.id);
@@ -1518,31 +1384,33 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     }
     for (const auto& entry : fs::directory_iterator(dir)) {
       const std::string name = entry.path().filename().string();
-      if (keep.count(name) == 0) ops->Unlink(entry.path().string());
+      if (keep.count(name) == 0) {
+        config_.file_ops->Unlink(entry.path().string());
+      }
     }
   }
 
-  const bool sync = DurableSync(config_);
-  if (hibernated) {
-    // Restored asleep: residuals only, no descriptors, no heap state —
-    // the next touching op wakes it through the ordinary sidecar path.
+  if (st.hibernated) {
+    // Restored asleep: residuals only, no descriptors, no heap state — the
+    // next touching op wakes it by replaying these logs again. A torn tail
+    // goes now, so an options record logged while it sleeps lands behind
+    // whole records.
     sh->hib_memtable_size = st.hib_memtable_entries;
     sh->hib_level_shape = st.hib_shape;
-    for (const auto& level : st.levels) {
-      for (const fileio::ManifestRunMeta& run : level) {
-        sh->disk_entries += run.num_entries;
-      }
+    for (const auto& [runs, entries] : st.hib_shape) {
+      sh->disk_entries += entries;
     }
-    sh->manifest_records = st.num_records;
     if (st.tail_torn) {
-      fileio::Manifest temp(ops, dir, sync, st.num_records);
-      temp.TruncateTail(st.valid_bytes);
+      fileio::Manifest(config_.file_ops, dir, DurableSync(config_))
+          .TruncateTail(st.valid_bytes);
     }
     Adopt(s, std::move(sh), ShardState::kHibernated);
     return;
   }
 
-  RebuildLiveShard(*sh, config_, direct_io_, use_uring_, &st);
+  RebuildLiveShard(*sh, config_, direct_io_, use_uring_, &st,
+                   fileio::ReadWal(fileio::Wal::PathFor(dir)));
+  MaybeRotateManifest(*sh, config_);
   Adopt(s, std::move(sh), ShardState::kMaterialized);
 }
 
@@ -1556,16 +1424,10 @@ void FileEngine::CreateShard(size_t s, Slot& slot,
   fs::create_directories(sh.dir, ec);
   SysCheck(!ec, "create_directories", sh.dir);
   if (config_.durable) {
-    // A fresh shard starts fresh logs; stale files from an earlier engine
-    // in a reused directory (reopen=false deliberately ignores them) must
-    // not be appended to.
-    config_.file_ops->Unlink(fileio::Manifest::PathFor(sh.dir));
-    config_.file_ops->Unlink(fileio::Wal::PathFor(sh.dir));
-    sh.manifest = std::make_unique<fileio::Manifest>(
-        config_.file_ops, sh.dir, DurableSync(config_));
+    // A fresh shard starts fresh logs (reopen=false deliberately ignores
+    // an earlier engine's).
+    OpenFreshLogs(sh, config_, config_.wal_sync);
     sh.manifest->LogInit(s, sh.options);
-    sh.wal = std::make_unique<fileio::Wal>(config_.file_ops, sh.dir,
-                                           config_.wal_sync);
   }
   sh.cache.Resize(sh.options.block_cache_bytes / config_.block_bytes);
   sh.scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
@@ -1573,12 +1435,71 @@ void FileEngine::CreateShard(size_t s, Slot& slot,
   SetupShardRing(sh, config_, use_uring_);
 }
 
+// The woken shard behaves bit-identically — same lookup outcomes, same
+// charged reads, same LRU evolution — to one that never slept. The
+// in-memory options stay authoritative: a non-durable shard reconfigured
+// asleep logs nothing. A durable shard logs `kWake`; a non-durable one
+// closes and deletes both logs again, so that while live it holds only
+// run files.
 void FileEngine::WakeShard(size_t /*s*/, Slot& slot) {
-  WakeShardState(*slot, config_, direct_io_, use_uring_);
+  FileShard& sh = *slot;
+  const std::string manifest = fileio::Manifest::PathFor(sh.dir);
+  const std::string wal_path = fileio::Wal::PathFor(sh.dir);
+  fileio::RecoveredShardState st;
+  const bool valid = fileio::RecoverManifest(manifest, &st);
+  const fileio::WalReplay wal = fileio::ReadWal(wal_path);
+  if (config_.durable) {
+    CAMAL_CHECK(valid);
+  } else {
+    CheckWholeImage(sh, valid, st, wal);
+  }
+  RebuildLiveShard(sh, config_, direct_io_, use_uring_, &st, wal);
+  if (config_.durable) {
+    sh.manifest->LogWake();
+    MaybeRotateManifest(sh, config_);
+  } else {
+    sh.manifest.reset();
+    sh.wal.reset();
+    config_.file_ops->Unlink(manifest);
+    config_.file_ops->Unlink(wal_path);
+  }
+  RefillCache(sh, config_, st.hib_cache_keys);
+  sh.hib_memtable_size = 0;
+  sh.hib_level_shape.clear();
 }
 
+// The WAL holds the memtable, the manifest the run metadata, and the
+// `kHibernate` record the memtable's entry count, the level shape and the
+// cache's keys in recency order. A non-durable engine keeps no logs while
+// a shard is live, so it writes the pair here, unsynced: a snapshot
+// manifest and a one-record WAL. All of this I/O is uncounted —
+// hibernation is a resource-management event, not workload cost — so
+// every clock and counter stays bit-identical to an eager engine.
 void FileEngine::FreezeShard(size_t /*s*/, Slot& slot) {
-  HibernateShardState(*slot, config_);
+  FileShard& sh = *slot;
+  if (!config_.durable) {
+    OpenFreshLogs(sh, config_, fileio::WalSyncPolicy::kNone);
+    sh.manifest->LogSnapshot(SnapshotShardState(sh));
+    RewriteWal(sh);
+  }
+  // Buffered writes reach the WAL before the record that puts the shard
+  // to sleep: a restart that finds `kHibernate` restores the shard asleep.
+  sh.wal->Commit();
+  sh.hib_level_shape = LevelShape(sh);
+  sh.manifest->LogHibernate(sh.memtable.size(), sh.hib_level_shape,
+                            sh.cache.Freeze().keys_mru_to_lru);
+  // A hibernated shard holds no descriptors, heap state or cache contents
+  // (freezing emptied the cache); the residuals answer size and
+  // transition queries while it sleeps.
+  sh.manifest.reset();
+  sh.wal.reset();
+  sh.hib_memtable_size = sh.memtable.size();
+  sh.memtable.clear();
+  sh.levels.clear();  // closes every run fd
+  sh.scratch.reset();
+  sh.ring.reset();
+  sh.ring_bufs.clear();
+  sh.io_depth = 1;
 }
 
 // --------------------------------------------------------------- shard work
@@ -1677,10 +1598,8 @@ void FileEngine::ReconfigureSlot(size_t s, Entry& e,
       if (config_.durable) {
         // The shard's writers are closed while it sleeps; a short-lived
         // one records the change so a restart wakes into the new config.
-        fileio::Manifest temp(config_.file_ops, sh.dir, DurableSync(config_),
-                              sh.manifest_records);
-        temp.LogOptions(options);
-        sh.manifest_records = temp.record_count();
+        fileio::Manifest(config_.file_ops, sh.dir, DurableSync(config_))
+            .LogOptions(options);
       }
       return;
     }

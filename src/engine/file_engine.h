@@ -69,7 +69,7 @@ struct FileEngineConfig {
   /// logical state. Off by default: the engine is first a measurement
   /// backend, and with `durable=false` nothing below exists on the hot
   /// path — all I/O counters stay bit-identical to pre-durability builds.
-  /// Durability I/O (manifest, WAL, sidecars) is never charged to the
+  /// Durability I/O (manifest, WAL, filter files) is never charged to the
   /// shard clocks even when enabled.
   bool durable = false;
   /// Reconstruct shards from an existing workdir's manifests instead of
@@ -92,10 +92,11 @@ struct FileEngineConfig {
   fileio::FileOps* file_ops = nullptr;
   /// Shard lifecycle: lazy instantiation (a cold shard holds no memtable,
   /// Bloom filters, cache, scratch buffers, or file descriptors) and
-  /// idle-shard hibernation (a hibernated shard persists its in-memory
-  /// structures to an uncounted sidecar file next to its run files and
-  /// releases them; the next touching op rehydrates it). Both transitions
-  /// leave logical results, per-op I/O counts, and `EngineCounters`
+  /// idle-shard hibernation (a hibernated shard releases its in-memory
+  /// structures and leaves its manifest and WAL as its one image, written
+  /// uncounted, and unsynced on a non-durable engine; the next touching op
+  /// wakes it by replaying them, as recovery does). Both transitions leave
+  /// logical results, per-op I/O counts, and `EngineCounters`
   /// bit-identical to an eager engine.
   ShardLifecycleConfig lifecycle;
 };
@@ -205,9 +206,14 @@ class FileEngine : public ShardSet<FileEngine, FileShardPtr> {
   // ShardSet backend: lifecycle transitions of one file-set shard.
   /// Creates shard `s`'s directory, logs, cache, scratch buffers and ring.
   void CreateShard(size_t s, Slot& slot, const lsm::Options& options);
-  /// Rehydrates a hibernated shard from its sidecar.
+  /// Wakes a hibernated shard the way recovery rebuilds a live one:
+  /// replays its manifest, rebuilds it from the run metadata and the WAL,
+  /// and refills its block cache from the keys its `kHibernate` record
+  /// logged. A non-durable shard whose image is not whole stops instead.
   void WakeShard(size_t s, Slot& slot);
-  /// Freezes a shard into its sidecar and releases in-memory state.
+  /// Logs a shard's `kHibernate` record behind its committed WAL (writing
+  /// both logs first on a non-durable engine) and releases its in-memory
+  /// state.
   void FreezeShard(size_t s, Slot& slot);
 
   // ShardSet backend: work on a live shard, timed on the shard clock.

@@ -11,7 +11,7 @@
 namespace camal::engine::fileio {
 
 /// \brief Injectable seam for every *mutating* file operation of the
-/// real-IO backend (run-file builds, manifest/WAL appends, sidecar
+/// real-IO backend (run-file builds, manifest/WAL appends, manifest
 /// rotation, unlinks).
 ///
 /// The base class IS the production implementation: each virtual forwards
@@ -45,8 +45,7 @@ class FileOps {
   /// `fsync(2)`.
   virtual int Fsync(int fd) { return ::fsync(fd); }
 
-  /// `rename(2)` — the atomic commit point of manifest rotation and
-  /// sidecar installation.
+  /// `rename(2)` — the atomic commit point of manifest rotation.
   virtual int Rename(const std::string& from, const std::string& to) {
     return ::rename(from.c_str(), to.c_str());
   }

@@ -9,7 +9,8 @@ namespace camal::engine::fileio {
 namespace {
 
 // Version 2: run records carry their filter file's CRC, not its words.
-constexpr uint32_t kManifestVersion = 2;
+// Version 3: kHibernate carries the block cache's keys.
+constexpr uint32_t kManifestVersion = 3;
 
 /// Reads a record's layout version. A CRC-valid record of another layout
 /// cannot be decoded as this one: replaying it as a torn tail would
@@ -33,6 +34,14 @@ enum RecordTag : uint8_t {
   kWake = 6,
   kSnapshot = 7,
 };
+
+// The fewest bytes one encoded run takes (an empty fence), one level of a
+// snapshot (its run count) and one level of a hibernation shape: the
+// bounds that decoded counts are checked against before anything is
+// allocated for them.
+constexpr uint64_t kMinRunMetaBytes = 4 * 8 + 4 + 8 + 4 + 8 + 4;
+constexpr uint64_t kMinLevelBytes = 4;
+constexpr uint64_t kShapeLevelBytes = 2 * 8;
 
 void EncodeOptions(ByteWriter* w, const lsm::Options& o) {
   w->F64(o.size_ratio);
@@ -61,6 +70,62 @@ lsm::Options DecodeOptions(ByteReader* r) {
   return o;
 }
 
+void EncodeRunMeta(ByteWriter* w, const ManifestRunMeta& run) {
+  w->U64(run.id);
+  w->U64(run.num_entries);
+  w->U64(run.min_key);
+  w->U64(run.max_key);
+  w->U64Vec(run.fence);
+  w->U64(run.bloom_bits);
+  w->U32(run.bloom_hashes);
+  w->F64(run.bloom_bpk);
+  w->U32(run.bloom_crc);
+}
+
+/// Decodes what `EncodeRunMeta` wrote; a short buffer flips `r->ok()`.
+ManifestRunMeta DecodeRunMeta(ByteReader* r) {
+  ManifestRunMeta run;
+  run.id = r->U64();
+  run.num_entries = r->U64();
+  run.min_key = r->U64();
+  run.max_key = r->U64();
+  run.fence = r->U64Vec();
+  run.bloom_bits = r->U64();
+  run.bloom_hashes = r->U32();
+  run.bloom_bpk = r->F64();
+  run.bloom_crc = r->U32();
+  return run;
+}
+
+void EncodeShape(ByteWriter* w,
+                 const std::vector<std::pair<uint64_t, uint64_t>>& shape) {
+  w->U32(static_cast<uint32_t>(shape.size()));
+  for (const auto& [runs, entries] : shape) {
+    w->U64(runs);
+    w->U64(entries);
+  }
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> DecodeShape(ByteReader* r) {
+  std::vector<std::pair<uint64_t, uint64_t>> shape(r->Count(kShapeLevelBytes));
+  for (auto& [runs, entries] : shape) {
+    runs = r->U64();
+    entries = r->U64();
+  }
+  return shape;
+}
+
+/// Decodes a run count and that many runs into `out`. False as soon as
+/// the reader fails.
+bool DecodeRuns(ByteReader* r, std::vector<ManifestRunMeta>* out) {
+  const uint32_t n = r->Count(kMinRunMetaBytes);
+  out->reserve(out->size() + n);
+  for (uint32_t i = 0; i < n && r->ok(); ++i) {
+    out->push_back(DecodeRunMeta(r));
+  }
+  return r->ok();
+}
+
 std::string EncodeSnapshot(const RecoveredShardState& st, uint64_t shard) {
   ByteWriter w;
   w.U8(kSnapshot);
@@ -76,53 +141,59 @@ std::string EncodeSnapshot(const RecoveredShardState& st, uint64_t shard) {
   }
   w.U8(st.hibernated ? 1 : 0);
   w.U64(st.hib_memtable_entries);
-  w.U32(static_cast<uint32_t>(st.hib_shape.size()));
-  for (const auto& [runs, entries] : st.hib_shape) {
-    w.U64(runs);
-    w.U64(entries);
-  }
+  EncodeShape(&w, st.hib_shape);
   return w.Take();
 }
 
-/// Applies one decoded record to the replay state. Returns false when the
-/// payload is semantically malformed (decoder ran out of bytes) — the
-/// caller treats that record as the start of a torn tail.
+void ClearHibernation(RecoveredShardState* st) {
+  st->hibernated = false;
+  st->hib_memtable_entries = 0;
+  st->hib_shape.clear();
+  st->hib_cache_keys.clear();
+}
+
+/// Applies one record to the replay state. Returns false, leaving the
+/// state untouched, when the payload is malformed (the decoder ran out of
+/// bytes, a count exceeds what is left, or bytes trail the record) — the
+/// caller treats that record as the start of a torn tail. Each case
+/// decodes its whole record before it changes anything.
 bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
                  uint64_t* max_run_id, bool* initialized) {
   ByteReader r(payload);
-  const uint8_t tag = r.U8();
-  switch (tag) {
+  auto whole = [&r] { return r.ok() && r.AtEnd(); };
+  switch (r.U8()) {
     case kInit: {
       CheckVersion(&r);
       r.U64();  // shard id (engine derives it from the directory name)
-      st->options = DecodeOptions(&r);
+      const lsm::Options options = DecodeOptions(&r);
+      if (!whole()) return false;
+      st->options = options;
       *initialized = true;
-      break;
+      return true;
     }
     case kOptions: {
-      st->options = DecodeOptions(&r);
-      break;
+      const lsm::Options options = DecodeOptions(&r);
+      if (!whole()) return false;
+      st->options = options;
+      return true;
     }
     case kFlush: {
-      st->wal_epoch = r.U64();
+      const uint64_t epoch = r.U64();
       ManifestRunMeta run = DecodeRunMeta(&r);
-      if (!r.ok()) return false;
+      if (!whole()) return false;
+      st->wal_epoch = epoch;
       *max_run_id = std::max(*max_run_id, run.id);
       if (st->levels.empty()) st->levels.resize(1);
       st->levels[0].push_back(std::move(run));
-      break;
+      return true;
     }
     case kCompact: {
       const uint32_t src = r.U32();
       const std::vector<uint64_t> removed = r.U64Vec();
-      const uint32_t added_count = r.U32();
       std::vector<ManifestRunMeta> added;
-      added.reserve(added_count);
-      for (uint32_t i = 0; i < added_count; ++i) {
-        added.push_back(DecodeRunMeta(&r));
-        if (!r.ok()) return false;
+      if (!DecodeRuns(&r, &added) || !whole() || src >= st->levels.size()) {
+        return false;
       }
-      if (!r.ok() || src >= st->levels.size()) return false;
       auto& level = st->levels[src];
       level.erase(std::remove_if(level.begin(), level.end(),
                                  [&](const ManifestRunMeta& run) {
@@ -136,98 +207,57 @@ bool ApplyRecord(std::string_view payload, RecoveredShardState* st,
         *max_run_id = std::max(*max_run_id, run.id);
         st->levels[src + 1].push_back(std::move(run));
       }
-      break;
+      return true;
     }
     case kHibernate: {
+      const uint64_t memtable_entries = r.U64();
+      auto shape = DecodeShape(&r);
+      std::vector<uint64_t> cache_keys = r.U64Vec();
+      if (!whole()) return false;
       st->hibernated = true;
-      st->hib_memtable_entries = r.U64();
-      const uint32_t n = r.U32();
-      st->hib_shape.clear();
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint64_t runs = r.U64();
-        const uint64_t entries = r.U64();
-        st->hib_shape.emplace_back(runs, entries);
-      }
-      break;
+      st->hib_memtable_entries = memtable_entries;
+      st->hib_shape = std::move(shape);
+      st->hib_cache_keys = std::move(cache_keys);
+      return true;
     }
     case kWake: {
-      st->hibernated = false;
-      st->hib_memtable_entries = 0;
-      st->hib_shape.clear();
-      break;
+      if (!whole()) return false;
+      ClearHibernation(st);
+      return true;
     }
     case kSnapshot: {
       CheckVersion(&r);
       r.U64();  // shard id
-      RecoveredShardState snap;
-      snap.options = DecodeOptions(&r);
-      snap.wal_epoch = r.U64();
-      snap.next_run_id = r.U64();
-      const uint32_t num_levels = r.U32();
-      if (!r.ok()) return false;
-      snap.levels.resize(num_levels);
-      for (uint32_t l = 0; l < num_levels; ++l) {
-        const uint32_t num_runs = r.U32();
-        if (!r.ok()) return false;
-        snap.levels[l].reserve(num_runs);
-        for (uint32_t i = 0; i < num_runs; ++i) {
-          snap.levels[l].push_back(DecodeRunMeta(&r));
-          if (!r.ok()) return false;
-        }
+      const lsm::Options options = DecodeOptions(&r);
+      const uint64_t wal_epoch = r.U64();
+      const uint64_t next_run_id = r.U64();
+      std::vector<std::vector<ManifestRunMeta>> levels(
+          r.Count(kMinLevelBytes));
+      for (auto& level : levels) {
+        if (!DecodeRuns(&r, &level)) return false;
       }
-      snap.hibernated = r.U8() == 1;
-      snap.hib_memtable_entries = r.U64();
-      const uint32_t shape = r.U32();
-      for (uint32_t i = 0; i < shape; ++i) {
-        const uint64_t runs = r.U64();
-        const uint64_t entries = r.U64();
-        snap.hib_shape.emplace_back(runs, entries);
-      }
-      if (!r.ok()) return false;
+      const bool hibernated = r.U8() == 1;
+      const uint64_t memtable_entries = r.U64();
+      auto shape = DecodeShape(&r);
+      if (!whole()) return false;
       // The snapshot replaces all structural state accumulated so far.
-      st->options = snap.options;
-      st->wal_epoch = snap.wal_epoch;
-      st->levels = std::move(snap.levels);
-      st->hibernated = snap.hibernated;
-      st->hib_memtable_entries = snap.hib_memtable_entries;
-      st->hib_shape = std::move(snap.hib_shape);
-      *max_run_id = std::max(*max_run_id, snap.next_run_id - 1);
+      st->options = options;
+      st->wal_epoch = wal_epoch;
+      st->levels = std::move(levels);
+      ClearHibernation(st);
+      st->hibernated = hibernated;
+      st->hib_memtable_entries = memtable_entries;
+      st->hib_shape = std::move(shape);
+      *max_run_id = std::max(*max_run_id, next_run_id - 1);
       *initialized = true;
-      break;
+      return true;
     }
     default:
       return false;  // unknown tag: cannot replay past it
   }
-  return r.ok();
 }
 
 }  // namespace
-
-void EncodeRunMeta(ByteWriter* w, const ManifestRunMeta& run) {
-  w->U64(run.id);
-  w->U64(run.num_entries);
-  w->U64(run.min_key);
-  w->U64(run.max_key);
-  w->U64Vec(run.fence);
-  w->U64(run.bloom_bits);
-  w->U32(run.bloom_hashes);
-  w->F64(run.bloom_bpk);
-  w->U32(run.bloom_crc);
-}
-
-ManifestRunMeta DecodeRunMeta(ByteReader* r) {
-  ManifestRunMeta run;
-  run.id = r->U64();
-  run.num_entries = r->U64();
-  run.min_key = r->U64();
-  run.max_key = r->U64();
-  run.fence = r->U64Vec();
-  run.bloom_bits = r->U64();
-  run.bloom_hashes = r->U32();
-  run.bloom_bpk = r->F64();
-  run.bloom_crc = r->U32();
-  return run;
-}
 
 bool RecoverManifest(const std::string& path, RecoveredShardState* out) {
   RecordFileContents log = ReadRecordFile(path);
@@ -315,15 +345,13 @@ void Manifest::LogCompact(uint32_t src_level,
 
 void Manifest::LogHibernate(
     uint64_t memtable_entries,
-    const std::vector<std::pair<uint64_t, uint64_t>>& shape) {
+    const std::vector<std::pair<uint64_t, uint64_t>>& shape,
+    const std::vector<uint64_t>& cache_keys) {
   ByteWriter w;
   w.U8(kHibernate);
   w.U64(memtable_entries);
-  w.U32(static_cast<uint32_t>(shape.size()));
-  for (const auto& [runs, entries] : shape) {
-    w.U64(runs);
-    w.U64(entries);
-  }
+  EncodeShape(&w, shape);
+  w.U64Vec(cache_keys);
   Log(w.Take());
 }
 
@@ -331,6 +359,10 @@ void Manifest::LogWake() {
   ByteWriter w;
   w.U8(kWake);
   Log(w.Take());
+}
+
+void Manifest::LogSnapshot(const RecoveredShardState& state) {
+  Log(EncodeSnapshot(state, /*shard=*/0));
 }
 
 bool Manifest::Rotate(const RecoveredShardState& state) {

@@ -15,9 +15,10 @@ namespace camal::engine::fileio {
 /// \brief Per-shard manifest: an append-only, CRC-framed log of every
 /// structural change to a shard's file set, from which `reopen=true`
 /// reconstructs the shard (levels, fences, Bloom parameters, hibernation
-/// status) without reading a single run block.
+/// status) without reading a single run block, and from which a
+/// hibernated shard wakes.
 ///
-/// Record types (first payload byte):
+/// Record types (first payload byte), layout version 3:
 ///
 ///   | tag | record     | payload                                          |
 ///   |-----|------------|--------------------------------------------------|
@@ -25,9 +26,17 @@ namespace camal::engine::fileio {
 ///   | 2   | kOptions   | new per-shard `lsm::Options`                     |
 ///   | 3   | kFlush     | new WAL epoch, the level-0 run added             |
 ///   | 4   | kCompact   | source level, removed run ids, added runs        |
-///   | 5   | kHibernate | frozen memtable entry count, level shape         |
+///   | 5   | kHibernate | memtable entry count, level shape, cache keys    |
 ///   | 6   | kWake      | (empty)                                          |
 ///   | 7   | kSnapshot  | full shard state (rotation compacts to this)     |
+///
+/// A hibernated shard has no other image: the manifest up to its
+/// `kHibernate` record plus the WAL (the memtable) is everything a wake
+/// needs, and `kHibernate` adds the block cache's keys, most recent first,
+/// so the wake can refill the cache in its old recency order. A snapshot
+/// carries no cache keys: the engine snapshots only live shards (rotation
+/// runs only while a shard is awake, and a non-durable engine's
+/// hibernation writes a snapshot followed by a `kHibernate` record).
 ///
 /// Structural transitions are **composite single records** on purpose: a
 /// compaction's removed-inputs and added-output land in one CRC frame, so
@@ -58,13 +67,6 @@ struct ManifestRunMeta {
   uint32_t bloom_crc = 0;
 };
 
-/// Appends one run's metadata in the manifest's run encoding (shared with
-/// the hibernation sidecar, so both carry runs the same way).
-void EncodeRunMeta(ByteWriter* w, const ManifestRunMeta& run);
-
-/// Decodes what `EncodeRunMeta` wrote; a short buffer flips `r->ok()`.
-ManifestRunMeta DecodeRunMeta(ByteReader* r);
-
 /// The state a manifest replay yields — everything the engine needs to
 /// rebuild a shard minus the WAL tail (memtable contents).
 struct RecoveredShardState {
@@ -84,6 +86,8 @@ struct RecoveredShardState {
   uint64_t hib_memtable_entries = 0;
   /// Per-level (run count, entry count) residuals while hibernated.
   std::vector<std::pair<uint64_t, uint64_t>> hib_shape;
+  /// The block cache's keys at hibernation, most recent first.
+  std::vector<uint64_t> hib_cache_keys;
   /// Parse telemetry: bytes of intact log (truncation point when torn),
   /// whether a torn tail followed, and how many records replayed.
   uint64_t valid_bytes = 0;
@@ -116,8 +120,12 @@ class Manifest {
   void LogCompact(uint32_t src_level, const std::vector<uint64_t>& removed,
                   const std::vector<ManifestRunMeta>& added);
   void LogHibernate(uint64_t memtable_entries,
-                    const std::vector<std::pair<uint64_t, uint64_t>>& shape);
+                    const std::vector<std::pair<uint64_t, uint64_t>>& shape,
+                    const std::vector<uint64_t>& cache_keys);
   void LogWake();
+  /// Logs `state` as one `kSnapshot` record: the first record of a log
+  /// written whole rather than grown.
+  void LogSnapshot(const RecoveredShardState& state);
 
   /// Whether the log has grown past `rotate_records` (0: never rotate).
   /// Callers check this before building the snapshot `Rotate` needs.

@@ -156,16 +156,18 @@ class ByteReader {
   }
   /// Copies `n` raw bytes into `p` (the mirror of `ByteWriter::Bytes`).
   void Bytes(void* p, size_t n) { Raw(p, n); }
-  std::vector<uint64_t> U64Vec() {
+  /// Reads an item count whose items take at least `min_item_bytes` each
+  /// in what follows. A count the remaining bytes cannot hold flips `ok()`
+  /// and reads as 0, so a corrupt count never becomes a multi-gigabyte
+  /// allocation or a loop past the payload.
+  uint32_t Count(uint64_t min_item_bytes) {
     const uint32_t n = U32();
-    // Guard impossible sizes before allocating (a corrupt length must not
-    // become a multi-gigabyte resize).
-    if (!ok_ || static_cast<uint64_t>(n) * sizeof(uint64_t) > Remaining()) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<uint64_t> v(n);
-    if (n > 0) Raw(v.data(), n * sizeof(uint64_t));
+    if (static_cast<uint64_t>(n) * min_item_bytes > Remaining()) ok_ = false;
+    return ok_ ? n : 0;
+  }
+  std::vector<uint64_t> U64Vec() {
+    std::vector<uint64_t> v(Count(sizeof(uint64_t)));
+    if (!v.empty()) Raw(v.data(), v.size() * sizeof(uint64_t));
     return v;
   }
 

@@ -7,6 +7,7 @@ namespace {
 // Wire layout of one entry inside a WAL record: key, value, flags (bit 0:
 // tombstone) — the same 24-byte triple the run files use.
 constexpr uint64_t kTombstoneFlag = 1;
+constexpr uint64_t kEntryBytes = 3 * sizeof(uint64_t);
 
 }  // namespace
 
@@ -56,9 +57,9 @@ WalReplay ReadWal(const std::string& path) {
     ByteReader r(payload);
     WalReplayRecord rec;
     rec.epoch = r.U64();
-    const uint32_t n = r.U32();
+    const uint32_t n = r.Count(kEntryBytes);
     rec.entries.reserve(n);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    for (uint32_t i = 0; i < n; ++i) {
       lsm::Entry e;
       e.key = r.U64();
       e.value = r.U64();

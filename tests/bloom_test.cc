@@ -78,8 +78,8 @@ TEST(BloomTest, FromPartsRoundTripsProbes) {
 }
 
 // FromParts is fed from disk (a run's filter file, sized by its manifest
-// record or hibernation sidecar): parts that would let MayContain index
-// past the bit array must be refused.
+// record): parts that would let MayContain index past the bit array must
+// be refused.
 TEST(BloomDeathTest, FromPartsRejectsInconsistentParts) {
   BloomFilter filter(100, 10.0);  // 1000 bits in 16 words, 7 hashes
   for (uint64_t k = 0; k < 100; ++k) filter.Add(k);

@@ -12,8 +12,9 @@
 // all shards — including hibernated ones — from their manifests alone,
 // a clean WAL is kept and appended to rather than rewritten, a damaged
 // or missing Bloom filter file (`run_<id>.blm`) is rebuilt from its run,
-// bit-identically, instead of failing the reopen, and a hibernation
-// sidecar with a damaged byte stops the wake instead of serving it.
+// bit-identically, instead of failing the reopen, and a non-durable
+// shard whose hibernation WAL has a damaged byte stops the wake instead of
+// serving it.
 
 #include <gtest/gtest.h>
 
@@ -471,7 +472,7 @@ TEST(CrashRecoveryTest, HibernateCrashMatrix) {
     }
     PutBatch(eng, batch);
     eng.FlushMemtable();
-    // Fresh memtable residue in both shards: the sidecar must carry it.
+    // Fresh memtable residue in both shards: the WAL must carry it.
     batch.clear();
     for (uint64_t k = 2; k <= 80; k += 2) {
       batch.push_back(Put(k, k + 9));
@@ -481,8 +482,7 @@ TEST(CrashRecoveryTest, HibernateCrashMatrix) {
   };
   sc.armed = [&sc](FileEngine& eng) {
     // GET-only batches confined to shard 0: shard 1 goes idle past the
-    // threshold and hibernates at a batch boundary — the armed mutation
-    // sites are the sidecar write, its rename, and the manifest record.
+    // threshold and hibernates at a batch boundary.
     const std::vector<uint64_t> hot = ShardKeys(eng, 0, 24, sc.max_key);
     ASSERT_FALSE(hot.empty());
     std::vector<Op> batch;
@@ -491,7 +491,11 @@ TEST(CrashRecoveryTest, HibernateCrashMatrix) {
     PutBatch(eng, batch);
     ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
   };
-  RunCrashMatrix(sc, "hibernate");
+  // The manifest and WAL are the whole hibernation image, and the WAL was
+  // committed by the batch that wrote it: the one armed write is the
+  // kHibernate record, and no other file is touched.
+  EXPECT_EQ(RunCrashMatrix(sc, "hibernate"),
+            (std::vector<std::string>{"pwrite MANIFEST", "fsync MANIFEST"}));
 }
 
 TEST(CrashRecoveryTest, WakeCrashMatrix) {
@@ -524,8 +528,8 @@ TEST(CrashRecoveryTest, WakeCrashMatrix) {
     ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
   };
   sc.armed = [&sc](FileEngine& eng) {
-    // Touching the hibernated shard wakes it: sidecar unlink, manifest
-    // reopen, the kWake record — all armed crash sites.
+    // Touching the hibernated shard wakes it, and the idle shard 0 goes
+    // to sleep at the end of the same batch.
     const std::vector<uint64_t> cold = ShardKeys(eng, 1, 24, sc.max_key);
     ASSERT_FALSE(cold.empty());
     std::vector<Op> batch;
@@ -533,7 +537,12 @@ TEST(CrashRecoveryTest, WakeCrashMatrix) {
     PutBatch(eng, batch);
     ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
   };
-  RunCrashMatrix(sc, "wake");
+  // The wake replays shard 1's logs, reopens their writers and logs kWake;
+  // then shard 0 logs kHibernate. No other file is touched.
+  EXPECT_EQ(RunCrashMatrix(sc, "wake"),
+            (std::vector<std::string>{"open MANIFEST", "open WAL",
+                                      "pwrite MANIFEST", "fsync MANIFEST",
+                                      "pwrite MANIFEST", "fsync MANIFEST"}));
 }
 
 // ------------------------------------------------- clean-close recovery
@@ -711,8 +720,8 @@ TEST(CrashRecoveryTest, HibernatedShardSurvivesRestart) {
     cfg.workdir = dir;
     cfg.reopen = true;
     // Hibernation stays off in the reopened engine; the shard must still
-    // come back hibernated because its sidecar is registered in the
-    // manifest — surviving the process restart without rebuilding.
+    // come back hibernated because its manifest ends in kHibernate —
+    // surviving the process restart without rebuilding.
     FileEngine eng(2, opts, cfg);
     EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
     EXPECT_EQ(eng.CostSnapshot().block_writes, 0u);
@@ -902,8 +911,8 @@ TEST(CrashRecoveryTest, DamagedFilterFileOfHibernatedShardIsRebuiltOnWake) {
     PutBatch(eng, batch);
     ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
   }
-  // The sidecar names the runs; their filter bits load from the same
-  // CRC-checked files recovery uses, so a deleted one is rebuilt on wake.
+  // The wake replays the manifest, which names the runs, and loads their
+  // filter bits the way recovery does, so a deleted one is rebuilt.
   const std::string victim =
       dir + "/shard_1/" + LargestFilterFile(dir + "/shard_1");
   const std::string original = ReadBytes(victim);
@@ -922,88 +931,85 @@ TEST(CrashRecoveryTest, DamagedFilterFileOfHibernatedShardIsRebuiltOnWake) {
   fs::remove_all(dir);
 }
 
-// ------------------------------------------------ damaged sidecar
+// ------------------------------------------------ damaged hibernation WAL
 
-// Puts keys 2..1200 (even, value k + 11) across two lazy shards, flushes,
-// buffers one more write of shard 1's first key (value key + 13), lets
-// shard 1 hibernate, then flips one bit of that buffered value in its
-// sidecar — or, with `remove`, deletes the sidecar. Returns the key.
-uint64_t HibernateShardOneAndDamageItsSidecar(FileEngine& eng,
-                                              const std::string& dir,
-                                              bool remove = false) {
+// A non-durable shard holds its manifest and WAL only while it sleeps:
+// hibernation writes them, and the wake that replays them deletes them.
+TEST(CrashRecoveryTest, NonDurableHibernationImageLivesOnlyWhileAsleep) {
+  const std::string dir = UniqueDir("image_nd");
+  FileEngineConfig cfg;
+  cfg.workdir = dir;
+  cfg.lifecycle =
+      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
+  FileEngine eng(2, CrashOptions(2), cfg);
+  Reference ref;
   std::vector<Op> batch;
-  for (uint64_t k = 2; k <= 1200; k += 2) batch.push_back(Put(k, k + 11));
+  for (uint64_t k = 2; k <= 1200; k += 2) {
+    batch.push_back(Put(k, k + 11));
+    ref[k] = k + 11;
+  }
   PutBatch(eng, batch);
-  eng.FlushMemtable();
-  // A buffered write in shard 1: the sidecar carries it as a memtable
-  // record, its key's 8 bytes followed by its value's.
-  const uint64_t key = ShardKeys(eng, 1, 1, 1200).at(0);
-  const uint64_t value = key + 13;
-  PutBatch(eng, {Put(key, value)});
+  auto has = [&dir](const char* name) {
+    return fs::exists(dir + "/shard_1/" + name);
+  };
+  EXPECT_FALSE(has("MANIFEST"));
+  EXPECT_FALSE(has("WAL"));
   const std::vector<uint64_t> hot = ShardKeys(eng, 0, 16, 1200);
   batch.clear();
   for (const uint64_t k : hot) batch.push_back(GetOp(k));
   PutBatch(eng, batch);
   PutBatch(eng, batch);
-  EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
-
-  const std::string sidecar = dir + "/shard_1/hibernate.snap";
-  if (remove) {
-    EXPECT_TRUE(fs::remove(sidecar));
-    return key;
-  }
-  std::string bytes = ReadBytes(sidecar);
-  std::string record(16, '\0');
-  std::memcpy(record.data(), &key, sizeof(key));
-  std::memcpy(record.data() + 8, &value, sizeof(value));
-  const size_t at = bytes.find(record);
-  EXPECT_NE(at, std::string::npos);
-  bytes[at + 8] ^= 0x01;
-  std::ofstream(sidecar, std::ios::binary | std::ios::trunc) << bytes;
-  return key;
+  ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
+  EXPECT_TRUE(has("MANIFEST"));
+  EXPECT_TRUE(has("WAL"));
+  VerifyMatchesReference(eng, ref, 1200);  // gets wake the shard
+  ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
+  EXPECT_FALSE(has("MANIFEST"));
+  EXPECT_FALSE(has("WAL"));
 }
 
-FileEngineConfig HibernatingConfig(const std::string& dir, bool durable) {
+// A non-durable engine keeps no logs while a shard is live; at
+// hibernation it writes the shard's image once, as a snapshot manifest
+// and a one-record WAL. Nothing else holds the buffered writes, so a
+// damaged image stops the wake rather than serving `value ^ 1` as a live
+// value.
+TEST(CrashRecoveryDeathTest, DamagedWalStopsANonDurableWake) {
+  const std::string dir = UniqueDir("wal_flip_nd");
   FileEngineConfig cfg;
   cfg.workdir = dir;
-  cfg.durable = durable;
   cfg.lifecycle =
       ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
-  return cfg;
-}
+  FileEngine eng(2, CrashOptions(2), cfg);
+  std::vector<Op> batch;
+  for (uint64_t k = 2; k <= 1200; k += 2) batch.push_back(Put(k, k + 11));
+  PutBatch(eng, batch);
+  eng.FlushMemtable();
+  // A buffered write in shard 1: the WAL carries it as an entry, its key's
+  // 8 bytes followed by its value's.
+  const uint64_t key = ShardKeys(eng, 1, 1, 1200).at(0);
+  const uint64_t value = key + 13;
+  PutBatch(eng, {Put(key, value)});
+  const std::string wal = dir + "/shard_1/WAL";
+  EXPECT_FALSE(fs::exists(wal));  // no log while the shard is live
+  const std::vector<uint64_t> hot = ShardKeys(eng, 0, 16, 1200);
+  batch.clear();
+  for (const uint64_t k : hot) batch.push_back(GetOp(k));
+  PutBatch(eng, batch);
+  PutBatch(eng, batch);
+  ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
 
-// A durable engine holds everything the sidecar does in its manifest and
-// WAL: with the sidecar damaged or gone, the wake rebuilds the shard
-// through the live recovery path and serves the committed values, never
-// `value ^ 1`.
-TEST(CrashRecoveryTest, DamagedSidecarWakesFromTheLogs) {
-  for (const bool remove : {false, true}) {
-    SCOPED_TRACE(remove ? "sidecar removed" : "sidecar damaged");
-    const std::string dir = UniqueDir(remove ? "snap_gone" : "snap_flip");
-    FileEngine eng(2, CrashOptions(2), HibernatingConfig(dir, true));
-    const uint64_t key = HibernateShardOneAndDamageItsSidecar(eng, dir, remove);
-
-    uint64_t got = 0;
-    ASSERT_TRUE(eng.Get(key, &got));
-    EXPECT_EQ(got, key + 13);
-    EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
-    for (const uint64_t k : ShardKeys(eng, 1, 1200, 1200)) {
-      if (k == key) continue;
-      ASSERT_TRUE(eng.Get(k, &got)) << k;
-      EXPECT_EQ(got, k + 11) << k;
-    }
-  }
-}
-
-// Without the logs nothing else holds the shard's buffered writes: the
-// wake stops rather than serving `value ^ 1` as a live value.
-TEST(CrashRecoveryDeathTest, DamagedSidecarStopsANonDurableWake) {
-  const std::string dir = UniqueDir("snap_flip_nd");
-  FileEngine eng(2, CrashOptions(2), HibernatingConfig(dir, false));
-  const uint64_t key = HibernateShardOneAndDamageItsSidecar(eng, dir);
+  std::string bytes = ReadBytes(wal);
+  std::string entry(16, '\0');
+  std::memcpy(entry.data(), &key, sizeof(key));
+  std::memcpy(entry.data() + 8, &value, sizeof(value));
+  const size_t at = bytes.find(entry);
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 8] ^= 0x01;
+  std::ofstream(wal, std::ios::binary | std::ios::trunc) << bytes;
 
   uint64_t got = 0;
-  EXPECT_DEATH(eng.Get(key, &got), "hibernation sidecar .* fails its CRC");
+  EXPECT_DEATH(eng.Get(key, &got),
+               "hibernation manifest or WAL of .*shard_1' is damaged");
 }
 
 }  // namespace

@@ -577,7 +577,7 @@ TEST(FileEngineTest, ArbiterConservesBudgetOnFileBackend) {
 
 TEST(FileEngineTest, DurabilityLayerKeepsCountersBitIdentical) {
   // The golden no-reopen guarantee: with the durability layer on, every
-  // manifest/WAL/sidecar byte is written outside the counted cost
+  // manifest/WAL/filter-file byte is written outside the counted cost
   // clocks, so logical results and all I/O counters are bit-identical to
   // a durable-off engine serving the same stream — durability shows up
   // only in wall-clock.

@@ -1,14 +1,19 @@
 // Per-shard manifest and its CRC-framed record-log substrate
 // (engine::fileio): frame round-trips, CRC rejection of flipped bytes,
 // torn-tail detection and truncation, replay of every record type,
-// rotate-and-rename atomicity (including a failed rename), and the
-// empty/corrupt-header files that must recover to the empty state.
+// rotate-and-rename atomicity (including a failed rename), the
+// empty/corrupt-header files that must recover to the empty state, and
+// hostile bytes behind a valid CRC: counts the payload cannot hold, and a
+// fixed-seed mutation loop over every record kind, each of which must
+// replay to a clean prefix.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -309,7 +314,7 @@ TEST_F(ManifestTest, ReplaysHibernateAndWake) {
     Manifest m(FileOps::Real(), dir_, /*sync=*/false);
     m.LogInit(0, TestOptions());
     m.LogFlush(1, TestRun(1, 64));
-    m.LogHibernate(/*memtable_entries=*/17, {{1, 64}});
+    m.LogHibernate(/*memtable_entries=*/17, {{1, 64}}, /*cache_keys=*/{9, 4});
   }
   RecoveredShardState st;
   ASSERT_TRUE(RecoverManifest(Manifest::PathFor(dir_), &st));
@@ -317,6 +322,7 @@ TEST_F(ManifestTest, ReplaysHibernateAndWake) {
   EXPECT_EQ(st.hib_memtable_entries, 17u);
   ASSERT_EQ(st.hib_shape.size(), 1u);
   EXPECT_EQ(st.hib_shape[0], (std::pair<uint64_t, uint64_t>{1, 64}));
+  EXPECT_EQ(st.hib_cache_keys, (std::vector<uint64_t>{9, 4}));
 
   {
     Manifest m(FileOps::Real(), dir_, /*sync=*/false, st.num_records);
@@ -325,6 +331,7 @@ TEST_F(ManifestTest, ReplaysHibernateAndWake) {
   RecoveredShardState awake;
   ASSERT_TRUE(RecoverManifest(Manifest::PathFor(dir_), &awake));
   EXPECT_FALSE(awake.hibernated);
+  EXPECT_TRUE(awake.hib_cache_keys.empty());
   ASSERT_EQ(awake.levels.size(), 1u);  // runs survive the round trip
   ExpectRunEq(awake.levels[0][0], TestRun(1, 64));
 }
@@ -353,20 +360,24 @@ TEST_F(ManifestTest, CorruptHeaderRecoversToEmptyState) {
 
 TEST_F(ManifestTest, OtherRecordLayoutVersionStopsReplay) {
   // A whole, CRC-valid kInit record of layout version 1 (run records that
-  // carried filter words): replay must neither misdecode it nor drop the
-  // shard as empty.
-  {
-    ByteWriter w;
-    w.U8(1);   // kInit
-    w.U32(1);  // layout version
-    w.U64(0);  // shard id
-    RecordWriter log(FileOps::Real(), Manifest::PathFor(dir_));
-    log.Append(w.Take());
-    log.Commit();
+  // carried filter words) or 2 (a kHibernate record without cache keys):
+  // replay must neither misdecode it nor drop the shard as empty.
+  for (const uint32_t version : {1u, 2u}) {
+    fs::remove(Manifest::PathFor(dir_));
+    {
+      ByteWriter w;
+      w.U8(1);  // kInit
+      w.U32(version);
+      w.U64(0);  // shard id
+      RecordWriter log(FileOps::Real(), Manifest::PathFor(dir_));
+      log.Append(w.Take());
+      log.Commit();
+    }
+    RecoveredShardState st;
+    EXPECT_DEATH(RecoverManifest(Manifest::PathFor(dir_), &st),
+                 "record layout version " + std::to_string(version) +
+                     ", this build reads 3");
   }
-  RecoveredShardState st;
-  EXPECT_DEATH(RecoverManifest(Manifest::PathFor(dir_), &st),
-               "record layout version 1, this build reads 2");
 }
 
 TEST_F(ManifestTest, TornTailKeepsThePrefixState) {
@@ -437,6 +448,238 @@ TEST_F(ManifestTest, ShouldRotateHonorsThreshold) {
   ASSERT_TRUE(m.Rotate(st));
   EXPECT_EQ(m.record_count(), 1u);
   EXPECT_FALSE(m.ShouldRotate(/*rotate_records=*/1));
+}
+
+// ------------------------------------------------------- hostile records
+
+/// Frames `payloads` into a fresh file at `path`, each with a valid CRC.
+void WriteRecords(const std::string& path,
+                  const std::vector<std::string>& payloads) {
+  fs::remove(path);
+  RecordWriter w(FileOps::Real(), path);
+  for (const std::string& p : payloads) w.Append(p);
+  w.Commit();
+}
+
+/// The payloads of the record file at `path`, copied out.
+std::vector<std::string> ReadPayloads(const std::string& path) {
+  const RecordFileContents log = ReadRecordFile(path);
+  return std::vector<std::string>(log.records.begin(), log.records.end());
+}
+
+/// A kSnapshot record up to its level count: tag, layout version, shard
+/// id, options (size ratio; entry, buffer, Bloom and cache bytes; policy;
+/// runs per level; file bytes; queue depth), WAL epoch and next run id.
+void SnapshotPrefix(ByteWriter* w, uint32_t version) {
+  w->U8(7);
+  w->U32(version);
+  w->U64(0);
+  w->F64(4.0);
+  w->U64(64);
+  w->U64(8192);
+  w->U64(8000);
+  w->U64(4096);
+  w->U8(0);
+  w->U32(1);
+  w->U64(1 << 20);
+  w->U32(1);
+  w->U64(1);
+  w->U64(2);
+}
+
+constexpr uint32_t kHostileCount = 0xFFFFFFFFu;
+
+// A count the rest of the payload cannot hold, behind a valid CRC, must
+// end replay at that record as a torn tail, before anything is allocated
+// for the count: each record below asks for billions of items.
+TEST_F(ManifestTest, HostileCountsAreATornTail) {
+  const std::string path = Manifest::PathFor(dir_);
+  {
+    Manifest m(FileOps::Real(), dir_, /*sync=*/false);
+    m.LogInit(0, TestOptions());
+    m.LogFlush(1, TestRun(1, 64));
+  }
+  const std::vector<std::string> prefix = ReadPayloads(path);
+  ASSERT_EQ(prefix.size(), 2u);
+  const uint64_t prefix_bytes = FileSize(path);
+  ByteReader init(prefix[0]);
+  init.U8();
+  const uint32_t version = init.U32();  // the layout this build writes
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  {
+    ByteWriter w;  // kCompact: the added-run count
+    w.U8(4);
+    w.U32(0);
+    w.U64Vec({1});
+    w.U32(kHostileCount);
+    w.U64(0);
+    cases.emplace_back("kCompact added runs", w.Take());
+  }
+  {
+    ByteWriter w;  // kHibernate: the level-shape count
+    w.U8(5);
+    w.U64(3);
+    w.U32(kHostileCount);
+    w.U64(1);
+    w.U64(64);
+    cases.emplace_back("kHibernate shape", w.Take());
+  }
+  {
+    ByteWriter w;  // kSnapshot: the level count
+    SnapshotPrefix(&w, version);
+    w.U32(kHostileCount);
+    w.U64(0);
+    cases.emplace_back("kSnapshot levels", w.Take());
+  }
+  {
+    ByteWriter w;  // kSnapshot: one level's run count
+    SnapshotPrefix(&w, version);
+    w.U32(1);
+    w.U32(kHostileCount);
+    w.U64(0);
+    cases.emplace_back("kSnapshot runs", w.Take());
+  }
+  {
+    ByteWriter w;  // kSnapshot: the hibernation shape count
+    SnapshotPrefix(&w, version);
+    w.U32(0);
+    w.U8(1);
+    w.U64(0);
+    w.U32(kHostileCount);
+    w.U64(1);
+    w.U64(64);
+    cases.emplace_back("kSnapshot hibernation shape", w.Take());
+  }
+  for (const auto& [name, payload] : cases) {
+    SCOPED_TRACE(name);
+    std::vector<std::string> log = prefix;
+    log.push_back(payload);
+    WriteRecords(path, log);
+    RecoveredShardState st;
+    ASSERT_TRUE(RecoverManifest(path, &st));
+    EXPECT_TRUE(st.tail_torn);
+    EXPECT_EQ(st.num_records, 2u);
+    EXPECT_EQ(st.valid_bytes, prefix_bytes);
+    ASSERT_EQ(st.levels.size(), 1u);
+    EXPECT_EQ(st.levels[0].size(), 1u);
+    EXPECT_FALSE(st.hibernated);
+  }
+}
+
+/// Every replayed field of `st` but the parse telemetry, as bytes.
+std::string Fingerprint(const RecoveredShardState& st) {
+  ByteWriter w;
+  w.F64(st.options.size_ratio);
+  w.U64(st.options.buffer_bytes);
+  w.U64(st.options.bloom_bits);
+  w.U64(st.options.block_cache_bytes);
+  w.U64(st.wal_epoch);
+  w.U64(st.next_run_id);
+  for (const auto& level : st.levels) {
+    w.U32(static_cast<uint32_t>(level.size()));
+    for (const ManifestRunMeta& run : level) {
+      w.U64(run.id);
+      w.U64(run.num_entries);
+      w.U64Vec(run.fence);
+      w.U64(run.bloom_bits);
+    }
+  }
+  w.U8(st.hibernated ? 1 : 0);
+  w.U64(st.hib_memtable_entries);
+  for (const auto& [runs, entries] : st.hib_shape) {
+    w.U64(runs);
+    w.U64(entries);
+  }
+  w.U64Vec(st.hib_cache_keys);
+  return w.Take();
+}
+
+// Fixed-seed byte mutation of every record kind, re-framed with a valid
+// CRC: replay must never crash or over-read (the ASan build checks the
+// latter), and must stop at a frame boundary at or after the mutated
+// record, keeping every record before it, with exactly the state its
+// accepted records give: a rejected record changes nothing. The tag byte,
+// and the layout version of kInit and kSnapshot, stay intact: another tag
+// is another record, and a record of another layout stops the process by
+// design.
+TEST_F(ManifestTest, MutatedRecordsReplayToACleanPrefix) {
+  const std::string path = Manifest::PathFor(dir_);
+  {
+    Manifest m(FileOps::Real(), dir_, /*sync=*/false);
+    m.LogInit(0, TestOptions());
+    m.LogFlush(1, TestRun(1, 64));
+    m.LogFlush(2, TestRun(2, 64));
+    m.LogCompact(0, {1, 2}, {TestRun(3, 128)});
+    lsm::Options retuned = TestOptions();
+    retuned.buffer_bytes *= 2;
+    m.LogOptions(retuned);
+    m.LogHibernate(5, {{0, 0}, {1, 128}}, {(uint64_t{3} << 32) | 1, 7});
+    m.LogWake();
+    RecoveredShardState st;
+    ASSERT_TRUE(RecoverManifest(path, &st));
+    m.LogSnapshot(st);
+    m.LogFlush(3, TestRun(4, 64));
+  }
+  const std::vector<std::string> records = ReadPayloads(path);
+  ASSERT_EQ(records.size(), 9u);
+
+  std::mt19937_64 rng(20141006);
+  auto below = [&rng](uint64_t n) { return rng() % n; };
+  for (size_t i = 0; i < records.size(); ++i) {
+    const uint8_t tag = static_cast<uint8_t>(records[i][0]);
+    const size_t fixed = tag == 1 || tag == 7 ? 5 : 1;
+    for (int iter = 0; iter < 300; ++iter) {
+      std::string p = records[i];
+      switch (below(4)) {
+        case 0:  // flip a few bits
+          for (uint64_t n = 1 + below(4); n > 0; --n) {
+            if (p.size() > fixed) {
+              p[fixed + below(p.size() - fixed)] ^=
+                  static_cast<char>(1u << below(8));
+            }
+          }
+          break;
+        case 1:  // a huge or random 32-bit word, e.g. over a count
+          if (p.size() >= fixed + 4) {
+            const uint32_t word =
+                below(2) == 0 ? kHostileCount : static_cast<uint32_t>(rng());
+            std::memcpy(&p[fixed + below(p.size() - fixed - 3)], &word, 4);
+          }
+          break;
+        case 2:  // cut short
+          p.resize(1 + below(p.size()));
+          break;
+        default:  // trailing bytes
+          for (uint64_t n = 1 + below(16); n > 0; --n) {
+            p.push_back(static_cast<char>(rng()));
+          }
+          break;
+      }
+      std::vector<std::string> log = records;
+      log[i] = p;
+      WriteRecords(path, log);
+      std::vector<uint64_t> frame_end = {0};
+      for (const std::string& rec : log) {
+        frame_end.push_back(frame_end.back() + 8 + rec.size());
+      }
+      RecoveredShardState st;
+      if (!RecoverManifest(path, &st)) {
+        ASSERT_EQ(i, 0u) << "lost the whole log to a mutated record " << i;
+        continue;
+      }
+      ASSERT_GE(st.num_records, i) << "record " << i << ", iteration " << iter;
+      ASSERT_EQ(st.valid_bytes, frame_end[st.num_records]);
+      ASSERT_EQ(st.tail_torn, st.num_records < log.size());
+      const std::string prefix_path = dir_ + "/PREFIX";
+      WriteRecords(prefix_path, std::vector<std::string>(
+                                    log.begin(), log.begin() + st.num_records));
+      RecoveredShardState prefix;
+      ASSERT_TRUE(RecoverManifest(prefix_path, &prefix));
+      ASSERT_EQ(Fingerprint(st), Fingerprint(prefix))
+          << "record " << i << ", iteration " << iter;
+    }
+  }
 }
 
 /// Fails every rename — the rotation commit point.

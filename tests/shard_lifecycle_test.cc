@@ -349,7 +349,7 @@ void HibernateWakeRehibernateMatchesEager(bool durable) {
   };
   const std::vector<std::vector<Op>> batches = {
       slice(low, 0, 300),  slice(low, 300, 300),  // shards 2-3 freeze
-      slice(high, 0, 300),                        // sidecar rehydration
+      slice(high, 0, 300),                        // wake from the logs
       slice(low, 600, std::min(size_t{300}, low.size() - 600)),
       slice(low, 0, 300),                         // shards 2-3 freeze again
       {scan},                                     // wake-all
@@ -366,7 +366,7 @@ void HibernateWakeRehibernateMatchesEager(bool durable) {
     // bit-exactly.
     ExpectSameResults(got, want, /*compare_latency=*/false);
     if (b == 1) {
-      // Two low-only batches passed: the high shards froze to sidecars.
+      // Two low-only batches passed: the high shards went to sleep.
       EXPECT_EQ(hib.ShardLifecycle(2), ShardState::kHibernated);
       EXPECT_EQ(hib.ShardLifecycle(3), ShardState::kHibernated);
     }

@@ -1,17 +1,23 @@
 // Per-shard write-ahead log (engine::fileio::Wal): entry round-trips with
 // epochs and tombstones, group-commit buffering vs the kAlways policy,
 // post-flush reset, CRC rejection, torn-tail truncation and repair, and
-// the fsync ledger each policy implies (counted through a FileOps spy).
+// the fsync ledger each policy implies (counted through a FileOps spy),
+// and hostile bytes behind a valid CRC: an entry count the payload cannot
+// hold, and a fixed-seed mutation loop whose every replay must be a clean
+// prefix.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "engine/file_ops.h"
+#include "engine/record_log.h"
 #include "engine/wal.h"
 #include "lsm/entry.h"
 
@@ -233,6 +239,109 @@ TEST_F(WalTest, CrcRejectsDamagedRecord) {
   EXPECT_TRUE(replay.tail_torn);
   ASSERT_EQ(replay.records.size(), 1u);
   EXPECT_EQ(replay.records[0].entries[0], E(2, 1));
+}
+
+/// Frames `payloads` into a fresh file at `path`, each with a valid CRC.
+void WriteRecords(const std::string& path,
+                  const std::vector<std::string>& payloads) {
+  fs::remove(path);
+  RecordWriter w(FileOps::Real(), path);
+  for (const std::string& p : payloads) w.Append(p);
+  w.Commit();
+}
+
+// An entry count the rest of the payload cannot hold, behind a valid CRC,
+// ends replay at that record as a torn tail before anything is allocated
+// for it.
+TEST_F(WalTest, HostileEntryCountIsATornTail) {
+  uint64_t whole = 0;
+  {
+    Wal wal(FileOps::Real(), dir_, WalSyncPolicy::kNone);
+    const lsm::Entry a[] = {E(2, 1), E(4, 2)};
+    wal.Append(0, a, 2);
+    wal.Commit();
+    whole = static_cast<uint64_t>(fs::file_size(wal.path()));
+  }
+  {
+    ByteWriter w;
+    w.U64(0);            // epoch
+    w.U32(0xFFFFFFFFu);  // entry count
+    w.U64(6);            // one entry's key, value and flags
+    w.U64(3);
+    w.U64(0);
+    RecordWriter log(FileOps::Real(), Wal::PathFor(dir_));
+    log.Append(w.Take());
+    log.Commit();
+  }
+  const WalReplay replay = ReadWal(Wal::PathFor(dir_));
+  EXPECT_TRUE(replay.tail_torn);
+  ASSERT_EQ(replay.records.size(), 1u);
+  EXPECT_EQ(replay.records[0].entries.size(), 2u);
+  EXPECT_EQ(replay.valid_bytes, whole);
+}
+
+// Fixed-seed byte mutation of every record, re-framed with a valid CRC:
+// replay must never crash or over-read (the ASan build checks the
+// latter), and must stop at a frame boundary at or after the mutated
+// record, keeping every record before it.
+TEST_F(WalTest, MutatedRecordsReplayToACleanPrefix) {
+  const std::string path = Wal::PathFor(dir_);
+  {
+    Wal wal(FileOps::Real(), dir_, WalSyncPolicy::kNone);
+    const lsm::Entry a[] = {E(2, 1), E(4, 2), E(6, 0, true)};
+    wal.Append(0, a, 3);
+    const lsm::Entry b[] = {E(8, 4)};
+    wal.Append(1, b, 1);
+    const lsm::Entry c[] = {E(10, 5), E(12, 6)};
+    wal.Append(1, c, 2);
+    wal.Commit();
+  }
+  const RecordFileContents file = ReadRecordFile(path);
+  const std::vector<std::string> records(file.records.begin(),
+                                         file.records.end());
+  ASSERT_EQ(records.size(), 3u);
+
+  std::mt19937_64 rng(20141006);
+  auto below = [&rng](uint64_t n) { return rng() % n; };
+  for (size_t i = 0; i < records.size(); ++i) {
+    for (int iter = 0; iter < 300; ++iter) {
+      std::string p = records[i];
+      switch (below(4)) {
+        case 0:  // flip a few bits
+          for (uint64_t n = 1 + below(4); n > 0; --n) {
+            p[below(p.size())] ^= static_cast<char>(1u << below(8));
+          }
+          break;
+        case 1: {  // a huge or random 32-bit word, e.g. over the count
+          const uint32_t word =
+              below(2) == 0 ? 0xFFFFFFFFu : static_cast<uint32_t>(rng());
+          std::memcpy(&p[below(p.size() - 3)], &word, 4);
+          break;
+        }
+        case 2:  // cut short
+          p.resize(below(p.size()));
+          break;
+        default:  // trailing bytes
+          for (uint64_t n = 1 + below(16); n > 0; --n) {
+            p.push_back(static_cast<char>(rng()));
+          }
+          break;
+      }
+      std::vector<std::string> log = records;
+      log[i] = p;
+      WriteRecords(path, log);
+      std::vector<uint64_t> frame_end = {0};
+      for (const std::string& rec : log) {
+        frame_end.push_back(frame_end.back() + 8 + rec.size());
+      }
+      const WalReplay replay = ReadWal(path);
+      ASSERT_TRUE(replay.exists);
+      ASSERT_GE(replay.records.size(), i)
+          << "record " << i << ", iteration " << iter;
+      ASSERT_EQ(replay.valid_bytes, frame_end[replay.records.size()]);
+      ASSERT_EQ(replay.tail_torn, replay.records.size() < log.size());
+    }
+  }
 }
 
 }  // namespace
