@@ -197,24 +197,47 @@ TEST(ExecuteOpsTest, ExecuteIsBatchGranularityInvariant) {
   exec.generator.scan_len = setup.scan_len;
   exec.seed = 42;
 
-  auto run = [&](size_t batch_ops) {
-    workload::KeySpace keys(setup.num_entries, setup.seed);
-    auto eng = MakeLoadedEngine(setup, 4, keys);
-    workload::ExecutorConfig cfg = exec;
-    cfg.batch_ops = batch_ops;
-    return workload::Execute(eng.get(),
-                             model::WorkloadSpec{0.25, 0.25, 0.25, 0.25}, cfg,
-                             &keys);
+  constexpr OpKind kKinds[] = {OpKind::kGet, OpKind::kPut, OpKind::kDelete,
+                               OpKind::kScan};
+  struct Run {
+    workload::ExecutionResult result;
+    OpCostWindow windows[4];
   };
+  // On one shard every scan-free batch is a single shard list.
+  for (size_t shards : {4, 1}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto run = [&](size_t batch_ops) {
+      workload::KeySpace keys(setup.num_entries, setup.seed);
+      auto eng = MakeLoadedEngine(setup, shards, keys);
+      workload::ExecutorConfig cfg = exec;
+      cfg.batch_ops = batch_ops;
+      Run out;
+      out.result = workload::Execute(
+          eng.get(), model::WorkloadSpec{0.25, 0.25, 0.25, 0.25}, cfg, &keys);
+      for (size_t k = 0; k < 4; ++k) {
+        out.windows[k] = eng->OpCostWindowTotal(kKinds[k]);
+      }
+      return out;
+    };
 
-  const workload::ExecutionResult base = run(512);
-  for (size_t batch_ops : {1, 3, 100, 4000}) {
-    const workload::ExecutionResult r = run(batch_ops);
-    EXPECT_EQ(r.total_ns, base.total_ns) << "batch_ops=" << batch_ops;
-    EXPECT_EQ(r.total_ios, base.total_ios) << "batch_ops=" << batch_ops;
-    EXPECT_EQ(r.lookups_found, base.lookups_found);
-    EXPECT_EQ(r.lookups_missed, base.lookups_missed);
-    EXPECT_EQ(r.latency_ns.Quantile(0.99), base.latency_ns.Quantile(0.99));
+    const Run base = run(512);
+    for (size_t batch_ops : {1, 3, 100, 4000}) {
+      SCOPED_TRACE("batch_ops=" + std::to_string(batch_ops));
+      const Run got = run(batch_ops);
+      const workload::ExecutionResult& r = got.result;
+      EXPECT_EQ(r.total_ns, base.result.total_ns);
+      EXPECT_EQ(r.total_ios, base.result.total_ios);
+      EXPECT_EQ(r.lookups_found, base.result.lookups_found);
+      EXPECT_EQ(r.lookups_missed, base.result.lookups_missed);
+      EXPECT_EQ(r.latency_ns.Quantile(0.99),
+                base.result.latency_ns.Quantile(0.99));
+      for (size_t k = 0; k < 4; ++k) {
+        SCOPED_TRACE("kind " + std::to_string(k));
+        EXPECT_EQ(got.windows[k].ops, base.windows[k].ops);
+        EXPECT_EQ(got.windows[k].ios, base.windows[k].ios);
+        EXPECT_EQ(got.windows[k].latency_ns, base.windows[k].latency_ns);
+      }
+    }
   }
 }
 

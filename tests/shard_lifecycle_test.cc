@@ -400,6 +400,202 @@ TEST(ShardLifecycleTest, HibernateWakeRehibernateMatchesEagerOnFile) {
 }
 
 // ---------------------------------------------------------------------------
+// Batch size one: every op is its own `ExecuteOps` call, so every op is one
+// idle epoch, one batch plan and one profiler fold.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kSingleOpCheckpoint = 250;  // ops between lifecycle checks
+
+/// A shard-skewed mixed stream of gets, puts, deletes and a few scans:
+/// hot low-index shards stay awake while the cold ones keep falling idle.
+std::vector<Op> SingleOpStream(const tune::SystemSetup& setup, size_t n) {
+  workload::KeySpace keys(setup.num_entries, setup.seed);
+  workload::GeneratorConfig gen_cfg;
+  gen_cfg.scan_len = setup.scan_len;
+  gen_cfg.shard_skew = 1.0;
+  gen_cfg.num_shards = setup.num_shards;
+  model::WorkloadSpec spec{0.3, 0.3, 0.04, 0.36};
+  spec.delete_frac = 0.25;
+  workload::OperationGenerator gen(spec, &keys, gen_cfg, /*seed=*/23);
+  std::vector<Op> ops;
+  ops.reserve(n);
+  for (size_t i = 0; i < n; ++i) ops.push_back(workload::ToEngineOp(gen.Next()));
+  return ops;
+}
+
+/// The lifecycle of every shard, one letter each: C(old), M(aterialized),
+/// H(ibernated).
+std::string LifecycleLetters(const StorageEngine& eng) {
+  std::string out;
+  for (size_t s = 0; s < eng.NumShards(); ++s) {
+    const ShardState state = eng.ShardLifecycle(s);
+    out += state == ShardState::kCold           ? 'C'
+           : state == ShardState::kMaterialized ? 'M'
+                                                : 'H';
+  }
+  return out;
+}
+
+/// The hibernating engine's lifecycle after every `kSingleOpCheckpoint`
+/// single-op batches of `SingleOpStream(SmallSetup(8), 2000)`. Both
+/// backends decide it through one ShardSet, so it holds for each.
+const char* const kSingleOpLifecycle[] = {
+    "HHMHMHHH", "MMHHHMHH", "MMMMMMMM", "MMHMHHHH",
+    "MMMMMMMM", "MMHMHHHH", "HHMHHHHM", "MMHHHHHH",
+};
+
+constexpr OpKind kAllKinds[] = {OpKind::kGet, OpKind::kPut, OpKind::kDelete,
+                                OpKind::kScan};
+
+TEST(ShardLifecycleTest, SingleOpBatchesMatchEagerOnSim) {
+  const tune::SystemSetup setup = SmallSetup(8);
+  const std::vector<Op> ops = SingleOpStream(setup, 2000);
+
+  workload::KeySpace keys_a(setup.num_entries, setup.seed);
+  auto hib = MakeSimEngine(
+      setup, keys_a,
+      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/3});
+  workload::KeySpace keys_b(setup.num_entries, setup.seed);
+  auto eager =
+      MakeSimEngine(setup, keys_b, ShardLifecycleConfig{/*lazy=*/false, 0});
+
+  std::vector<std::string> lifecycle;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    std::vector<OpResult> got(1), want(1);
+    hib->ExecuteOps(&ops[i], 1, got.data());
+    eager->ExecuteOps(&ops[i], 1, want.data());
+    ExpectSameResults(got, want, /*compare_latency=*/true);
+    if ((i + 1) % kSingleOpCheckpoint == 0) {
+      lifecycle.push_back(LifecycleLetters(*hib));
+      EXPECT_EQ(LifecycleLetters(*eager), "MMMMMMMM");
+    }
+  }
+  EXPECT_EQ(lifecycle, std::vector<std::string>(std::begin(kSingleOpLifecycle),
+                                                std::end(kSingleOpLifecycle)));
+
+  ExpectSameCounters(hib->AggregateCounters(), eager->AggregateCounters());
+  for (size_t s = 0; s < setup.num_shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSameCounters(hib->ShardCounters(s), eager->ShardCounters(s));
+    const sim::DeviceSnapshot a = hib->ShardCostSnapshot(s);
+    const sim::DeviceSnapshot b = eager->ShardCostSnapshot(s);
+    EXPECT_EQ(a.block_reads, b.block_reads);
+    EXPECT_EQ(a.block_writes, b.block_writes);
+    EXPECT_EQ(a.elapsed_ns, b.elapsed_ns);  // bit-exact
+    EXPECT_EQ(hib->ShardEntries(s), eager->ShardEntries(s));
+  }
+
+  // The profiler's cells, pinned bit for bit: {ops, ios, latency_ns} per
+  // shard and op kind (get, put, delete, scan).
+  struct Cell {
+    uint64_t ops, ios;
+    double latency_ns;
+  };
+  const Cell want[8][4] = {
+      {{435u, 209u, 0x1.2b4f97a529fc2p+24},
+       {183u, 321u, 0x1.57f49c1c629d6p+23},
+       {51u, 62u, 0x1.0ad9dd5dce53p+21},
+       {28u, 534u, 0x1.7601649f01cc8p+25}},
+      {{238u, 132u, 0x1.7b8e4d62654bcp+23},
+       {102u, 192u, 0x1.979fad76e4fap+22},
+       {30u, 24u, 0x1.bdcdc0ff0a88p+19},
+       {8u, 155u, 0x1.b587832d3594p+23}},
+      {{141u, 78u, 0x1.be6025c9cd1f8p+22},
+       {73u, 142u, 0x1.266294a350b98p+22},
+       {23u, 31u, 0x1.1fe2e1411e7p+20},
+       {15u, 285u, 0x1.8fa97408f7d9p+24}},
+      {{117u, 68u, 0x1.7f6356c721a68p+22},
+       {52u, 142u, 0x1.1a88302ab48a8p+22},
+       {20u, 29u, 0x1.0be902773abep+20},
+       {5u, 95u, 0x1.08d69526499ep+23}},
+      {{96u, 38u, 0x1.b8aa736e08f1p+21},
+       {34u, 51u, 0x1.b05c7d4297bp+20},
+       {9u, 12u, 0x1.bc7478a2f3dp+18},
+       {6u, 110u, 0x1.37c0fb4800d2p+23}},
+      {{78u, 37u, 0x1.b1b828c2be6bp+21},
+       {35u, 30u, 0x1.1b1fec5a7ca5p+20},
+       {8u, 35u, 0x1.19f0fa87ce84p+20},
+       {6u, 121u, 0x1.509e11a9e57cp+23}},
+      {{65u, 34u, 0x1.897cc19288f4p+21},
+       {30u, 105u, 0x1.9e4cc9d28f37p+21},
+       {10u, 13u, 0x1.f3220c939e7p+18},
+       {3u, 51u, 0x1.1f41ba64ca4cp+22}},
+      {{56u, 31u, 0x1.6390b180bda7p+21},
+       {28u, 118u, 0x1.dd5f1eb096a7p+21},
+       {13u, 0u, 0x1.964p+11},
+       {2u, 44u, 0x1.ed566a6af308p+21}},
+  };
+  for (size_t s = 0; s < setup.num_shards; ++s) {
+    for (size_t k = 0; k < 4; ++k) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " kind " +
+                   std::to_string(k));
+      const OpCostWindow got = hib->ShardOpCostWindow(s, kAllKinds[k]);
+      const OpCostWindow twin = eager->ShardOpCostWindow(s, kAllKinds[k]);
+      EXPECT_EQ(got.ops, twin.ops);
+      EXPECT_EQ(got.ios, twin.ios);
+      EXPECT_EQ(got.latency_ns, twin.latency_ns);
+      EXPECT_EQ(got.ops, want[s][k].ops);
+      EXPECT_EQ(got.ios, want[s][k].ios);
+      EXPECT_EQ(got.latency_ns, want[s][k].latency_ns);
+    }
+  }
+}
+
+TEST(ShardLifecycleTest, SingleOpBatchesMatchEagerOnFile) {
+  const tune::SystemSetup setup = SmallSetup(8);
+  const size_t num_ops = 1000;
+  const std::vector<Op> ops = SingleOpStream(setup, num_ops);
+  const lsm::Options total = tune::MonkeyDefaultConfig(setup).ToOptions(setup);
+
+  FileEngineConfig hib_cfg;
+  hib_cfg.workdir = UniqueDir("single_hib");
+  hib_cfg.lifecycle =
+      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/3};
+  FileEngine hib(setup.num_shards, total, hib_cfg);
+  FileEngineConfig eager_cfg;
+  eager_cfg.workdir = UniqueDir("single_eager");
+  eager_cfg.lifecycle = ShardLifecycleConfig{/*lazy=*/false, 0};
+  FileEngine eager(setup.num_shards, total, eager_cfg);
+  workload::KeySpace keys_a(setup.num_entries, setup.seed);
+  workload::BulkLoad(&hib, keys_a);
+  workload::KeySpace keys_b(setup.num_entries, setup.seed);
+  workload::BulkLoad(&eager, keys_b);
+
+  for (size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    std::vector<OpResult> got(1), want(1);
+    hib.ExecuteOps(&ops[i], 1, got.data());
+    eager.ExecuteOps(&ops[i], 1, want.data());
+    ExpectSameResults(got, want, /*compare_latency=*/false);
+    if ((i + 1) % kSingleOpCheckpoint == 0) {
+      EXPECT_EQ(LifecycleLetters(hib),
+                kSingleOpLifecycle[i / kSingleOpCheckpoint]);
+    }
+  }
+
+  ExpectSameCounters(hib.AggregateCounters(), eager.AggregateCounters());
+  for (size_t s = 0; s < setup.num_shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSameCounters(hib.ShardCounters(s), eager.ShardCounters(s));
+    EXPECT_EQ(hib.ShardCostSnapshot(s).block_reads,
+              eager.ShardCostSnapshot(s).block_reads);
+    EXPECT_EQ(hib.ShardCostSnapshot(s).block_writes,
+              eager.ShardCostSnapshot(s).block_writes);
+    EXPECT_EQ(hib.ShardRunCount(s), eager.ShardRunCount(s));
+    EXPECT_EQ(hib.ShardEntries(s), eager.ShardEntries(s));
+    for (const OpKind kind : kAllKinds) {
+      EXPECT_EQ(hib.ShardOpCostWindow(s, kind).ops,
+                eager.ShardOpCostWindow(s, kind).ops);
+      EXPECT_EQ(hib.ShardOpCostWindow(s, kind).ios,
+                eager.ShardOpCostWindow(s, kind).ios);
+    }
+  }
+  EXPECT_EQ(hib.TotalEntries(), eager.TotalEntries());
+  EXPECT_EQ(hib.DiskEntries(), eager.DiskEntries());
+}
+
+// ---------------------------------------------------------------------------
 // Cross-backend parity: the simulated and the real-IO engine route,
 // materialize, hibernate, wake, and defer reconfigurations identically.
 // ---------------------------------------------------------------------------
