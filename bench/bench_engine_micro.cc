@@ -118,6 +118,26 @@ void BM_ShardedGetHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedGetHit)->Arg(1)->Arg(4)->Arg(16);
 
+// The same gets as BM_ShardedGetHit, each a one-op ExecuteOps batch: the
+// gap between the two is the batch dispatch (plan, idle epoch, profiler).
+void BM_ShardedExecuteOpsGetHit(benchmark::State& state) {
+  const auto shards = static_cast<size_t>(state.range(0));
+  camal::engine::ShardedEngine eng(shards, DefaultOptions(), QuietDevice());
+  for (uint64_t k = 1; k <= 40000; ++k) eng.Put(2 * k, k);
+  camal::util::Random rng(2);
+  camal::engine::Op op;
+  op.kind = camal::engine::OpKind::kGet;
+  camal::engine::OpResult result;
+  for (auto _ : state) {
+    op.key = 2 * (1 + rng.Uniform(40000));
+    eng.ExecuteOps(&op, 1, &result);
+    benchmark::DoNotOptimize(result.found);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["shards"] = static_cast<double>(shards);
+}
+BENCHMARK(BM_ShardedExecuteOpsGetHit)->Arg(1)->Arg(4)->Arg(16);
+
 void BM_ShardedScan(benchmark::State& state) {
   const auto shards = static_cast<size_t>(state.range(0));
   camal::engine::ShardedEngine eng(shards, DefaultOptions(), QuietDevice());

@@ -119,6 +119,9 @@ class ByteWriter {
 
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
+  /// Empties the payload but keeps its storage, for a writer reused
+  /// record after record.
+  void Clear() { buf_.clear(); }
 
  private:
   void Raw(const void* p, size_t n) {

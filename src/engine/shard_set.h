@@ -5,7 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -96,6 +98,14 @@ size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
 /// must round-trip the shard's state bit-exactly, which is what keeps a
 /// lazy engine observationally identical to an eager one.
 ///
+/// **Batch plan.** `ExecuteOps` plans each batch into per-shard op lists
+/// held in member storage that is cleared, never freed, so a warm engine
+/// plans without allocating. A scan-free batch whose point ops all route
+/// to one shard (any single-op call; any scan-free batch on one shard) is
+/// one list, the identity `0..count-1`: it is served inline from that
+/// shard's slot, with no partition and no fan-out. Only several lists go
+/// through `ParallelFor`.
+///
 /// **Single ops.** `Put`/`Delete`/`Get`/`Scan` materialize and touch
 /// their shard but do not go through `ExecuteOps`: they advance no idle
 /// epoch and feed no `OpCostWindow`.
@@ -157,6 +167,10 @@ class ShardSet : public StorageEngine {
   /// any pool size; so are the costs of a backend whose clocks are
   /// shard-local and deterministic.
   ///
+  /// One list (a scan-free batch routed to one shard, or any batch that
+  /// probes one shard) is served inline on the caller's thread; several
+  /// fan out on the pool. The plan is reused storage (class comment).
+  ///
   /// A scan probes every list's shard; its cost is the gather's
   /// serial-equivalent: the per-shard cost snapshots before and after
   /// each probe, summed in ascending shard order (the lists are sorted
@@ -166,29 +180,31 @@ class ShardSet : public StorageEngine {
   /// is capped at the probe limit.
   void ExecuteOps(const Op* ops, size_t count, OpResult* results) final {
     if (count == 0) return;
-    Batch batch;
-    PlanBatch(ops, count, &batch);
-    const size_t stride = batch.lists.size();
-    const size_t num_scans = batch.scan_op.size();
+    PlanBatch(ops, count, results);
+    const size_t stride = plan_.slots.size();
+    const size_t num_scans = plan_.scan_op.size();
     // Indexed scan ordinal * stride + list, so concurrent lists write
     // disjoint elements.
-    std::vector<ScanProbe> probes(num_scans * stride);
-    util::ParallelFor(pool_, 0, stride, [&](size_t k) {
-      ShardList list{ops, results, batch.lists[k], batch.scan_slot,
-                     probes.data() + k, stride};
-      backend().ServeList(*batch.slots[k], list);
-    });
+    plan_.probes.assign(num_scans * stride, ScanProbe{});
+    if (stride == 1) {
+      ServePlannedList(0);
+    } else {
+      // Capturing only `this` keeps the closure inside std::function's
+      // inline buffer.
+      util::ParallelFor(pool_, 0, stride,
+                        [this](size_t k) { ServePlannedList(k); });
+    }
     for (size_t slot = 0; slot < num_scans; ++slot) {
       sim::DeviceSnapshot before, after;
       size_t hits = 0;
       for (size_t k = 0; k < stride; ++k) {
-        const ScanProbe& p = probes[slot * stride + k];
+        const ScanProbe& p = plan_.probes[slot * stride + k];
         before += p.before;
         after += p.after;
         hits += p.hits;
       }
       const sim::DeviceSnapshot delta = after.Delta(before);
-      const size_t i = batch.scan_op[slot];
+      const size_t i = plan_.scan_op[slot];
       OpResult r;
       r.latency_ns = delta.elapsed_ns;
       r.ios = delta.TotalIos();
@@ -338,6 +354,9 @@ class ShardSet : public StorageEngine {
   struct Entry {
     Slot slot{};
     ShardState state = ShardState::kCold;
+    /// This shard's list in the batch being planned — valid only while
+    /// `Plan::slots[plan_list]` is this slot (sits in `state`'s padding).
+    uint32_t plan_list = 0;
     uint64_t last_touch_epoch = ~uint64_t{0};  // sentinel: never touched
   };
 
@@ -457,11 +476,16 @@ class ShardSet : public StorageEngine {
   /// subsequence its shard would serve under serial execution, so the
   /// lists may run concurrently (shard state is fully shard-local) with
   /// results bit-identical to serial execution and no barrier inside the
-  /// batch.
-  struct Batch {
-    /// Per-shard op indices, in submission order. Lists are in ascending
-    /// shard order whenever the batch has scans (the probe set is the
-    /// resident set), which the scan gather relies on.
+  /// batch. Every vector is cleared, never freed, between batches: the
+  /// engine is externally synchronized, and pool workers only read the
+  /// plan and write disjoint `results`/`probes` elements.
+  struct Plan {
+    const Op* ops = nullptr;
+    OpResult* results = nullptr;
+    /// Per-shard op indices, in submission order; the first
+    /// `slots.size()` are this batch's. Lists are in ascending shard order
+    /// whenever the batch has scans (the probe set is the resident set),
+    /// which the scan gather relies on.
     std::vector<std::vector<size_t>> lists;
     /// List index -> the shard's slot, resolved before the fan-out so
     /// workers never touch the shard map.
@@ -470,6 +494,8 @@ class ShardSet : public StorageEngine {
     std::vector<size_t> scan_slot;
     /// Scan ordinal -> op index.
     std::vector<size_t> scan_op;
+    /// Scan ordinal * list count + list -> that list's probe.
+    std::vector<ScanProbe> probes;
   };
 
   Backend& backend() { return static_cast<Backend&>(*this); }
@@ -493,61 +519,89 @@ class ShardSet : public StorageEngine {
     return total;
   }
 
-  /// Opens a batch: advances the idle epoch and plans `ops` into `batch`.
+  /// Opens a batch: advances the idle epoch and plans `ops` into `plan_`.
   ///
   /// Pass 1 brings every shard the batch drives to the materialized
-  /// state. Scans additionally wake all hibernated shards — their data
-  /// participates in every range probe — while cold shards stay cold (an
-  /// empty shard contributes nothing and charges nothing, so skipping it
-  /// is bit-identical to an eager engine probing it). Pass 2 partitions
-  /// the batch into `Batch::lists`.
-  void PlanBatch(const Op* ops, size_t count, Batch* batch) {
+  /// state. A scan-free batch that drives one shard is then planned as the
+  /// identity list on that shard's slot. Otherwise scans additionally wake
+  /// all hibernated shards — their data participates in every range probe
+  /// — while cold shards stay cold (an empty shard contributes nothing and
+  /// charges nothing, so skipping it is bit-identical to an eager engine
+  /// probing it), and pass 2 partitions the batch into `Plan::lists`.
+  void PlanBatch(const Op* ops, size_t count, OpResult* results) {
     ++epoch_;
     bool has_scan = false;
+    Slot* first = nullptr;  // the first point op's slot
+    bool one_shard = true;
     for (size_t i = 0; i < count; ++i) {
       if (ops[i].kind == OpKind::kScan) {
         has_scan = true;
       } else {
-        Activate(ShardIndex(ops[i].key));
+        Slot* slot = &Activate(ShardIndex(ops[i].key));
+        one_shard = one_shard && (first == nullptr || slot == first);
+        if (first == nullptr) first = slot;
       }
     }
-    if (has_scan) WakeAll();
 
-    std::vector<size_t> list_shard;  // list index -> shard id
-    std::vector<std::vector<size_t>>& lists = batch->lists;
-    std::unordered_map<size_t, size_t> list_of;
+    Plan& plan = plan_;
+    plan.ops = ops;
+    plan.results = results;
+    plan.slots.clear();
+    plan.scan_op.clear();
+    if (!has_scan && one_shard) {
+      plan.slots.push_back(first);
+      if (plan.lists.empty()) plan.lists.emplace_back();
+      plan.lists[0].resize(count);
+      std::iota(plan.lists[0].begin(), plan.lists[0].end(), size_t{0});
+      return;
+    }
+
     if (has_scan) {
+      WakeAll();
       // The probe set is the resident set after pass 1, ascending — every
       // point shard of this batch is already in it, so no list is created
-      // below and list_shard stays sorted.
-      list_shard.assign(resident_.begin(), resident_.end());
-      lists.resize(list_shard.size());
-      list_of.reserve(2 * list_shard.size());
-      for (size_t k = 0; k < list_shard.size(); ++k) {
-        list_of.emplace(list_shard[k], k);
-        Touch(list_shard[k], entries_.at(list_shard[k]));
+      // below and the lists stay sorted.
+      for (size_t s : resident_) {
+        Entry& e = entries_.at(s);
+        Touch(s, e);
+        OpenList(e);
       }
+      plan.scan_slot.resize(count);
     }
-    batch->scan_slot.assign(count, 0);
     for (size_t i = 0; i < count; ++i) {
       if (ops[i].kind == OpKind::kScan) {
-        batch->scan_slot[i] = batch->scan_op.size();
-        batch->scan_op.push_back(i);
-        for (auto& list : lists) list.push_back(i);
-      } else {
-        const size_t s = ShardIndex(ops[i].key);
-        const auto [it, inserted] = list_of.try_emplace(s, lists.size());
-        if (inserted) {
-          lists.emplace_back();
-          list_shard.push_back(s);
+        plan.scan_slot[i] = plan.scan_op.size();
+        plan.scan_op.push_back(i);
+        for (size_t k = 0; k < plan.slots.size(); ++k) {
+          plan.lists[k].push_back(i);
         }
-        lists[it->second].push_back(i);
+      } else {
+        Entry& e = entries_.find(ShardIndex(ops[i].key))->second;
+        const bool listed = e.plan_list < plan.slots.size() &&
+                            plan.slots[e.plan_list] == &e.slot;
+        if (!listed) OpenList(e);
+        plan.lists[e.plan_list].push_back(i);
       }
     }
-    batch->slots.resize(lists.size());
-    for (size_t k = 0; k < lists.size(); ++k) {
-      batch->slots[k] = &entries_.at(list_shard[k]).slot;
-    }
+  }
+
+  /// Gives shard entry `e` the next list of the batch being planned.
+  void OpenList(Entry& e) {
+    Plan& plan = plan_;
+    const size_t k = plan.slots.size();
+    CAMAL_CHECK(k <= std::numeric_limits<uint32_t>::max());
+    e.plan_list = static_cast<uint32_t>(k);
+    plan.slots.push_back(&e.slot);
+    if (k == plan.lists.size()) plan.lists.emplace_back();
+    plan.lists[k].clear();
+  }
+
+  /// Serves list `k` of the planned batch on its slot.
+  void ServePlannedList(size_t k) {
+    ShardList list{plan_.ops,       plan_.results,
+                   plan_.lists[k],  plan_.scan_slot,
+                   plan_.probes.data() + k, plan_.slots.size()};
+    backend().ServeList(*plan_.slots[k], list);
   }
 
   /// Closes a batch: hibernates the shards whose idle timers expired.
@@ -618,6 +672,8 @@ class ShardSet : public StorageEngine {
   std::deque<std::pair<size_t, uint64_t>> idle_queue_;
   uint64_t epoch_ = 0;
   util::ThreadPool* pool_ = nullptr;
+  /// The batch being served (storage reused from batch to batch).
+  Plan plan_;
 };
 
 }  // namespace camal::engine

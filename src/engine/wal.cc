@@ -17,7 +17,8 @@ Wal::Wal(FileOps* ops, const std::string& shard_dir, WalSyncPolicy policy)
 
 void Wal::Append(uint64_t epoch, const lsm::Entry* entries, size_t n) {
   if (n == 0) return;
-  ByteWriter w;
+  ByteWriter& w = payload_;
+  w.Clear();
   w.U64(epoch);
   w.U32(static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) {
