@@ -45,11 +45,23 @@ RecordWriter::~RecordWriter() {
 }
 
 void RecordWriter::Append(const std::string& payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = util::MaskedCrc32c(payload.data(), payload.size());
-  pending_.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  pending_.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  pending_.append(payload);
+  BeginRecord().append(payload);
+  EndRecord();
+}
+
+std::string& RecordWriter::BeginRecord() {
+  record_start_ = pending_.size();
+  pending_.append(kFrameHeaderBytes, '\0');
+  return pending_;
+}
+
+void RecordWriter::EndRecord() {
+  char* header = pending_.data() + record_start_;
+  const size_t size = pending_.size() - record_start_ - kFrameHeaderBytes;
+  const uint32_t len = static_cast<uint32_t>(size);
+  const uint32_t crc = util::MaskedCrc32c(header + kFrameHeaderBytes, size);
+  std::memcpy(header, &len, sizeof(len));
+  std::memcpy(header + sizeof(len), &crc, sizeof(crc));
   ++appended_;
 }
 

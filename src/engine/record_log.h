@@ -42,6 +42,13 @@ class RecordWriter {
   /// until `Commit`.
   void Append(const std::string& payload);
 
+  /// Frames a record in place: `BeginRecord` reserves the frame header in
+  /// the pending buffer and returns that buffer, the caller appends the
+  /// payload bytes to it, and `EndRecord` fills the header in. The bytes
+  /// are `Append`'s, without a separate payload buffer.
+  std::string& BeginRecord();
+  void EndRecord();
+
   /// Writes the pending buffer at the tracked append offset (one pwrite)
   /// and clears it. No-op when nothing is pending.
   void Commit();
@@ -76,6 +83,8 @@ class RecordWriter {
   uint64_t offset_ = 0;
   size_t appended_ = 0;
   std::string pending_;
+  /// Where the record `BeginRecord` opened starts in `pending_`.
+  size_t record_start_ = 0;
 };
 
 /// One parsed record file.
@@ -119,9 +128,6 @@ class ByteWriter {
 
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
-  /// Empties the payload but keeps its storage, for a writer reused
-  /// record after record.
-  void Clear() { buf_.clear(); }
 
  private:
   void Raw(const void* p, size_t n) {

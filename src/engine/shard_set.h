@@ -7,7 +7,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -100,11 +99,10 @@ size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
 ///
 /// **Batch plan.** `ExecuteOps` plans each batch into per-shard op lists
 /// held in member storage that is cleared, never freed, so a warm engine
-/// plans without allocating. A scan-free batch whose point ops all route
-/// to one shard (any single-op call; any scan-free batch on one shard) is
-/// one list, the identity `0..count-1`: it is served inline from that
-/// shard's slot, with no partition and no fan-out. Only several lists go
-/// through `ParallelFor`.
+/// plans without allocating. Every batch takes the same plan path. A
+/// scan-free batch whose point ops all route to one shard (any single-op
+/// call; any scan-free batch on one shard) is one list, which
+/// `ParallelFor` serves inline on the caller's thread.
 ///
 /// **Single ops.** `Put`/`Delete`/`Get`/`Scan` materialize and touch
 /// their shard but do not go through `ExecuteOps`: they advance no idle
@@ -186,14 +184,10 @@ class ShardSet : public StorageEngine {
     // Indexed scan ordinal * stride + list, so concurrent lists write
     // disjoint elements.
     plan_.probes.assign(num_scans * stride, ScanProbe{});
-    if (stride == 1) {
-      ServePlannedList(0);
-    } else {
-      // Capturing only `this` keeps the closure inside std::function's
-      // inline buffer.
-      util::ParallelFor(pool_, 0, stride,
-                        [this](size_t k) { ServePlannedList(k); });
-    }
+    // One list runs inline (ParallelFor's n == 1 case); capturing only
+    // `this` keeps the closure inside std::function's inline buffer.
+    util::ParallelFor(pool_, 0, stride,
+                      [this](size_t k) { ServePlannedList(k); });
     for (size_t slot = 0; slot < num_scans; ++slot) {
       sim::DeviceSnapshot before, after;
       size_t hits = 0;
@@ -522,24 +516,19 @@ class ShardSet : public StorageEngine {
   /// Opens a batch: advances the idle epoch and plans `ops` into `plan_`.
   ///
   /// Pass 1 brings every shard the batch drives to the materialized
-  /// state. A scan-free batch that drives one shard is then planned as the
-  /// identity list on that shard's slot. Otherwise scans additionally wake
-  /// all hibernated shards — their data participates in every range probe
-  /// — while cold shards stay cold (an empty shard contributes nothing and
-  /// charges nothing, so skipping it is bit-identical to an eager engine
-  /// probing it), and pass 2 partitions the batch into `Plan::lists`.
+  /// state. Scans additionally wake all hibernated shards — their data
+  /// participates in every range probe — while cold shards stay cold (an
+  /// empty shard contributes nothing and charges nothing, so skipping it
+  /// is bit-identical to an eager engine probing it). Pass 2 partitions
+  /// the batch into `Plan::lists`.
   void PlanBatch(const Op* ops, size_t count, OpResult* results) {
     ++epoch_;
     bool has_scan = false;
-    Slot* first = nullptr;  // the first point op's slot
-    bool one_shard = true;
     for (size_t i = 0; i < count; ++i) {
       if (ops[i].kind == OpKind::kScan) {
         has_scan = true;
       } else {
-        Slot* slot = &Activate(ShardIndex(ops[i].key));
-        one_shard = one_shard && (first == nullptr || slot == first);
-        if (first == nullptr) first = slot;
+        Activate(ShardIndex(ops[i].key));
       }
     }
 
@@ -548,14 +537,6 @@ class ShardSet : public StorageEngine {
     plan.results = results;
     plan.slots.clear();
     plan.scan_op.clear();
-    if (!has_scan && one_shard) {
-      plan.slots.push_back(first);
-      if (plan.lists.empty()) plan.lists.emplace_back();
-      plan.lists[0].resize(count);
-      std::iota(plan.lists[0].begin(), plan.lists[0].end(), size_t{0});
-      return;
-    }
-
     if (has_scan) {
       WakeAll();
       // The probe set is the resident set after pass 1, ascending — every

@@ -9,6 +9,12 @@ namespace {
 constexpr uint64_t kTombstoneFlag = 1;
 constexpr uint64_t kEntryBytes = 3 * sizeof(uint64_t);
 
+// Appends `v`'s bytes as `ByteWriter` would encode them.
+template <typename T>
+void Put(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
 }  // namespace
 
 Wal::Wal(FileOps* ops, const std::string& shard_dir, WalSyncPolicy policy)
@@ -17,16 +23,17 @@ Wal::Wal(FileOps* ops, const std::string& shard_dir, WalSyncPolicy policy)
 
 void Wal::Append(uint64_t epoch, const lsm::Entry* entries, size_t n) {
   if (n == 0) return;
-  ByteWriter& w = payload_;
-  w.Clear();
-  w.U64(epoch);
-  w.U32(static_cast<uint32_t>(n));
+  // Encoded straight into the writer's pending buffer, which keeps its
+  // storage, so a logged write allocates nothing once warm.
+  std::string* w = &writer_->BeginRecord();
+  Put<uint64_t>(w, epoch);
+  Put<uint32_t>(w, static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) {
-    w.U64(entries[i].key);
-    w.U64(entries[i].value);
-    w.U64(entries[i].tombstone ? kTombstoneFlag : 0);
+    Put<uint64_t>(w, entries[i].key);
+    Put<uint64_t>(w, entries[i].value);
+    Put<uint64_t>(w, entries[i].tombstone ? kTombstoneFlag : 0);
   }
-  writer_->Append(w.str());
+  writer_->EndRecord();
   if (policy_ == WalSyncPolicy::kAlways) {
     writer_->Commit();
     writer_->Sync();

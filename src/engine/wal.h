@@ -70,9 +70,6 @@ class Wal {
   std::string path_;
   WalSyncPolicy policy_;
   std::unique_ptr<RecordWriter> writer_;
-  /// The record being encoded, kept so a logged write allocates nothing
-  /// once warm.
-  ByteWriter payload_;
 };
 
 /// One replayed WAL record: the entries of a single `Append`, plus the

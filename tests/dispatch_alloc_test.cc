@@ -3,7 +3,7 @@
 // engine (cache filled, plan storage and profiler cells grown) and then
 // counts what a second identical pass allocates. `ExecuteOps` plans a
 // batch in storage it keeps, and a scan-free batch that routes to one
-// shard is served straight from that shard's slot, so a warm single-op
+// shard is one list served on the caller's thread, so a warm single-op
 // call — and a warm batch on a one-shard engine — allocates nothing.
 
 #include <gtest/gtest.h>

@@ -71,12 +71,15 @@ TEST(ParallelForTest, PropagatesExceptionsToCaller) {
 
 TEST(ParallelForTest, NestedLoopsRunInlineWithoutDeadlock) {
   ThreadPool pool(2);
-  std::vector<long> totals(4, 0);
+  // Atomic: the outer iteration the calling thread runs is not inside a
+  // worker, so its inner loop fans out and its tasks add concurrently.
+  std::vector<std::atomic<long>> totals(4);
   ParallelFor(&pool, 0, 4, [&](size_t outer) {
-    ParallelFor(&pool, 0, 100,
-                [&](size_t inner) { totals[outer] += static_cast<long>(inner); });
+    ParallelFor(&pool, 0, 100, [&](size_t inner) {
+      totals[outer].fetch_add(static_cast<long>(inner));
+    });
   });
-  for (long t : totals) EXPECT_EQ(t, 4950);
+  for (const auto& t : totals) EXPECT_EQ(t.load(), 4950);
 }
 
 // The determinism contract: per-task seeds are derived from the task index

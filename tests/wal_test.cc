@@ -179,6 +179,37 @@ TEST_F(WalTest, ResetEmptiesTheLog) {
   EXPECT_EQ(replay.records[0].epoch, 1u);
 }
 
+/// The WAL frames each record in place in the writer's pending buffer; the
+/// record reader must find exactly the `ByteWriter` payloads, CRCs intact.
+TEST_F(WalTest, RecordsAreFramedByteWriterPayloads) {
+  std::vector<lsm::Entry> big;
+  for (uint64_t k = 0; k < 100; ++k) big.push_back(E(k, 3 * k, k % 7 == 0));
+  const lsm::Entry one[] = {E(9, 5, true)};
+  {
+    Wal wal(FileOps::Real(), dir_, WalSyncPolicy::kBatch);
+    wal.Append(3, one, 1);
+    wal.Append(4, big.data(), big.size());
+    wal.Commit();
+  }
+  const auto payload = [](uint64_t epoch, const lsm::Entry* e, size_t n) {
+    ByteWriter w;
+    w.U64(epoch);
+    w.U32(static_cast<uint32_t>(n));
+    for (size_t i = 0; i < n; ++i) {
+      w.U64(e[i].key);
+      w.U64(e[i].value);
+      w.U64(e[i].tombstone ? 1 : 0);
+    }
+    return w.Take();
+  };
+  const RecordFileContents log = ReadRecordFile(Wal::PathFor(dir_));
+  EXPECT_FALSE(log.torn_tail);
+  EXPECT_EQ(log.valid_bytes, log.bytes.size());
+  ASSERT_EQ(log.records.size(), 2u);
+  EXPECT_EQ(log.records[0], payload(3, one, 1));
+  EXPECT_EQ(log.records[1], payload(4, big.data(), big.size()));
+}
+
 TEST_F(WalTest, TornTailTruncatesToLastWholeRecord) {
   uint64_t whole = 0;
   {
