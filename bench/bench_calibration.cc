@@ -84,7 +84,6 @@ tune::SystemSetup MakeSetup(const CalibConfig& cfg, bool file_backend) {
   if (file_backend) {
     setup.backend = tune::EngineBackend::kFile;
     setup.file_workdir = cfg.workdir;
-    setup.io_mode = IoMode();
     setup.io_queue_depth = std::max(1, IoQueueDepth());
   }
   return setup;

@@ -46,20 +46,12 @@ inline int& EngineThreadsRef() {
 }
 inline int EngineThreads() { return EngineThreadsRef(); }
 
-/// Process-wide read-submission mode selected by `--io-mode=pread|uring|auto`
-/// (default auto). Applied as `SystemSetup::io_mode`; only meaningful for
-/// benches running on the real-IO backend — `SystemSetup::Validate` rejects
-/// non-default values on backend=sim, so sim benches fail fast with an
-/// explanatory message instead of silently ignoring the flag.
-inline tune::FileIoMode& IoModeRef() {
-  static tune::FileIoMode mode = tune::FileIoMode::kAuto;
-  return mode;
-}
-inline tune::FileIoMode IoMode() { return IoModeRef(); }
-
 /// Process-wide ring queue depth selected by `--io-queue-depth=N` (default
-/// 1: serial reads, bit-identical to the historical pread path). Applied as
-/// `SystemSetup::io_queue_depth`; rejected on backend=sim like --io-mode.
+/// 1: serial reads, bit-identical to the historical pread path; above 1 the
+/// file backend engages its io_uring ring where supported). Applied as
+/// `SystemSetup::io_queue_depth`; `SystemSetup::Validate` rejects a
+/// non-default depth on backend=sim, so sim benches fail fast with an
+/// explanatory message instead of silently ignoring the flag.
 inline int& IoQueueDepthRef() {
   static int depth = 1;
   return depth;
@@ -92,20 +84,9 @@ inline int InitBenchThreads(int* argc, char** argv) {
     }
     return v;
   };
-  const auto parse_io_mode = [](const char* s, tune::FileIoMode fallback) {
-    if (std::strcmp(s, "pread") == 0) return tune::FileIoMode::kPread;
-    if (std::strcmp(s, "uring") == 0) return tune::FileIoMode::kUring;
-    if (std::strcmp(s, "auto") == 0) return tune::FileIoMode::kAuto;
-    std::fprintf(stderr,
-                 "[bench] invalid --io-mode value '%s' (want "
-                 "pread|uring|auto); keeping the default\n",
-                 s);
-    return fallback;
-  };
   long threads = 1;
   long shards = 1;
   long engine_threads = 1;
-  tune::FileIoMode io_mode = tune::FileIoMode::kAuto;
   long io_queue_depth = 1;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -143,15 +124,6 @@ inline int InitBenchThreads(int* argc, char** argv) {
                      "[bench] --engine-threads needs a value (0 = all "
                      "cores); keeping engines serial\n");
       }
-    } else if (std::strncmp(argv[i], "--io-mode=", 10) == 0) {
-      io_mode = parse_io_mode(argv[i] + 10, io_mode);
-    } else if (std::strcmp(argv[i], "--io-mode") == 0) {
-      if (i + 1 < *argc) {
-        io_mode = parse_io_mode(argv[++i], io_mode);
-      } else {
-        std::fprintf(stderr,
-                     "[bench] --io-mode needs a value (pread|uring|auto)\n");
-      }
     } else if (std::strncmp(argv[i], "--io-queue-depth=", 17) == 0) {
       io_queue_depth =
           parse("--io-queue-depth", argv[i] + 17, 1, 1024, io_queue_depth);
@@ -172,7 +144,6 @@ inline int InitBenchThreads(int* argc, char** argv) {
   util::SetGlobalThreads(static_cast<int>(threads));
   ShardsRef() = static_cast<size_t>(shards);
   EngineThreadsRef() = static_cast<int>(engine_threads);
-  IoModeRef() = io_mode;
   IoQueueDepthRef() = static_cast<int>(io_queue_depth);
   const int resolved = util::GlobalThreads();
   if (resolved > 1) {
@@ -185,14 +156,22 @@ inline int InitBenchThreads(int* argc, char** argv) {
     std::printf("[bench] engines fan batched ops across %ld workers\n",
                 engine_threads);
   }
-  if (io_mode != tune::FileIoMode::kAuto || io_queue_depth != 1) {
-    std::printf("[bench] file engines use io_mode=%s queue depth %ld\n",
-                io_mode == tune::FileIoMode::kPread
-                    ? "pread"
-                    : (io_mode == tune::FileIoMode::kUring ? "uring" : "auto"),
+  if (io_queue_depth != 1) {
+    std::printf("[bench] file engines use queue depth %ld\n",
                 io_queue_depth);
   }
   return resolved;
+}
+
+/// `InitBenchThreads` for a bench that takes no other flag: any argument
+/// left after it is rejected with a nonzero exit, so a misspelled or
+/// retired flag fails loudly instead of being silently ignored.
+inline void InitBenchThreadsOnly(int* argc, char** argv) {
+  InitBenchThreads(argc, argv);
+  if (*argc > 1) {
+    std::fprintf(stderr, "unknown flag: %s\n", argv[1]);
+    std::exit(1);
+  }
 }
 
 /// Strips `--json <path>` / `--json=<path>` from argv and returns the path
@@ -227,7 +206,6 @@ inline tune::SystemSetup BenchSetup() {
   tune::SystemSetup setup;
   setup.num_shards = Shards();
   setup.engine_threads = EngineThreads();
-  setup.io_mode = IoMode();
   setup.io_queue_depth = IoQueueDepth();
   // Abort on inconsistent knob combinations before any engine is built
   // (benches that tweak the returned setup re-validate through the

@@ -112,18 +112,6 @@ struct SweepConfig {
   std::vector<uint32_t> qd_sweep;
 };
 
-engine::IoMode BenchIoMode() {
-  switch (IoMode()) {
-    case tune::FileIoMode::kPread:
-      return engine::IoMode::kPread;
-    case tune::FileIoMode::kUring:
-      return engine::IoMode::kUring;
-    case tune::FileIoMode::kAuto:
-      break;
-  }
-  return engine::IoMode::kAuto;
-}
-
 SweepRow RunCell(const SweepConfig& cfg, size_t shards, size_t threads,
                  bool async, bool file_backend, uint32_t queue_depth) {
   tune::SystemSetup setup;
@@ -149,7 +137,6 @@ SweepRow RunCell(const SweepConfig& cfg, size_t shards, size_t threads,
         fcfg.workdir = cfg.workdir + "/cell_" +
                        std::to_string(engine::FileEngine::NextUniqueId());
       }
-      fcfg.io_mode = BenchIoMode();
       fcfg.io_queue_depth = queue_depth;
       auto fe = std::make_unique<engine::FileEngine>(
           shards, config.ToOptions(setup), fcfg);

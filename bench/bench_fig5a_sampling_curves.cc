@@ -93,7 +93,7 @@ void Run() {
 }  // namespace camal::bench
 
 int main(int argc, char** argv) {
-  camal::bench::InitBenchThreads(&argc, argv);
+  camal::bench::InitBenchThreadsOnly(&argc, argv);
   camal::bench::Run();
   return 0;
 }

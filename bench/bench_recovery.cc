@@ -97,7 +97,6 @@ RecoveryRow RunCell(const RecoveryBenchConfig& cfg, const char* mode,
   fcfg.keep_files = durable;  // durable cells reopen the same file set
   fcfg.durable = durable;
   fcfg.wal_sync = sync;
-  fcfg.io_mode = engine::IoMode::kAuto;
 
   std::vector<engine::Op> ops(cfg.batch);
   std::vector<engine::OpResult> results(cfg.batch);

@@ -21,32 +21,6 @@ using util::HashCombine;
 
 namespace {
 
-/// Maps the setup-level read-submission knob to the engine's enum.
-engine::IoMode ToIoMode(FileIoMode m) {
-  switch (m) {
-    case FileIoMode::kPread:
-      return engine::IoMode::kPread;
-    case FileIoMode::kUring:
-      return engine::IoMode::kUring;
-    case FileIoMode::kAuto:
-      return engine::IoMode::kAuto;
-  }
-  return engine::IoMode::kAuto;
-}
-
-/// Maps the setup-level WAL fsync knob to the engine's policy enum.
-engine::fileio::WalSyncPolicy ToWalSyncPolicy(FileWalSync s) {
-  switch (s) {
-    case FileWalSync::kNone:
-      return engine::fileio::WalSyncPolicy::kNone;
-    case FileWalSync::kBatch:
-      return engine::fileio::WalSyncPolicy::kBatch;
-    case FileWalSync::kAlways:
-      return engine::fileio::WalSyncPolicy::kAlways;
-  }
-  return engine::fileio::WalSyncPolicy::kNone;
-}
-
 // Every sample averages two runs at different compaction-fullness phases
 // so the label estimates the steady state (the paper's single long run does
 // the same by sheer query count). Both runs are paid for in the sample
@@ -73,23 +47,24 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
   workload::KeySpace keys(setup_.num_entries, setup_.seed);
   const size_t num_shards = std::max<size_t>(1, setup_.num_shards);
   std::unique_ptr<engine::StorageEngine> owned;
+  // The file knobs of a kFile measurement engine, decided once here: the
+  // recovery reopen below runs a copy.
+  engine::FileEngineConfig fcfg;
   if (setup_.backend == EngineBackend::kFile) {
     // Real-IO backend: a unique file set per measurement (concurrent
     // MakeSamples measurements must never share a directory).
-    engine::FileEngineConfig fcfg;
     const std::string base =
         setup_.file_workdir.empty()
             ? std::string()
             : setup_.file_workdir + "/m_" +
                   std::to_string(engine::FileEngine::NextUniqueId());
     fcfg.workdir = base;
-    fcfg.io_mode = ToIoMode(setup_.io_mode);
     fcfg.io_queue_depth = static_cast<uint32_t>(
         std::max(1, setup_.io_queue_depth));
     // Durability knobs: manifest + WAL writes land outside the counted
     // cost clocks, so I/O counters stay identical durable on or off.
     fcfg.durable = setup_.file_durable;
-    fcfg.wal_sync = ToWalSyncPolicy(setup_.file_wal_sync);
+    fcfg.wal_sync = setup_.file_wal_sync;
     // Recovery timing reopens this file set after the measured engine
     // closes, so the measured engine must leave it behind.
     if (setup_.measure_recovery) fcfg.keep_files = true;
@@ -247,13 +222,10 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
         static_cast<engine::FileEngine&>(eng).workdir();
     arbiter.reset();  // drops the executor hook before its engine goes
     owned.reset();    // clean close: the measured engine releases `dir`
-    engine::FileEngineConfig rcfg;
+    engine::FileEngineConfig rcfg = fcfg;
     rcfg.workdir = dir;
     rcfg.reopen = true;
-    rcfg.wal_sync = ToWalSyncPolicy(setup_.file_wal_sync);
-    rcfg.io_mode = ToIoMode(setup_.io_mode);
-    rcfg.io_queue_depth =
-        static_cast<uint32_t>(std::max(1, setup_.io_queue_depth));
+    rcfg.keep_files = false;
     const auto t0 = std::chrono::steady_clock::now();
     {
       engine::FileEngine reopened(num_shards, config.ToOptions(setup_),

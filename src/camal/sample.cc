@@ -105,11 +105,6 @@ util::Status SystemSetup::Validate() const {
         "file_workdir is set but backend is kSim: the simulated backend "
         "never touches files (did you mean backend = kFile?)");
   }
-  if (backend == EngineBackend::kSim && io_mode != FileIoMode::kAuto) {
-    return Status::InvalidArgument(
-        "io_mode is set but backend is kSim: the simulated backend issues "
-        "no real reads to submit (did you mean backend = kFile?)");
-  }
   if (backend == EngineBackend::kSim && io_queue_depth != 1) {
     return Status::InvalidArgument(
         "io_queue_depth != 1 but backend is kSim: the simulated backend "
@@ -123,12 +118,14 @@ util::Status SystemSetup::Validate() const {
         "file_durable is set but backend is kSim: the simulated backend "
         "has no files to make durable (did you mean backend = kFile?)");
   }
-  if (backend == EngineBackend::kSim && file_wal_sync != FileWalSync::kNone) {
+  if (backend == EngineBackend::kSim &&
+      file_wal_sync != engine::fileio::WalSyncPolicy::kNone) {
     return Status::InvalidArgument(
         "file_wal_sync is set but backend is kSim: the simulated backend "
         "writes no WAL to sync (did you mean backend = kFile?)");
   }
-  if (!file_durable && file_wal_sync != FileWalSync::kNone) {
+  if (!file_durable &&
+      file_wal_sync != engine::fileio::WalSyncPolicy::kNone) {
     return Status::InvalidArgument(
         "file_wal_sync is set but file_durable is off: there is no WAL "
         "to apply the policy to (set file_durable = true)");

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/wal.h"
 #include "lsm/options.h"
 #include "ml/regressor.h"
 #include "model/cost_model.h"
@@ -36,19 +37,6 @@ enum class EngineBackend { kSim, kFile };
 /// `serve::Gateway` (per-tenant queues, admission control), so the
 /// measurement includes queueing delay and a shed rate.
 enum class ServeMode { kClosedLoop, kGateway };
-
-/// Read-submission mode of `kFile` measurement engines (mirrors
-/// `engine::IoMode`; the Evaluator maps it through): `kPread` — serial
-/// block reads — `kUring` — io_uring ring submission where supported —
-/// or `kAuto` — ring only when the queue depth asks for overlap.
-enum class FileIoMode { kPread, kUring, kAuto };
-
-/// WAL fsync policy of durable `kFile` measurement engines (mirrors
-/// `engine::fileio::WalSyncPolicy`; the Evaluator maps it through):
-/// `kNone` — never fsync (clean-close durability only) — `kBatch` —
-/// one fsync per committed batch (group commit) — or `kAlways` — fsync
-/// every logged write.
-enum class FileWalSync { kNone, kBatch, kAlways };
 
 /// The experimental scale: data size, memory budget, device, and query
 /// volumes. One SystemSetup corresponds to one "database server" in the
@@ -112,14 +100,12 @@ struct SystemSetup {
   /// creates (and removes) a unique subdirectory. Empty = the system
   /// temp dir.
   std::string file_workdir;
-  /// Read-submission mode of `kFile` measurement engines. `kAuto` with
-  /// `io_queue_depth` 1 (the defaults) preserves the serial pread path
-  /// byte for byte; results and I/O counts are identical whatever the
-  /// mode — only wall-clock changes.
-  FileIoMode io_mode = FileIoMode::kAuto;
-  /// Engine-default ring queue depth of `kFile` measurement engines
-  /// (block reads kept in flight per shard; 1 = no overlap). Per-shard
-  /// tunings override it through `lsm::Options::io_queue_depth`.
+  /// Engine-default queue depth of `kFile` measurement engines (block
+  /// reads kept in flight per shard; 1 — the default — is the serial
+  /// pread path, byte for byte). A depth above 1 engages an io_uring ring
+  /// where the build and kernel support one. Per-shard tunings override
+  /// it through `lsm::Options::io_queue_depth`. Results and I/O counts are
+  /// identical at any depth — only wall-clock changes.
   int io_queue_depth = 1;
   /// When true, `kFile` measurement engines run with the durability
   /// subsystem on (per-shard manifest + WAL). Off — the default — is
@@ -128,9 +114,11 @@ struct SystemSetup {
   /// counters still match and only wall-clock changes.
   bool file_durable = false;
   /// WAL fsync policy of durable `kFile` engines (inert unless
-  /// `file_durable`). `kNone` keeps measurement wall-clock free of
-  /// fsync stalls; `kBatch`/`kAlways` price real durability.
-  FileWalSync file_wal_sync = FileWalSync::kNone;
+  /// `file_durable`). `kNone` — the default here, unlike the engine's own
+  /// `kBatch` — keeps measurement wall-clock free of fsync stalls;
+  /// `kBatch`/`kAlways` price real durability.
+  engine::fileio::WalSyncPolicy file_wal_sync =
+      engine::fileio::WalSyncPolicy::kNone;
   /// When true, each measurement additionally times a crash-free
   /// recovery: after the measured run the engine closes cleanly, a
   /// second engine reopens the same file set (`reopen=true`, manifest

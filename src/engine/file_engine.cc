@@ -863,12 +863,12 @@ uint32_t ResolvedQueueDepth(const lsm::Options& options,
              : cfg.io_queue_depth);
 }
 
-/// Whether a shard at `depth` engages a ring: the engine-level probe passed
-/// and either the mode forces it (kUring) or overlap is actually requested
-/// (depth > 1); kAuto at depth 1 keeps the pread path byte for byte.
-bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
-                     bool engine_uring) {
-  return engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
+/// Whether a shard at `depth` engages a ring: the build carries the ring
+/// path, the kernel accepts io_uring_setup (probed once per process), and
+/// overlap is actually requested (depth > 1); depth 1 keeps the pread path
+/// byte for byte.
+bool RingWouldEngage(uint32_t depth) {
+  return depth > 1 && fileio::IoRingSupported();
 }
 
 /// Resolves the shard's effective queue depth and (re)builds its ring +
@@ -876,10 +876,9 @@ bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
 /// stay cheap. `ResolvedQueueDepth` and `RingWouldEngage` also answer
 /// queue-depth/backend queries for shards that have no live ring state yet
 /// (cold) or released it (hibernated).
-void SetupShardRing(FileShard& sh, const FileEngineConfig& cfg,
-                    bool engine_uring) {
+void SetupShardRing(FileShard& sh, const FileEngineConfig& cfg) {
   const uint32_t depth = ResolvedQueueDepth(sh.options, cfg);
-  const bool engage = RingWouldEngage(depth, cfg, engine_uring);
+  const bool engage = RingWouldEngage(depth);
   if (depth == sh.io_depth && engage == (sh.ring != nullptr)) return;
   sh.io_depth = depth;
   sh.ring.reset();
@@ -926,8 +925,7 @@ void RewriteWal(FileShard& sh) {
 /// buffer). The I/O is uncounted (clocks start at zero, like any fresh
 /// engine). The shard's dir, options and WAL epoch must already be set.
 void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
-                      bool direct_io, bool engine_uring,
-                      fileio::RecoveredShardState* st,
+                      bool direct_io, fileio::RecoveredShardState* st,
                       const fileio::WalReplay& wal) {
   sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
   sh.disk_entries = 0;
@@ -966,7 +964,7 @@ void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
 
   sh.cache.Resize(sh.options.block_cache_bytes / cfg.block_bytes);
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(sh, cfg, engine_uring);
+  SetupShardRing(sh, cfg);
 }
 
 /// Stops the wake of a non-durable shard whose image is not whole: a
@@ -1302,12 +1300,6 @@ FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
     ::unlink(probe.c_str());
   }
 
-  // Ring capability resolves once per engine: the build must carry the
-  // ring path and the kernel must accept io_uring_setup. Whether a given
-  // shard actually engages its ring also depends on mode and depth
-  // (SetupShardRing); everything else falls back to pread automatically.
-  use_uring_ = config_.io_mode != IoMode::kPread && fileio::IoRingSupported();
-
   // No slots yet: every shard is cold until recovered or touched.
   if (config_.reopen) RecoverShards();
   MaterializeIfEager();
@@ -1408,7 +1400,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     return;
   }
 
-  RebuildLiveShard(*sh, config_, direct_io_, use_uring_, &st,
+  RebuildLiveShard(*sh, config_, direct_io_, &st,
                    fileio::ReadWal(fileio::Wal::PathFor(dir)));
   MaybeRotateManifest(*sh, config_);
   Adopt(s, std::move(sh), ShardState::kMaterialized);
@@ -1432,7 +1424,7 @@ void FileEngine::CreateShard(size_t s, Slot& slot,
   sh.cache.Resize(sh.options.block_cache_bytes / config_.block_bytes);
   sh.scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(sh, config_, use_uring_);
+  SetupShardRing(sh, config_);
 }
 
 // The woken shard behaves bit-identically — same lookup outcomes, same
@@ -1453,7 +1445,7 @@ void FileEngine::WakeShard(size_t /*s*/, Slot& slot) {
   } else {
     CheckWholeImage(sh, valid, st, wal);
   }
-  RebuildLiveShard(sh, config_, direct_io_, use_uring_, &st, wal);
+  RebuildLiveShard(sh, config_, direct_io_, &st, wal);
   if (config_.durable) {
     sh.manifest->LogWake();
     MaybeRotateManifest(sh, config_);
@@ -1618,7 +1610,7 @@ void FileEngine::ReconfigureSlot(size_t s, Entry& e,
   // A changed io_queue_depth rebuilds the shard's ring and slot buffers
   // (no-op otherwise). Counters stay identical at any depth, so the
   // tuner may retune this knob mid-run like any other.
-  SetupShardRing(sh, config_, use_uring_);
+  SetupShardRing(sh, config_);
   MaybeRotateManifest(sh, config_);
   sh.clock.elapsed_ns += Now(config_) - t0;
 }
@@ -1669,7 +1661,7 @@ uint32_t FileEngine::ShardQueueDepth(size_t s) const {
   const lsm::Options& options =
       e != nullptr ? e->slot->options : EffectiveOptions(s);
   const uint32_t depth = ResolvedQueueDepth(options, config_);
-  return RingWouldEngage(depth, config_, use_uring_) ? depth : 1;
+  return RingWouldEngage(depth) ? depth : 1;
 }
 
 const char* FileEngine::io_backend() const {
@@ -1678,8 +1670,7 @@ const char* FileEngine::io_backend() const {
   // either their recorded options or the engine default, so checking
   // those covers every case without an O(total shards) walk.
   auto engages = [&](const lsm::Options& options) {
-    return RingWouldEngage(ResolvedQueueDepth(options, config_), config_,
-                           use_uring_);
+    return RingWouldEngage(ResolvedQueueDepth(options, config_));
   };
   for (const auto& [s, e] : entries()) {
     if (e.state == ShardState::kMaterialized ? e.slot->ring != nullptr

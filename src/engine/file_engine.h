@@ -15,20 +15,6 @@
 
 namespace camal::engine {
 
-/// How `FileEngine` issues block reads inside `ExecuteOps`.
-enum class IoMode {
-  /// Serial `pread` per block — the reference path.
-  kPread,
-  /// io_uring ring submission whenever the build + kernel support it
-  /// (falls back to pread otherwise), at any queue depth — lets tests
-  /// pin the ring path even at depth 1.
-  kUring,
-  /// Ring submission only when supported *and* the effective queue depth
-  /// exceeds 1; otherwise pread. The default: depth 1 preserves today's
-  /// behavior exactly.
-  kAuto,
-};
-
 /// Construction-time knobs of the real-IO backend.
 struct FileEngineConfig {
   /// Working directory the engine persists its run files under. Created
@@ -48,13 +34,14 @@ struct FileEngineConfig {
   /// granularity, and the O_DIRECT alignment. Must be a power of two and
   /// a multiple of 512.
   uint64_t block_bytes = 4096;
-  /// Read-submission backend selection (see `IoMode`). Whatever the mode,
+  /// Engine-default number of block reads a shard keeps in flight
+  /// (1 = serial `pread`, no overlap). Per-shard
+  /// `lsm::Options::io_queue_depth` overrides this when nonzero — that is
+  /// the knob the tuner drives. A shard whose resolved depth exceeds 1
+  /// submits its reads on an io_uring ring when the build and kernel
+  /// support one, and falls back to `pread` otherwise. Whatever the depth,
   /// logical results, per-op I/O counts, and all `EngineCounters` are
   /// bit-identical — only wall-clock changes.
-  IoMode io_mode = IoMode::kAuto;
-  /// Engine-default number of block reads a shard keeps in flight on the
-  /// ring path (1 = no overlap). Per-shard `lsm::Options::io_queue_depth`
-  /// overrides this when nonzero — that is the knob the tuner drives.
   uint32_t io_queue_depth = 1;
   /// Injectable time source for the profiling clocks, in nanoseconds.
   /// Null (the default) reads the steady monotonic clock. Tests inject a
@@ -173,7 +160,7 @@ class FileEngine : public ShardSet<FileEngine, FileShardPtr> {
 
   /// The read-submission backend that actually engages inside
   /// `ExecuteOps`: "uring" when the build carries the ring path, the
-  /// kernel accepted `io_uring_setup`, and the configured mode/depth gave
+  /// kernel accepted `io_uring_setup`, and a resolved depth above 1 gave
   /// at least one shard a live ring; "pread" otherwise (the automatic
   /// fallback). For cold/hibernated shards the answer is predicted from
   /// their effective options — the same resolution materialization will
@@ -259,7 +246,6 @@ class FileEngine : public ShardSet<FileEngine, FileShardPtr> {
   std::string workdir_;
   bool created_workdir_ = false;
   bool direct_io_ = false;
-  bool use_uring_ = false;
 };
 
 }  // namespace camal::engine

@@ -644,7 +644,7 @@ TEST(FileEngineTest, EvaluatorTimesRecoveryWhenAsked) {
   // the measurement itself is unchanged.
   tune::SystemSetup setup = FileSetup(3000, 2);
   setup.file_durable = true;
-  setup.file_wal_sync = tune::FileWalSync::kNone;
+  setup.file_wal_sync = fileio::WalSyncPolicy::kNone;
   setup.measure_recovery = true;
   const tune::Evaluator evaluator(setup);
   const model::WorkloadSpec mix{0.25, 0.25, 0.25, 0.25};

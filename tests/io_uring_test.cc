@@ -189,31 +189,20 @@ TEST(IoRingTest, ReadsBlocksAtOffsets) {
 }
 
 TEST(IoUringEngineTest, BackendReportingAndFallbackMatrix) {
-  // io_mode=pread never engages the ring, whatever the depth; auto at
-  // depth 1 preserves today's behavior; auto at depth > 1 and uring at
-  // any depth engage it when supported.
+  // Depth 1 never engages the ring; a resolved depth above 1 engages it
+  // when supported, shard by shard.
   {
     FileEngineConfig cfg;
-    cfg.workdir = UniqueDir("mode_pread");
-    cfg.io_mode = IoMode::kPread;
-    cfg.io_queue_depth = 16;
+    cfg.workdir = UniqueDir("depth1");
+    cfg.io_queue_depth = 1;
     FileEngine eng(2, SmallOptions(), cfg);
     EXPECT_STREQ(eng.io_backend(), "pread");
     EXPECT_EQ(eng.ShardQueueDepth(0), 1u);
   }
-  {
-    FileEngineConfig cfg;
-    cfg.workdir = UniqueDir("mode_auto1");
-    cfg.io_mode = IoMode::kAuto;
-    cfg.io_queue_depth = 1;
-    FileEngine eng(2, SmallOptions(), cfg);
-    EXPECT_STREQ(eng.io_backend(), "pread");
-  }
   SKIP_WITHOUT_URING();
   {
     FileEngineConfig cfg;
-    cfg.workdir = UniqueDir("mode_auto8");
-    cfg.io_mode = IoMode::kAuto;
+    cfg.workdir = UniqueDir("depth8");
     cfg.io_queue_depth = 8;
     FileEngine eng(2, SmallOptions(), cfg);
     EXPECT_STREQ(eng.io_backend(), "uring");
@@ -221,25 +210,29 @@ TEST(IoUringEngineTest, BackendReportingAndFallbackMatrix) {
     EXPECT_EQ(eng.ShardQueueDepth(1), 8u);
   }
   {
-    FileEngineConfig cfg;
-    cfg.workdir = UniqueDir("mode_uring1");
-    cfg.io_mode = IoMode::kUring;
-    cfg.io_queue_depth = 1;
-    FileEngine eng(2, SmallOptions(), cfg);
-    EXPECT_STREQ(eng.io_backend(), "uring");
-    EXPECT_EQ(eng.ShardQueueDepth(0), 1u);
-  }
-  {
     // Per-shard options override the engine default.
     lsm::Options opts = SmallOptions();
     opts.io_queue_depth = 32;
     FileEngineConfig cfg;
     cfg.workdir = UniqueDir("opts_override");
-    cfg.io_mode = IoMode::kAuto;
     cfg.io_queue_depth = 1;
     FileEngine eng(2, opts, cfg);
     EXPECT_STREQ(eng.io_backend(), "uring");
     EXPECT_EQ(eng.ShardQueueDepth(0), 32u);
+  }
+  {
+    // A shard retuned to depth 1 drops its ring; its sibling keeps the
+    // engine default's.
+    FileEngineConfig cfg;
+    cfg.workdir = UniqueDir("retuned_depth1");
+    cfg.io_queue_depth = 8;
+    FileEngine eng(2, SmallOptions(), cfg);
+    lsm::Options serial = SmallOptions();
+    serial.io_queue_depth = 1;
+    eng.ReconfigureShard(0, serial);
+    EXPECT_EQ(eng.ShardQueueDepth(0), 1u);
+    EXPECT_EQ(eng.ShardQueueDepth(1), 8u);
+    EXPECT_STREQ(eng.io_backend(), "uring");
   }
 }
 
@@ -254,15 +247,14 @@ TEST(IoUringEngineTest, UringMatchesPreadMixedBatches) {
 
     FileEngineConfig pread_cfg;
     pread_cfg.workdir = UniqueDir("eq_pread");
-    pread_cfg.io_mode = IoMode::kPread;
     FileEngine pread_eng(3, SmallOptions(), pread_cfg);
     if (pool_size > 1) pread_eng.set_pool(&pool);
     const StreamOutcome baseline = RunBatched(&pread_eng, ops);
 
-    for (const uint32_t qd : {1u, 8u, 32u}) {
+    // Depth 2 is the smallest that engages a ring.
+    for (const uint32_t qd : {2u, 8u, 32u}) {
       FileEngineConfig uring_cfg;
       uring_cfg.workdir = UniqueDir("eq_uring");
-      uring_cfg.io_mode = IoMode::kUring;
       uring_cfg.io_queue_depth = qd;
       FileEngine uring_eng(3, SmallOptions(), uring_cfg);
       ASSERT_STREQ(uring_eng.io_backend(), "uring");
@@ -285,13 +277,11 @@ TEST(IoUringEngineTest, ZeroCacheStillBitIdentical) {
 
   FileEngineConfig pread_cfg;
   pread_cfg.workdir = UniqueDir("nocache_pread");
-  pread_cfg.io_mode = IoMode::kPread;
   FileEngine pread_eng(2, opts, pread_cfg);
   const StreamOutcome baseline = RunBatched(&pread_eng, ops);
 
   FileEngineConfig uring_cfg;
   uring_cfg.workdir = UniqueDir("nocache_uring");
-  uring_cfg.io_mode = IoMode::kUring;
   uring_cfg.io_queue_depth = 16;
   FileEngine uring_eng(2, opts, uring_cfg);
   const StreamOutcome outcome = RunBatched(&uring_eng, ops);
@@ -302,15 +292,16 @@ TEST(IoUringEngineTest, ReconfigureShardMidBatchDeterministicOnUring) {
   SKIP_WITHOUT_URING();
   // Mid-stream per-shard reconfiguration — including retuning the queue
   // depth itself — must leave the ring path bit-identical to the pread
-  // path making the same reconfigurations at the same op boundaries.
+  // path making the same cache reconfigurations at the same op
+  // boundaries at depth 1.
   const std::vector<Op> ops = MixedStream(3000, 83);
 
-  auto run_with_retunes = [&](IoMode mode, const std::string& tag) {
+  auto run_with_retunes = [&](bool ring, const std::string& tag) {
     FileEngineConfig cfg;
     cfg.workdir = UniqueDir(tag);
-    cfg.io_mode = mode;
-    cfg.io_queue_depth = 8;
+    cfg.io_queue_depth = ring ? 8 : 1;
     FileEngine eng(2, SmallOptions(), cfg);
+    EXPECT_STREQ(eng.io_backend(), ring ? "uring" : "pread");
 
     StreamOutcome o;
     o.found.resize(ops.size());
@@ -333,7 +324,7 @@ TEST(IoUringEngineTest, ReconfigureShardMidBatchDeterministicOnUring) {
       ++batch_no;
       lsm::Options retune = SmallOptions();
       retune.block_cache_bytes = (batch_no % 2 == 0) ? 4 * 4096 : 16 * 4096;
-      retune.io_queue_depth = (batch_no % 2 == 0) ? 4 : 32;
+      if (ring) retune.io_queue_depth = (batch_no % 2 == 0) ? 4 : 32;
       eng.ReconfigureShard(0, retune);
     }
     o.cost = eng.CostSnapshot();
@@ -346,8 +337,8 @@ TEST(IoUringEngineTest, ReconfigureShardMidBatchDeterministicOnUring) {
     return o;
   };
 
-  const StreamOutcome pread = run_with_retunes(IoMode::kPread, "retune_pread");
-  const StreamOutcome uring = run_with_retunes(IoMode::kUring, "retune_uring");
+  const StreamOutcome pread = run_with_retunes(false, "retune_pread");
+  const StreamOutcome uring = run_with_retunes(true, "retune_uring");
   ExpectBitIdentical(pread, uring, "mid-batch retune");
 }
 

@@ -78,14 +78,10 @@ TEST(TuningConfigTest, IoQueueDepthFlowsToOptionsAndModel) {
 TEST(SystemSetupTest, RejectsUringKnobsOnSimBackend) {
   SystemSetup setup;
   EXPECT_TRUE(setup.Validate().ok());
-  setup.io_mode = FileIoMode::kUring;
-  EXPECT_FALSE(setup.Validate().ok());
-  setup.io_mode = FileIoMode::kAuto;
   setup.io_queue_depth = 8;
   EXPECT_FALSE(setup.Validate().ok());
-  // The same knobs are legal on the real-IO backend...
+  // The same depth is legal on the real-IO backend...
   setup.backend = EngineBackend::kFile;
-  setup.io_mode = FileIoMode::kUring;
   EXPECT_TRUE(setup.Validate().ok());
   // ...but the depth range is still enforced.
   setup.io_queue_depth = 0;
