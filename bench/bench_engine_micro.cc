@@ -4,11 +4,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench_common.h"
 #include "camal/evaluator.h"
+#include "engine/file_engine.h"
 #include "engine/sharded_engine.h"
 #include "lsm/bloom.h"
 #include "lsm/lsm_tree.h"
+#include "lsm/memtable.h"
 #include "lsm/monkey.h"
 #include "ml/gbdt.h"
 #include "ml/poly.h"
@@ -84,6 +89,88 @@ void BM_LsmScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LsmScan);
+
+// ------------------------------------------------------------------------
+// The memtable at a flush-sized (2,048) and a 2^20-entry buffer (Arg =
+// entries). Put inserts new random keys; the table is refilled (untimed)
+// once it has grown by an eighth, so its size stays within 12.5% of Arg.
+// Insert cost must not grow in proportion to Arg: an insert shifts part of
+// one chunk, and only a split (one per ~64 inserts) shifts the chunk
+// directory.
+
+/// `n` distinct random keys, sorted, as `Entry`s.
+std::vector<camal::lsm::Entry> SortedRandomEntries(uint64_t n, uint64_t seed) {
+  camal::util::Random rng(seed);
+  std::vector<camal::lsm::Entry> entries;
+  entries.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) entries.push_back({rng.Next(), i, false});
+  std::sort(entries.begin(), entries.end(),
+            [](const camal::lsm::Entry& a, const camal::lsm::Entry& b) {
+              return a.key < b.key;
+            });
+  return entries;
+}
+
+void BM_MemtablePut(benchmark::State& state) {
+  const auto n = static_cast<uint64_t>(state.range(0));
+  const std::vector<camal::lsm::Entry> base = SortedRandomEntries(n, 7);
+  camal::lsm::Memtable mem;
+  mem.LoadSorted(base);
+  camal::util::Random rng(8);
+  for (auto _ : state) {
+    mem.Put(rng.Next(), 1, false);
+    if (mem.size() >= n + n / 8) {
+      state.PauseTiming();
+      mem.LoadSorted(base);
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemtablePut)->Arg(2048)->Arg(1 << 20);
+
+void BM_MemtableGet(benchmark::State& state) {
+  const auto n = static_cast<uint64_t>(state.range(0));
+  const std::vector<camal::lsm::Entry> base = SortedRandomEntries(n, 7);
+  camal::lsm::Memtable mem;
+  for (const camal::lsm::Entry& e : base) mem.Put(e.key, e.value, false);
+  camal::util::Random rng(9);
+  for (auto _ : state) {
+    // Half the lookups hit a buffered key, half miss.
+    const uint64_t key =
+        rng.Uniform(2) == 0 ? base[rng.Uniform(n)].key : rng.Next();
+    benchmark::DoNotOptimize(mem.Find(key));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemtableGet)->Arg(2048)->Arg(1 << 20);
+
+// A point Get on a one-shard FileEngine whose block cache holds one block:
+// every Get misses, preads its block into the buffer the previous miss
+// evicted, and evicts in turn. Buffered I/O, so the reads come from the
+// page cache and the row measures the engine's miss path, not the device.
+void BM_FileGetCacheMiss(benchmark::State& state) {
+  constexpr uint64_t kKeys = 40000;
+  camal::lsm::Options opts = DefaultOptions();
+  opts.block_cache_bytes = 4096;
+  camal::engine::FileEngineConfig cfg;
+  cfg.try_direct_io = false;
+  camal::engine::FileEngine eng(1, opts, cfg);
+  for (uint64_t k = 0; k < kKeys; ++k) eng.Put(2 * k, k + 1);
+  eng.FlushMemtable();
+  uint64_t i = 0;
+  uint64_t value = 0;
+  const uint64_t reads_before = eng.CostSnapshot().block_reads;
+  for (auto _ : state) {
+    // Consecutive gets stride over 1,009 keys, more than a block holds.
+    benchmark::DoNotOptimize(eng.Get(2 * (++i * 1009 % kKeys), &value));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["reads_per_get"] =
+      static_cast<double>(eng.CostSnapshot().block_reads - reads_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FileGetCacheMiss);
 
 // ------------------------------------------------------------------------
 // Sharded serving engine: the same core operations through

@@ -11,11 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
-#include <new>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -26,7 +23,9 @@
 #include "lsm/block_cache.h"
 #include "lsm/bloom.h"
 #include "lsm/compaction.h"
+#include "lsm/memtable.h"
 #include "util/crc32c.h"
+#include "util/search.h"
 #include "util/status.h"
 
 namespace camal::engine {
@@ -57,23 +56,6 @@ inline void SysCheck(bool ok, const char* what, const std::string& path) {
   std::fprintf(stderr, "FileEngine: %s failed for '%s': %s\n", what,
                path.c_str(), std::strerror(errno));
   std::abort();
-}
-
-/// Block-aligned heap buffer (O_DIRECT wants aligned reads and writes; the
-/// same buffers serve the buffered fallback). Allocated through the aligned
-/// `operator new`, so heap accounting that replaces it sees these too.
-struct AlignedDeleter {
-  size_t align = 0;
-  void operator()(char* p) const {
-    ::operator delete[](p, std::align_val_t(align));
-  }
-};
-using AlignedBuf = std::unique_ptr<char[], AlignedDeleter>;
-
-inline AlignedBuf AllocAligned(size_t bytes, size_t align) {
-  return AlignedBuf(
-      static_cast<char*>(::operator new[](bytes, std::align_val_t(align))),
-      AlignedDeleter{align});
 }
 
 inline double NowNs() {
@@ -131,7 +113,7 @@ inline uint64_t EntriesPerBlock(uint64_t block_bytes) {
   return block_bytes / sizeof(DiskEntry);
 }
 
-inline const DiskEntry* BlockRecords(const std::vector<char>& block) {
+inline const DiskEntry* BlockRecords(const lsm::Block& block) {
   return reinterpret_cast<const DiskEntry*>(block.data());
 }
 
@@ -174,6 +156,40 @@ inline int OpenRead(const std::string& path, bool direct) {
   return fd;
 }
 
+/// Per-shard storage of one io_uring Get window (`ExecuteGetWindow`),
+/// emptied after each window and never freed, so a warm window allocates
+/// nothing.
+struct GetWindow {
+  /// A block the window's lookups reached. `bytes` comes from a cache
+  /// peek or a ring completion and is null while the block is queued or
+  /// in flight; the ops parked on it meanwhile form a FIFO list threaded
+  /// through `next_parked` (-1 ends it).
+  struct Fetch {
+    uint64_t key = 0;
+    const FileRun* run = nullptr;
+    size_t blk = 0;
+    lsm::BlockPtr bytes;
+    int64_t first_parked = -1;
+    int64_t last_parked = -1;
+  };
+  std::vector<Fetch> fetches;
+  lsm::KeyIndex by_key;  // cache key -> index into `fetches`
+  std::vector<int64_t> next_parked;  // per window op
+  std::vector<uint32_t> backlog;  // fetches waiting for a free ring slot
+  size_t backlog_head = 0;        // FIFO front of `backlog`
+  std::vector<uint32_t> slot_fetch;  // ring slot -> fetch in flight there
+  std::vector<std::shared_ptr<lsm::Block>> slot_bytes;  // its read target
+  std::vector<uint32_t> free_slots;
+  std::vector<IoRing::Completion> comps;
+
+  /// The bytes the window holds for a block (replay's miss source).
+  const lsm::BlockPtr& Bytes(uint64_t key) const {
+    const uint32_t f = by_key.Find(key);
+    CAMAL_CHECK(f != lsm::KeyIndex::kNone && fetches[f].bytes != nullptr);
+    return fetches[f].bytes;
+  }
+};
+
 }  // namespace fileio
 
 /// One shard: a file set (levels of runs) plus memtable, Bloom filters,
@@ -183,21 +199,24 @@ inline int OpenRead(const std::string& path, bool direct) {
 struct FileShard {
   lsm::Options options;
   std::string dir;
-  std::map<uint64_t, lsm::Entry> memtable;
+  lsm::Memtable memtable;
   /// levels[l] holds runs oldest-to-newest (read newest first).
   std::vector<std::vector<fileio::FileRunPtr>> levels;
   lsm::BlockCache cache{0};
+  /// Block buffers that left the cache, read into again once nothing
+  /// else holds them (`TakeBlock`), and the alignment new ones get: the
+  /// block size under O_DIRECT, none beyond the default otherwise.
+  std::vector<lsm::BlockPtr> spare_blocks;
+  size_t block_align = 1;
   fileio::Clock clock;
   EngineCounters counters;
   uint64_t next_run_id = 1;
   uint64_t disk_entries = 0;
-  /// pread target; block-aligned for O_DIRECT.
-  fileio::AlignedBuf scratch;
   /// Ring path state (null/empty on the pread path): the shard-owned
-  /// submission ring, one aligned read buffer per queue slot, and the
-  /// resolved queue depth (shard options override the engine default).
+  /// submission ring, the window storage, and the resolved queue depth
+  /// (shard options override the engine default).
   std::unique_ptr<fileio::IoRing> ring;
-  std::vector<fileio::AlignedBuf> ring_bufs;
+  fileio::GetWindow window;
   uint32_t io_depth = 1;
 
   /// Durability state (null on a live shard with
@@ -211,10 +230,11 @@ struct FileShard {
   uint64_t wal_epoch = 0;
 
   /// Hibernation state. While hibernated, the heavy members above
-  /// (memtable, levels and their fds, cache contents, scratch, ring, log
-  /// writers) are released, and the shard's manifest and WAL are its one
-  /// image; the cheap residuals below keep the observability surface
-  /// (entries, run counts, transition status) answerable without waking.
+  /// (memtable, levels and their fds, cache contents, spare blocks, ring
+  /// and window storage, log writers) are released, and the shard's
+  /// manifest and WAL are its one image; the cheap residuals below keep
+  /// the observability surface (entries, run counts, transition status)
+  /// answerable without waking.
   uint64_t hib_memtable_size = 0;
   /// Per-level (run count, entry count) at hibernation time.
   std::vector<std::pair<uint64_t, uint64_t>> hib_level_shape;
@@ -224,7 +244,6 @@ void FileShardDeleter::operator()(FileShard* shard) const { delete shard; }
 
 namespace {
 
-using fileio::AllocAligned;
 using fileio::BlockRecords;
 using fileio::DiskEntry;
 using fileio::EntriesPerBlock;
@@ -237,49 +256,71 @@ using fileio::SysCheck;
 using fileio::ToEntry;
 namespace fs = std::filesystem;
 
-/// Reads block `blk` of `run` into a new buffer, through the shard scratch
-/// buffer. Uncounted: a read-path miss counts it (`FetchBlock`), a wake
-/// refill does not.
-lsm::BlockPtr ReadBlock(FileShard& sh, const FileEngineConfig& cfg,
-                        const FileRun& run, size_t blk) {
-  SysCheck(fileio::PreadAll(run.fd, sh.scratch.get(), cfg.block_bytes,
-                            blk * cfg.block_bytes),
-           "pread", run.path);
-  return std::make_shared<std::vector<char>>(
-      sh.scratch.get(), sh.scratch.get() + cfg.block_bytes);
+/// Spare block buffers a shard keeps at most; a buffer that leaves the
+/// cache beyond them is freed once its last reader lets go.
+constexpr size_t kSpareBlocks = 32;
+
+/// A block buffer to read into: a spare that nothing else holds (no cache
+/// entry, scan cursor or ring window), else a new one.
+std::shared_ptr<lsm::Block> TakeBlock(FileShard& sh,
+                                      const FileEngineConfig& cfg) {
+  std::vector<lsm::BlockPtr>& spare = sh.spare_blocks;
+  for (size_t i = spare.size(); i-- > 0;) {
+    if (spare[i].use_count() != 1) continue;
+    // Sole owner of a buffer that was created mutable: safe to refill.
+    auto block = std::const_pointer_cast<lsm::Block>(std::move(spare[i]));
+    spare[i] = std::move(spare.back());
+    spare.pop_back();
+    return block;
+  }
+  return std::make_shared<lsm::Block>(cfg.block_bytes, sh.block_align);
 }
 
-/// Block bytes by cache key: what an io_uring window fetched or peeked.
-using BlockMap = std::unordered_map<uint64_t, lsm::BlockPtr>;
+/// Keeps a buffer that left the cache for a later `TakeBlock`. One buffer
+/// can leave twice (a ring window's replay re-inserts a block it peeked),
+/// and is kept once.
+void RecycleBlock(FileShard& sh, lsm::BlockPtr block) {
+  std::vector<lsm::BlockPtr>& spare = sh.spare_blocks;
+  if (block == nullptr || spare.size() == kSpareBlocks ||
+      std::find(spare.begin(), spare.end(), block) != spare.end()) {
+    return;
+  }
+  spare.push_back(std::move(block));
+}
+
+/// Reads block `blk` of `run` with one pread straight into a recycled or
+/// new buffer. Uncounted: a read-path miss counts it
+/// (`FetchBlock`), a wake refill does not.
+lsm::BlockPtr ReadBlock(FileShard& sh, const FileEngineConfig& cfg,
+                        const FileRun& run, size_t blk) {
+  std::shared_ptr<lsm::Block> block = TakeBlock(sh, cfg);
+  SysCheck(fileio::PreadAll(run.fd, block->data(), cfg.block_bytes,
+                            blk * cfg.block_bytes),
+           "pread", run.path);
+  return block;
+}
 
 /// Cache-aware fetch of block `blk` of `run`, the read path's one block
 /// access. A hit hands back the cached buffer (zero copies). A miss counts
 /// one block read and reads the block, or takes it from `window` when the
 /// ring already fetched it, then shares that one buffer between the caller
-/// and the cache.
+/// and the cache; the buffer the insert pushed out is kept for reuse.
 lsm::BlockPtr FetchBlock(FileShard& sh, const FileEngineConfig& cfg,
                          const FileRun& run, size_t blk,
-                         const BlockMap* window = nullptr) {
+                         const fileio::GetWindow* window = nullptr) {
   const uint64_t key = lsm::BlockCache::MakeKey(run.id, blk);
   lsm::BlockPtr block;
   if (sh.cache.Lookup(key, &block)) return block;
-  if (window != nullptr) {
-    const auto it = window->find(key);
-    CAMAL_CHECK(it != window->end());
-    block = it->second;
-  } else {
-    block = ReadBlock(sh, cfg, run, blk);
-  }
+  block = window != nullptr ? window->Bytes(key) : ReadBlock(sh, cfg, run, blk);
   ++sh.clock.block_reads;
-  sh.cache.Insert(key, block);
+  RecycleBlock(sh, sh.cache.Insert(key, block));
   return block;
 }
 
 /// Fence search: the block of `run` whose key range covers `key`, i.e. the
 /// last block whose first key is <= `key` (`key` >= the run's min key).
 size_t FenceBlock(const FileRun& run, uint64_t key) {
-  const auto fit = std::upper_bound(run.fence.begin(), run.fence.end(), key);
-  return static_cast<size_t>(std::distance(run.fence.begin(), fit)) - 1;
+  return util::UpperBound(run.fence.data(), run.fence.size(), key) - 1;
 }
 
 /// Number of records in block `blk` of `run` (the last block may be short).
@@ -291,11 +332,8 @@ uint64_t RecordsIn(const FileRun& run, size_t blk, uint64_t epb) {
 /// whose key is >= `key` (`count` when there is none).
 uint64_t SeekInBlock(const lsm::BlockPtr& block, uint64_t count,
                      uint64_t key) {
-  const DiskEntry* records = BlockRecords(*block);
-  const DiskEntry* first = std::lower_bound(
-      records, records + count, key,
-      [](const DiskEntry& d, uint64_t k) { return d.key < k; });
-  return static_cast<uint64_t>(first - records);
+  return util::LowerBound(BlockRecords(*block), count, key,
+                          [](const DiskEntry& d) { return d.key; });
 }
 
 /// How a point lookup ended.
@@ -315,10 +353,9 @@ enum class GetOutcome {
 template <typename Read>
 GetOutcome LookupKey(const FileShard& sh, uint64_t epb, uint64_t key,
                      uint64_t* value, Read&& read) {
-  auto it = sh.memtable.find(key);
-  if (it != sh.memtable.end()) {
-    if (it->second.tombstone) return GetOutcome::kAbsent;
-    if (value != nullptr) *value = it->second.value;
+  if (const lsm::Entry* buffered = sh.memtable.Find(key)) {
+    if (buffered->tombstone) return GetOutcome::kAbsent;
+    if (value != nullptr) *value = buffered->value;
     return GetOutcome::kFound;
   }
   for (const auto& level : sh.levels) {
@@ -344,7 +381,7 @@ GetOutcome LookupKey(const FileShard& sh, uint64_t epb, uint64_t key,
 /// Point lookup through the block cache. Misses pread, or, given a
 /// `window`, take the bytes an io_uring window fetched.
 bool DoGet(FileShard& sh, const FileEngineConfig& cfg, uint64_t key,
-           uint64_t* value, const BlockMap* window = nullptr) {
+           uint64_t* value, const fileio::GetWindow* window = nullptr) {
   return LookupKey(sh, EntriesPerBlock(cfg.block_bytes), key, value,
                    [&](const FileRun& run, size_t blk) {
                      return FetchBlock(sh, cfg, run, blk, window);
@@ -438,19 +475,19 @@ bool LoadFilterFile(const std::string& path,
 
 /// Rebuilds a run's filter from the keys in its run file, as `RunWriter`
 /// built it. Construction is deterministic, so the result is bit-identical
-/// to the filter the record describes. Reads through the shard scratch
+/// to the filter the record describes. Reads through one aligned block
 /// buffer and is uncounted, like the rest of recovery.
-lsm::BloomFilter RebuildFilter(FileShard& sh, const FileEngineConfig& cfg,
-                               const FileRun& run,
+lsm::BloomFilter RebuildFilter(const FileEngineConfig& cfg, const FileRun& run,
                                const fileio::ManifestRunMeta& meta) {
   lsm::BloomFilter filter(run.num_entries, meta.bloom_bpk);
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
+  lsm::Block buf(cfg.block_bytes, cfg.block_bytes);
   for (size_t blk = 0; blk < run.num_blocks(); ++blk) {
-    SysCheck(fileio::PreadAll(run.fd, sh.scratch.get(), cfg.block_bytes,
+    SysCheck(fileio::PreadAll(run.fd, buf.data(), cfg.block_bytes,
                               blk * cfg.block_bytes),
              "pread(filter rebuild)", run.path);
     const uint64_t count = std::min(epb, run.num_entries - blk * epb);
-    const auto* records = reinterpret_cast<const DiskEntry*>(sh.scratch.get());
+    const auto* records = reinterpret_cast<const DiskEntry*>(buf.data());
     for (uint64_t i = 0; i < count; ++i) filter.Add(records[i].key);
   }
   return filter;
@@ -474,7 +511,7 @@ FileRunPtr OpenRun(FileShard& sh, const FileEngineConfig& cfg,
   run->fd = fileio::OpenRead(run->path, direct_io);
   const std::string filter_path = fileio::FilterPath(sh.dir, meta.id);
   if (!LoadFilterFile(filter_path, meta, &run->filter)) {
-    run->filter = RebuildFilter(sh, cfg, *run, meta);
+    run->filter = RebuildFilter(cfg, *run, meta);
     CAMAL_CHECK(run->filter.memory_bits() == meta.bloom_bits &&
                 fileio::FilterCrc(run->filter) == meta.bloom_crc);
     WriteFilterFile(cfg, filter_path, run->filter);
@@ -577,7 +614,7 @@ class RunWriter {
     if (run_ == nullptr) Open();
     if (slot_ == 0) {
       if (chunk_blocks_ == chunk_capacity_) WriteChunk();
-      block_ = chunk_.get() + chunk_blocks_++ * cfg_.block_bytes;
+      block_ = chunk_->data() + chunk_blocks_++ * cfg_.block_bytes;
       run_->fence.push_back(e.key);
     }
     // Pages start at multiples of block_bytes; 24 does not divide 4096, so
@@ -629,7 +666,8 @@ class RunWriter {
     fd_ = CreateForWrite(cfg_, run_->path, direct_io_);
     const uint64_t max_blocks = (max_entries_ + epb_ - 1) / epb_;
     chunk_capacity_ = std::min(kRunWriteBlocks, max_blocks);
-    chunk_ = AllocAligned(chunk_capacity_ * cfg_.block_bytes, cfg_.block_bytes);
+    chunk_ = std::make_unique<lsm::Block>(chunk_capacity_ * cfg_.block_bytes,
+                                          cfg_.block_bytes);
     keys_.reserve(max_entries_);
     run_->fence.reserve(max_blocks);
   }
@@ -643,7 +681,7 @@ class RunWriter {
   /// Appends the chunk's filled blocks to the file and empties it.
   void WriteChunk() {
     const uint64_t bytes = chunk_blocks_ * cfg_.block_bytes;
-    PWriteAll(cfg_, fd_, chunk_.get(), bytes, written_bytes_, run_->path);
+    PWriteAll(cfg_, fd_, chunk_->data(), bytes, written_bytes_, run_->path);
     written_bytes_ += bytes;
     chunk_blocks_ = 0;
   }
@@ -655,7 +693,7 @@ class RunWriter {
   const uint64_t epb_;
   FileRunPtr run_;
   int fd_ = -1;
-  fileio::AlignedBuf chunk_;
+  std::unique_ptr<lsm::Block> chunk_;
   uint64_t chunk_capacity_ = 0;  // blocks the chunk holds
   uint64_t chunk_blocks_ = 0;    // blocks started in the chunk
   char* block_ = nullptr;        // the block being filled
@@ -677,7 +715,7 @@ class CompactionCursor {
         cfg_(&cfg),
         run_(&run),
         epb_(EntriesPerBlock(cfg.block_bytes)),
-        buf_(AllocAligned(
+        buf_(std::make_unique<lsm::Block>(
             std::min<uint64_t>(kCompactionReadBlocks, run.num_blocks()) *
                 cfg.block_bytes,
             cfg.block_bytes)) {
@@ -705,7 +743,7 @@ class CompactionCursor {
     const uint64_t first = idx_ / epb_;
     blocks_ = std::min<uint64_t>(kCompactionReadBlocks,
                                  run_->num_blocks() - first);
-    SysCheck(fileio::PreadAll(run_->fd, buf_.get(),
+    SysCheck(fileio::PreadAll(run_->fd, buf_->data(),
                               blocks_ * cfg_->block_bytes,
                               first * cfg_->block_bytes),
              "pread", run_->path);
@@ -719,7 +757,7 @@ class CompactionCursor {
   void Decode() {
     DiskEntry record;
     std::memcpy(&record,
-                buf_.get() + block_ * cfg_->block_bytes +
+                buf_->data() + block_ * cfg_->block_bytes +
                     slot_ * sizeof(DiskEntry),
                 sizeof(record));
     head_ = ToEntry(record);
@@ -729,7 +767,7 @@ class CompactionCursor {
   const FileEngineConfig* cfg_;
   const FileRun* run_;
   uint64_t epb_;
-  fileio::AlignedBuf buf_;
+  std::unique_ptr<lsm::Block> buf_;
   uint64_t idx_ = 0;     // entry index of head_ within the run
   uint64_t blocks_ = 0;  // blocks in the buffer
   uint64_t block_ = 0;   // buffer block holding head_
@@ -816,11 +854,10 @@ void Normalize(FileShard& sh, const FileEngineConfig& cfg, bool direct_io) {
 void FlushShard(FileShard& sh, const FileEngineConfig& cfg, bool direct_io) {
   if (sh.memtable.empty()) return;
   RunWriter writer(sh, cfg, direct_io, sh.memtable.size());
-  for (const auto& [key, entry] : sh.memtable) {
-    (void)key;
-    writer.Add(entry);
+  for (auto c = sh.memtable.LowerBound(0); !c.done(); c.advance()) {
+    writer.Add(c.head());
   }
-  sh.memtable.clear();
+  sh.memtable.Clear();
   FileRunPtr run = writer.Finish();
   if (sh.levels.empty()) sh.levels.resize(1);
   sh.disk_entries += run->num_entries;
@@ -846,8 +883,8 @@ void DoPut(FileShard& sh, const FileEngineConfig& cfg, bool direct_io,
   if (sh.memtable.size() >= sh.options.BufferEntries()) {
     FlushShard(sh, cfg, direct_io);
   }
+  sh.memtable.Put(key, value, tombstone);
   const lsm::Entry e{key, value, tombstone};
-  sh.memtable[key] = e;
   // Logged at the *current* epoch, buffered until the enclosing batch (or
   // single-op call) commits — group commit on batch boundaries.
   if (sh.wal != nullptr) sh.wal->Append(sh.wal_epoch, &e, 1);
@@ -871,8 +908,8 @@ bool RingWouldEngage(uint32_t depth) {
   return depth > 1 && fileio::IoRingSupported();
 }
 
-/// Resolves the shard's effective queue depth and (re)builds its ring +
-/// slot buffers. A no-op when nothing changed, so arbiter-driven reconfigs
+/// Resolves the shard's effective queue depth and (re)builds its ring and
+/// window storage. A no-op when nothing changed, so arbiter-driven reconfigs
 /// stay cheap. `ResolvedQueueDepth` and `RingWouldEngage` also answer
 /// queue-depth/backend queries for shards that have no live ring state yet
 /// (cold) or released it (hibernated).
@@ -882,15 +919,15 @@ void SetupShardRing(FileShard& sh, const FileEngineConfig& cfg) {
   if (depth == sh.io_depth && engage == (sh.ring != nullptr)) return;
   sh.io_depth = depth;
   sh.ring.reset();
-  sh.ring_bufs.clear();
+  sh.window = {};
   if (!engage) return;
   auto ring = std::make_unique<fileio::IoRing>(depth);
   if (!ring->ok()) return;  // per-shard setup failure: pread fallback
   sh.ring = std::move(ring);
-  sh.ring_bufs.reserve(depth);
-  for (uint32_t i = 0; i < depth; ++i) {
-    sh.ring_bufs.push_back(AllocAligned(cfg.block_bytes, cfg.block_bytes));
-  }
+  sh.window.slot_fetch.resize(depth);
+  sh.window.slot_bytes.resize(depth);
+  sh.window.free_slots.reserve(depth);
+  sh.window.comps.reserve(depth);
 }
 
 /// Opens empty logs for a shard: stale files from an earlier engine in a
@@ -909,9 +946,7 @@ void OpenFreshLogs(FileShard& sh, const FileEngineConfig& cfg,
 /// live epoch, and commits it.
 void RewriteWal(FileShard& sh) {
   sh.wal->Reset();
-  std::vector<lsm::Entry> entries;
-  entries.reserve(sh.memtable.size());
-  for (const auto& [key, e] : sh.memtable) entries.push_back(e);
+  const std::vector<lsm::Entry> entries = sh.memtable.Sorted();
   sh.wal->Append(sh.wal_epoch, entries.data(), entries.size());
   sh.wal->Commit();
 }
@@ -921,14 +956,14 @@ void RewriteWal(FileShard& sh) {
 /// replays the WAL tail of the shard's epoch into the memtable, and
 /// reopens (repairing) both logs. Fences come from the manifest and each
 /// filter from its CRC-checked `.blm` file, so no block is read unless a
-/// filter file is damaged and must be rebuilt (through the scratch
-/// buffer). The I/O is uncounted (clocks start at zero, like any fresh
-/// engine). The shard's dir, options and WAL epoch must already be set.
+/// filter file is damaged and must be rebuilt. The I/O is uncounted
+/// (clocks start at zero, like any fresh engine). The shard's dir, options
+/// and WAL epoch must already be set.
 void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
                       bool direct_io, fileio::RecoveredShardState* st,
                       const fileio::WalReplay& wal) {
-  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
   sh.disk_entries = 0;
+  sh.block_align = direct_io ? cfg.block_bytes : 1;
   sh.levels.resize(st->levels.size());
   for (size_t l = 0; l < st->levels.size(); ++l) {
     sh.levels[l].reserve(st->levels[l].size());
@@ -948,7 +983,9 @@ void RebuildLiveShard(FileShard& sh, const FileEngineConfig& cfg,
       wal_clean = false;
       continue;
     }
-    for (const lsm::Entry& e : rec.entries) sh.memtable[e.key] = e;
+    for (const lsm::Entry& e : rec.entries) {
+      sh.memtable.Put(e.key, e.value, e.tombstone);
+    }
   }
 
   // Repair the logs: truncate torn manifest tails. A WAL that holds only
@@ -1039,26 +1076,18 @@ void RefillCache(FileShard& sh, const FileEngineConfig& cfg,
 /// latencies are allowed to vary; counters are the determinism contract).
 void ExecuteGetWindow(FileShard& sh, const FileEngineConfig& cfg, const Op* ops,
                       const size_t* op_idx, size_t window, OpResult* results) {
+  using Fetch = fileio::GetWindow::Fetch;
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
   const uint32_t depth = sh.io_depth;
   const double t0 = Now(cfg);
 
-  // Window content table: block bytes by cache key, filled from cache
-  // peeks and ring completions. Replay serves its misses from here.
-  BlockMap contents;
-  // Ops parked on each block that is queued or in flight (a key is
-  // present exactly while its one fetch is outstanding).
-  std::unordered_map<uint64_t, std::vector<size_t>> waiters;
-  struct Fetch {
-    uint64_t key = 0;
-    const FileRun* run = nullptr;
-    size_t blk = 0;
-  };
-  std::deque<Fetch> backlog;  // waiting for a free ring slot
-  std::vector<Fetch> slot_fetch(depth);
-  std::vector<uint32_t> free_slots;
-  free_slots.reserve(depth);
-  for (uint32_t i = 0; i < depth; ++i) free_slots.push_back(i);
+  // The window's content table (`w.fetches`, keyed by `w.by_key`) holds
+  // every block a lookup reached: cache peeks, and fetches queued, in
+  // flight or completed. Replay serves its misses from it.
+  fileio::GetWindow& w = sh.window;
+  w.next_parked.assign(window, -1);
+  w.free_slots.clear();
+  for (uint32_t i = 0; i < depth; ++i) w.free_slots.push_back(i);
   uint32_t inflight = 0;
 
   // Runs op `si`'s lookup as far as the blocks at hand go, parking it on
@@ -1067,31 +1096,43 @@ void ExecuteGetWindow(FileShard& sh, const FileEngineConfig& cfg, const Op* ops,
     LookupKey(sh, epb, ops[op_idx[si]].key, nullptr,
               [&](const FileRun& run, size_t blk) -> lsm::BlockPtr {
                 const uint64_t key = lsm::BlockCache::MakeKey(run.id, blk);
-                auto it = contents.find(key);
-                if (it != contents.end()) return it->second;
-                lsm::BlockPtr peeked;
-                if (sh.cache.Peek(key, &peeked)) {
-                  contents.emplace(key, peeked);
-                  return peeked;
+                uint32_t f = w.by_key.Find(key);
+                if (f == lsm::KeyIndex::kNone) {
+                  f = static_cast<uint32_t>(w.fetches.size());
+                  w.fetches.push_back(Fetch{key, &run, blk, nullptr, -1, -1});
+                  w.by_key.Insert(key, f);
+                  if (!sh.cache.Peek(key, &w.fetches[f].bytes)) {
+                    w.backlog.push_back(f);
+                  }
                 }
-                auto [wit, fresh] = waiters.try_emplace(key);
-                if (fresh) backlog.push_back(Fetch{key, &run, blk});
-                wit->second.push_back(si);
+                Fetch& fetch = w.fetches[f];
+                if (fetch.bytes != nullptr) return fetch.bytes;
+                const auto op = static_cast<int64_t>(si);
+                w.next_parked[si] = -1;
+                if (fetch.last_parked < 0) {
+                  fetch.first_parked = op;
+                } else {
+                  w.next_parked[static_cast<size_t>(fetch.last_parked)] = op;
+                }
+                fetch.last_parked = op;
                 return nullptr;
               });
   };
 
-  // Moves backlog entries into free ring slots and submits them.
+  // Moves backlog entries into free ring slots, each reading into a
+  // recycled or new block buffer, and submits them.
   auto pump = [&] {
-    while (inflight < depth && !backlog.empty()) {
-      const uint32_t slot = free_slots.back();
-      free_slots.pop_back();
-      const Fetch& f = slot_fetch[slot] = backlog.front();
-      backlog.pop_front();
-      const bool prepped =
-          sh.ring->PrepRead(f.run->fd, sh.ring_bufs[slot].get(),
-                            static_cast<unsigned>(cfg.block_bytes),
-                            f.blk * cfg.block_bytes, slot);
+    while (inflight < depth && w.backlog_head < w.backlog.size()) {
+      const uint32_t slot = w.free_slots.back();
+      w.free_slots.pop_back();
+      const uint32_t f = w.backlog[w.backlog_head++];
+      const Fetch& fetch = w.fetches[f];
+      w.slot_fetch[slot] = f;
+      w.slot_bytes[slot] = TakeBlock(sh, cfg);
+      const bool prepped = sh.ring->PrepRead(
+          fetch.run->fd, w.slot_bytes[slot]->data(),
+          static_cast<unsigned>(cfg.block_bytes), fetch.blk * cfg.block_bytes,
+          slot);
       CAMAL_CHECK(prepped);
       ++inflight;
     }
@@ -1104,25 +1145,25 @@ void ExecuteGetWindow(FileShard& sh, const FileEngineConfig& cfg, const Op* ops,
   // until every lookup has all its blocks at hand.
   for (size_t si = 0; si < window; ++si) discover(si);
   pump();
-  std::vector<fileio::IoRing::Completion> comps;
   while (inflight > 0) {
-    comps.clear();
-    const int n = sh.ring->WaitCompletions(1, &comps);
+    w.comps.clear();
+    const int n = sh.ring->WaitCompletions(1, &w.comps);
     SysCheck(n > 0, "io_uring_enter(wait)", sh.dir);
-    for (const fileio::IoRing::Completion& c : comps) {
+    for (const fileio::IoRing::Completion& c : w.comps) {
       const auto slot = static_cast<uint32_t>(c.user_data);
-      const Fetch f = slot_fetch[slot];
+      const uint32_t f = w.slot_fetch[slot];
       SysCheck(c.result == static_cast<int32_t>(cfg.block_bytes), "ring read",
-               f.run->path);
-      const char* buf = sh.ring_bufs[slot].get();
-      contents.emplace(f.key, std::make_shared<std::vector<char>>(
-                                  buf, buf + cfg.block_bytes));
-      free_slots.push_back(slot);
+               w.fetches[f].run->path);
+      w.fetches[f].bytes = std::move(w.slot_bytes[slot]);
+      w.free_slots.push_back(slot);
       --inflight;
-      auto wit = waiters.find(f.key);
-      const std::vector<size_t> parked = std::move(wit->second);
-      waiters.erase(wit);
-      for (size_t si : parked) discover(si);
+      int64_t si = w.fetches[f].first_parked;
+      w.fetches[f].first_parked = w.fetches[f].last_parked = -1;
+      while (si >= 0) {
+        const int64_t next = w.next_parked[static_cast<size_t>(si)];
+        discover(static_cast<size_t>(si));
+        si = next;
+      }
     }
     pump();
   }
@@ -1132,10 +1173,15 @@ void ExecuteGetWindow(FileShard& sh, const FileEngineConfig& cfg, const Op* ops,
   for (size_t si = 0; si < window; ++si) {
     const uint64_t reads_before = sh.clock.block_reads;
     OpResult r;
-    r.found = DoGet(sh, cfg, ops[op_idx[si]].key, nullptr, &contents);
+    r.found = DoGet(sh, cfg, ops[op_idx[si]].key, nullptr, &w);
     r.ios = sh.clock.block_reads - reads_before;
     results[op_idx[si]] = r;
   }
+  // Empty the window storage; a buffer only it held is free for reuse.
+  for (const Fetch& f : w.fetches) w.by_key.Erase(f.key);
+  w.fetches.clear();
+  w.backlog.clear();
+  w.backlog_head = 0;
   const double dt = Now(cfg) - t0;
   sh.clock.elapsed_ns += dt;
   const double per_op = dt / static_cast<double>(window);
@@ -1154,7 +1200,7 @@ class ScanCursor {
  public:
   /// The memtable from its first entry >= `start_key`.
   ScanCursor(const FileShard& sh, uint64_t start_key)
-      : mem_(sh.memtable.lower_bound(start_key)), mem_end_(sh.memtable.end()) {}
+      : mem_(sh.memtable.LowerBound(start_key)) {}
 
   /// `run` from its first entry >= `start_key`. A start inside the run's
   /// key range reads the block the fence search names to find it.
@@ -1178,11 +1224,11 @@ class ScanCursor {
   }
 
   bool done() const {
-    return run_ == nullptr ? mem_ == mem_end_ : idx_ == run_->num_entries;
+    return run_ == nullptr ? mem_.done() : idx_ == run_->num_entries;
   }
 
   const lsm::Entry& head() const {
-    if (run_ == nullptr) return mem_->second;
+    if (run_ == nullptr) return mem_.head();
     if (!decoded_) {
       if (idx_ / epb_ != block_idx_) Load(idx_ / epb_);
       head_ = ToEntry(BlockRecords(*block_)[idx_ % epb_]);
@@ -1193,7 +1239,7 @@ class ScanCursor {
 
   void advance() {
     if (run_ == nullptr) {
-      ++mem_;
+      mem_.advance();
     } else {
       ++idx_;
       decoded_ = false;
@@ -1210,8 +1256,7 @@ class ScanCursor {
   const FileEngineConfig* cfg_ = nullptr;
   const FileRun* run_ = nullptr;
   uint64_t epb_ = 1;
-  std::map<uint64_t, lsm::Entry>::const_iterator mem_;
-  std::map<uint64_t, lsm::Entry>::const_iterator mem_end_;
+  lsm::Memtable::Cursor mem_;
   uint64_t idx_ = 0;  // entry index of the head within the run
   // The block holding the head, shared with the cache (eviction-safe),
   // and the head decoded from it.
@@ -1422,7 +1467,7 @@ void FileEngine::CreateShard(size_t s, Slot& slot,
     sh.manifest->LogInit(s, sh.options);
   }
   sh.cache.Resize(sh.options.block_cache_bytes / config_.block_bytes);
-  sh.scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
+  sh.block_align = direct_io_ ? config_.block_bytes : 1;
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(sh, config_);
 }
@@ -1486,11 +1531,11 @@ void FileEngine::FreezeShard(size_t /*s*/, Slot& slot) {
   sh.manifest.reset();
   sh.wal.reset();
   sh.hib_memtable_size = sh.memtable.size();
-  sh.memtable.clear();
+  sh.memtable = lsm::Memtable();
   sh.levels.clear();  // closes every run fd
-  sh.scratch.reset();
+  sh.spare_blocks = {};
   sh.ring.reset();
-  sh.ring_bufs.clear();
+  sh.window = {};
   sh.io_depth = 1;
 }
 

@@ -78,7 +78,7 @@ struct FileEngineConfig {
   /// dispatch per syscall.
   fileio::FileOps* file_ops = nullptr;
   /// Shard lifecycle: lazy instantiation (a cold shard holds no memtable,
-  /// Bloom filters, cache, scratch buffers, or file descriptors) and
+  /// Bloom filters, cache, block buffers, or file descriptors) and
   /// idle-shard hibernation (a hibernated shard releases its in-memory
   /// structures and leaves its manifest and WAL as its one image, written
   /// uncounted, and unsynced on a non-durable engine; the next touching op
@@ -191,7 +191,7 @@ class FileEngine : public ShardSet<FileEngine, FileShardPtr> {
   friend ShardSet<FileEngine, Slot>;
 
   // ShardSet backend: lifecycle transitions of one file-set shard.
-  /// Creates shard `s`'s directory, logs, cache, scratch buffers and ring.
+  /// Creates shard `s`'s directory, logs, cache and ring.
   void CreateShard(size_t s, Slot& slot, const lsm::Options& options);
   /// Wakes a hibernated shard the way recovery rebuilds a live one:
   /// replays its manifest, rebuilds it from the run metadata and the WAL,

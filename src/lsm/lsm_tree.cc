@@ -1,6 +1,7 @@
 #include "lsm/lsm_tree.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "lsm/compaction.h"
 #include "lsm/monkey.h"
@@ -46,22 +47,32 @@ std::unique_ptr<FrozenTreeState> LsmTree::Freeze() {
 }
 
 void LsmTree::Put(uint64_t key, uint64_t value) {
-  memtable_.Put(key, value, /*tombstone=*/false, device_);
-  if (memtable_.size() >= options_.BufferEntries()) FlushMemtable();
+  BufferWrite(key, value, /*tombstone=*/false);
 }
 
 void LsmTree::Delete(uint64_t key) {
-  memtable_.Put(key, 0, /*tombstone=*/true, device_);
+  BufferWrite(key, 0, /*tombstone=*/true);
+}
+
+void LsmTree::BufferWrite(uint64_t key, uint64_t value, bool tombstone) {
+  device_->ChargeCpu(device_->config().cpu_buffer_insert_ns);
+  memtable_.Put(key, value, tombstone);
   if (memtable_.size() >= options_.BufferEntries()) FlushMemtable();
 }
 
 bool LsmTree::Get(uint64_t key, uint64_t* value) {
-  Entry entry;
-  if (memtable_.Get(key, &entry, device_)) {
-    if (entry.tombstone) return false;
-    if (value != nullptr) *value = entry.value;
+  // A memtable lookup is priced as a balanced-tree search.
+  const double depth =
+      memtable_.empty()
+          ? 1.0
+          : std::log2(static_cast<double>(memtable_.size()) + 1);
+  device_->ChargeCpu(device_->config().cpu_key_compare_ns * depth);
+  if (const Entry* buffered = memtable_.Find(key)) {
+    if (buffered->tombstone) return false;
+    if (value != nullptr) *value = buffered->value;
     return true;
   }
+  Entry entry;
   const int deepest = levels_.DeepestNonEmpty();
   for (int level = 0; level <= deepest; ++level) {
     const auto& runs = levels_.At(static_cast<size_t>(level));
@@ -89,19 +100,18 @@ struct ScanCursor {
   const Run* run;
   const Entry* pos;  // run cursors: [pos, end) of the run's entries
   const Entry* end;
-  Memtable::const_iterator mem;  // the memtable cursor: [mem, mem_end)
-  Memtable::const_iterator mem_end;
+  Memtable::Cursor mem;  // the memtable cursor
   int64_t last_block;
   uint64_t per_block;
   sim::Device* device;
   BlockCache* cache;
 
-  bool done() const { return run == nullptr ? mem == mem_end : pos == end; }
-  const Entry& head() const { return run == nullptr ? mem->second : *pos; }
+  bool done() const { return run == nullptr ? mem.done() : pos == end; }
+  const Entry& head() const { return run == nullptr ? mem.head() : *pos; }
   void advance() {
     device->ChargeCpu(device->config().cpu_iter_next_ns);
     if (run == nullptr) {
-      ++mem;
+      mem.advance();
       return;
     }
     const auto idx = static_cast<size_t>(pos - run->entries().data());
@@ -126,7 +136,7 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
   const uint64_t per_block = EntriesPerBlock();
   std::vector<ScanCursor> cursors;
   cursors.push_back({nullptr, nullptr, nullptr, memtable_.LowerBound(start_key),
-                     memtable_.end(), -1, per_block, device_, &cache_});
+                     -1, per_block, device_, &cache_});
   const int deepest = levels_.DeepestNonEmpty();
   for (int level = 0; level <= deepest; ++level) {
     const auto& runs = levels_.At(static_cast<size_t>(level));
@@ -135,7 +145,7 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
       const std::vector<Entry>& entries = (*it)->entries();
       const size_t first = (*it)->FirstGeq(start_key, device_);
       cursors.push_back({it->get(), entries.data() + first,
-                         entries.data() + entries.size(), {}, {}, -1,
+                         entries.data() + entries.size(), {}, -1,
                          per_block, device_, &cache_});
     }
   }

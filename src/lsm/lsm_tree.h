@@ -25,7 +25,7 @@ using TreeCounters = engine::EngineCounters;
 /// device; the restoring constructor rebuilds a tree that behaves
 /// bit-identically to one that was never frozen. The run data (`levels`)
 /// is carried by reference-counted immutable runs — the simulated "disk"
-/// — while the memtable collapses from a `std::map` into a sorted vector.
+/// — while the memtable collapses into a sorted vector.
 struct FrozenTreeState {
   Options options;
   std::vector<Entry> memtable;  // sorted by key, tombstones included
@@ -144,6 +144,10 @@ class LsmTree : public engine::StorageEngine {
   /// `drained_level`'s current contents excluded (-1 = none).
   double BloomBpkForLevel(size_t target_level, uint64_t incoming,
                           int drained_level) const;
+
+  /// Buffers a write, charging the buffer insert, and flushes a full
+  /// memtable.
+  void BufferWrite(uint64_t key, uint64_t value, bool tombstone);
 
   /// Restores the level invariants (runs <= K, bytes <= capacity) starting
   /// at `level_idx`, cascading deeper as needed.

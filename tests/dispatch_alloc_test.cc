@@ -4,7 +4,11 @@
 // counts what a second identical pass allocates. `ExecuteOps` plans a
 // batch in storage it keeps, and a scan-free batch that routes to one
 // shard is one list served on the caller's thread, so a warm single-op
-// call — and a warm batch on a one-shard engine — allocates nothing.
+// call — and a warm batch on a one-shard engine — allocates nothing. Below
+// the dispatch, the memtable reuses its chunks, the block cache its nodes,
+// a file shard its evicted block buffers and its io_uring window storage,
+// so a warm miss, a warm ring window and a warm new-key Put allocate
+// nothing either.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,7 @@
 #include <vector>
 
 #include "engine/file_engine.h"
+#include "engine/io_ring.h"
 #include "engine/sharded_engine.h"
 #include "lsm/options.h"
 
@@ -108,12 +113,14 @@ sim::DeviceConfig QuietDevice() {
   return cfg;
 }
 
-FileEngineConfig FileConfig(const std::string& tag, bool durable) {
+FileEngineConfig FileConfig(const std::string& tag, bool durable,
+                            uint32_t io_queue_depth = 1) {
   FileEngineConfig cfg;
   cfg.workdir = TestBase() + "/camal_dispatch_alloc_" + tag + "_" +
                 std::to_string(FileEngine::NextUniqueId());
   cfg.durable = durable;
   cfg.wal_sync = fileio::WalSyncPolicy::kNone;
+  cfg.io_queue_depth = io_queue_depth;
   return cfg;
 }
 
@@ -127,16 +134,22 @@ std::vector<Op> HitGets() {
   return ops;
 }
 
-void LoadAndFlush(StorageEngine* eng) {
-  for (uint64_t k = 0; k < kKeys; ++k) eng->Put(2 * k, k + 1);
+void LoadAndFlush(StorageEngine* eng, uint64_t keys = kKeys) {
+  for (uint64_t k = 0; k < keys; ++k) eng->Put(2 * k, k + 1);
   eng->FlushMemtable();
 }
 
+/// What the counted pass of `CountedPass` did.
+struct PassStats {
+  double allocs_per_op = 0.0;
+  uint64_t found = 0;
+  uint64_t ios = 0;
+};
+
 /// Serves `ops` in batches of `batch` ops, twice: a warm-up pass, then a
-/// counted one. Returns the counted pass's allocations per op, after
-/// checking that every op of it found its key from the cache.
-double AllocsPerOp(StorageEngine* eng, const std::vector<Op>& ops,
-                   size_t batch) {
+/// counted one.
+PassStats CountedPass(StorageEngine* eng, const std::vector<Op>& ops,
+                      size_t batch) {
   std::vector<OpResult> results(ops.size());
   auto pass = [&] {
     for (size_t i = 0; i < ops.size(); i += batch) {
@@ -145,15 +158,24 @@ double AllocsPerOp(StorageEngine* eng, const std::vector<Op>& ops,
     }
   };
   pass();
-  const uint64_t allocs = CountAllocs(pass);
-  uint64_t found = 0, ios = 0;
+  PassStats stats;
+  stats.allocs_per_op = static_cast<double>(CountAllocs(pass)) /
+                        static_cast<double>(ops.size());
   for (const OpResult& r : results) {
-    found += r.found ? 1 : 0;
-    ios += r.ios;
+    stats.found += r.found ? 1 : 0;
+    stats.ios += r.ios;
   }
-  EXPECT_EQ(found, ops.size());
-  EXPECT_EQ(ios, 0u) << "the counted pass must be served from the cache";
-  return static_cast<double>(allocs) / static_cast<double>(ops.size());
+  return stats;
+}
+
+/// The counted pass's allocations per op, after checking that every op of
+/// it found its key from the cache.
+double AllocsPerOp(StorageEngine* eng, const std::vector<Op>& ops,
+                   size_t batch) {
+  const PassStats stats = CountedPass(eng, ops, batch);
+  EXPECT_EQ(stats.found, ops.size());
+  EXPECT_EQ(stats.ios, 0u) << "the counted pass must be served from the cache";
+  return stats.allocs_per_op;
 }
 
 TEST(DispatchAllocTest, SingleOpGetOnWarmFileEngineAllocatesNothing) {
@@ -163,6 +185,35 @@ TEST(DispatchAllocTest, SingleOpGetOnWarmFileEngineAllocatesNothing) {
     LoadAndFlush(&eng);
     EXPECT_EQ(AllocsPerOp(&eng, HitGets(), 1), 0.0);
   }
+}
+
+TEST(DispatchAllocTest, SingleOpGetThroughWarmRingWindowAllocatesNothing) {
+  if (!fileio::IoRingSupported()) GTEST_SKIP() << "no io_uring here";
+  FileEngine eng(4, CachedOptions(), FileConfig("ring", false, 8));
+  ASSERT_STREQ(eng.io_backend(), "uring");
+  LoadAndFlush(&eng);
+  EXPECT_EQ(AllocsPerOp(&eng, HitGets(), 1), 0.0);
+}
+
+// A cache far smaller than the data: nearly every Get misses, reads its
+// block into the buffer the previous miss evicted, and evicts in turn.
+TEST(DispatchAllocTest, SingleOpGetThatMissesTheCacheAllocatesNothing) {
+  constexpr uint64_t kBigKeys = 40000;  // ~59 blocks per shard
+  lsm::Options opts = CachedOptions();
+  opts.bloom_bits = 10 * kBigKeys;
+  opts.block_cache_bytes = 4 * 4096;  // one block per shard
+  FileEngine eng(4, opts, FileConfig("miss", false));
+  LoadAndFlush(&eng, kBigKeys);
+  // Consecutive gets stride over 1,009 keys, more than a shard block spans.
+  std::vector<Op> ops(kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ops[i].kind = OpKind::kGet;
+    ops[i].key = 2 * (i * 1009 % kBigKeys);
+  }
+  const PassStats stats = CountedPass(&eng, ops, 1);
+  EXPECT_EQ(stats.found, ops.size());
+  EXPECT_GE(stats.ios, ops.size() * 9 / 10);
+  EXPECT_EQ(stats.allocs_per_op, 0.0);
 }
 
 TEST(DispatchAllocTest, SingleOpGetOnWarmSimEngineAllocatesNothing) {
@@ -214,6 +265,33 @@ TEST(DispatchAllocTest, DurableUpdatePutAllocatesNoMoreThanAPlainOne) {
   const uint64_t durable = UpdatePutAllocs(/*durable=*/true);
   EXPECT_LE(durable, plain) << "per put: " << durable / double(kKeys)
                             << " durable vs " << plain / double(kKeys);
+}
+
+// New keys into a memtable whose chunks a flush emptied: the table grows
+// into its spare chunks without allocating (a node-per-entry table makes
+// at least one allocation per new key).
+TEST(DispatchAllocTest, WarmNewKeyPutAllocatesAlmostNothing) {
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "not durable");
+    lsm::Options opts = CachedOptions();
+    opts.buffer_bytes = 2 * kKeys * opts.entry_bytes;
+    FileEngine eng(4, opts, FileConfig("newput", durable));
+    std::vector<Op> ops(kKeys);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ops[k].kind = OpKind::kPut;
+      ops[k].key = 2 * k + 1;
+      ops[k].value = k;
+      eng.Put(2 * k, k + 1);
+    }
+    eng.FlushMemtable();
+    const uint64_t flushes = eng.AggregateCounters().flushes;
+    OpResult r;
+    const uint64_t allocs = CountAllocs([&] {
+      for (const Op& op : ops) eng.ExecuteOps(&op, 1, &r);
+    });
+    EXPECT_EQ(eng.AggregateCounters().flushes, flushes);
+    EXPECT_LT(static_cast<double>(allocs) / kKeys, 0.1) << allocs;
+  }
 }
 
 }  // namespace

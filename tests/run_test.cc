@@ -8,6 +8,7 @@
 
 #include "lsm/block_cache.h"
 #include "lsm/compaction.h"
+#include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
 #include "lsm/run.h"
 #include "sim/device.h"
@@ -32,32 +33,29 @@ std::vector<Entry> MakeEntries(int n, uint64_t stride = 2) {
 }
 
 TEST(MemtableTest, PutGetOverwrite) {
-  sim::Device dev(QuietDevice());
   Memtable mem;
-  mem.Put(5, 100, false, &dev);
-  mem.Put(5, 200, false, &dev);
-  Entry e;
-  ASSERT_TRUE(mem.Get(5, &e, &dev));
-  EXPECT_EQ(e.value, 200u);
+  mem.Put(5, 100, false);
+  mem.Put(5, 200, false);
+  const Entry* e = mem.Find(5);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->value, 200u);
   EXPECT_EQ(mem.size(), 1u);
 }
 
 TEST(MemtableTest, TombstoneVisible) {
-  sim::Device dev(QuietDevice());
   Memtable mem;
-  mem.Put(5, 100, false, &dev);
-  mem.Put(5, 0, true, &dev);
-  Entry e;
-  ASSERT_TRUE(mem.Get(5, &e, &dev));
-  EXPECT_TRUE(e.tombstone);
+  mem.Put(5, 100, false);
+  mem.Put(5, 0, true);
+  const Entry* e = mem.Find(5);
+  ASSERT_NE(e, nullptr);
+  EXPECT_TRUE(e->tombstone);
 }
 
 TEST(MemtableTest, DrainSortedOrderAndClear) {
-  sim::Device dev(QuietDevice());
   Memtable mem;
-  mem.Put(30, 3, false, &dev);
-  mem.Put(10, 1, false, &dev);
-  mem.Put(20, 2, false, &dev);
+  mem.Put(30, 3, false);
+  mem.Put(10, 1, false);
+  mem.Put(20, 2, false);
   const std::vector<Entry> drained = mem.DrainSorted();
   ASSERT_EQ(drained.size(), 3u);
   EXPECT_EQ(drained[0].key, 10u);
@@ -67,26 +65,37 @@ TEST(MemtableTest, DrainSortedOrderAndClear) {
 }
 
 TEST(MemtableTest, LowerBoundWalksFromStartInKeyOrder) {
-  sim::Device dev(QuietDevice());
   Memtable mem;
-  for (uint64_t k = 1; k <= 10; ++k) mem.Put(k * 10, k, false, &dev);
+  for (uint64_t k = 1; k <= 10; ++k) mem.Put(k * 10, k, false);
   std::vector<Entry> out;
-  for (auto it = mem.LowerBound(35); it != mem.end() && out.size() < 3;
-       ++it) {
-    out.push_back(it->second);
+  for (auto c = mem.LowerBound(35); !c.done() && out.size() < 3;
+       c.advance()) {
+    out.push_back(c.head());
   }
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].key, 40u);
   EXPECT_EQ(out[1].key, 50u);
   EXPECT_EQ(out[2].key, 60u);
-  EXPECT_EQ(mem.LowerBound(101), mem.end());
+  EXPECT_TRUE(mem.LowerBound(101).done());
 }
 
-TEST(MemtableTest, ChargesCpu) {
+// The memtable charges nothing; the tree that owns it charges a buffer
+// insert per write and a tree-depth search per lookup.
+TEST(MemtableTest, TreeChargesTheMemtableCosts) {
   sim::Device dev(QuietDevice());
-  Memtable mem;
-  mem.Put(1, 1, false, &dev);
-  EXPECT_GT(dev.elapsed_ns(), 0.0);
+  Options opts;
+  LsmTree tree(opts, &dev);
+  tree.Get(7, nullptr);  // empty table: depth 1
+  EXPECT_EQ(dev.elapsed_ns(), dev.config().cpu_key_compare_ns);
+  tree.Put(1, 1);
+  EXPECT_EQ(dev.elapsed_ns(), dev.config().cpu_key_compare_ns +
+                                  dev.config().cpu_buffer_insert_ns);
+  tree.Delete(2);
+  tree.Put(3, 3);
+  const double before = dev.elapsed_ns();
+  EXPECT_TRUE(tree.Get(3, nullptr));
+  EXPECT_DOUBLE_EQ(dev.elapsed_ns() - before,
+                   dev.config().cpu_key_compare_ns * 2);
 }
 
 TEST(RunTest, GetFindsExistingKey) {
